@@ -33,7 +33,7 @@ class _InputFailure(Exception):
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--in", dest="infile", required=True,
-                        help="input JSON document")
+                        help="input JSON document ('-' reads stdin)")
     common.add_argument("--out", dest="outfile",
                         help="also write the result here (.csv for gaps "
                              "writes the table instead)")
@@ -55,7 +55,10 @@ def _parser():
 
 
 def _load(path):
+    """Parse the input document; path "-" reads standard input."""
     try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -112,9 +115,9 @@ def _cfg(args):
 
 
 def _chain_step(cur, step, cfg):
-    if not isinstance(step, dict) or "op" not in step:
-        raise InvalidInput("each chain step needs an 'op'")
-    op = step["op"]
+    if not isinstance(step, dict) or not isinstance(step.get("op"), str):
+        raise InvalidInput("each chain step needs an 'op' string")
+    op = step["op"].replace("_", "-")  # "plus_one" names "plus-one"
     if op == "plus-one":
         return plus_one(cur, cfg)
     if op == "escape":
@@ -131,7 +134,7 @@ def _chain_step(cur, step, cfg):
         return veronese_extend(cur, int(step["target_n"]), cfg)
     if op == "sv-extend":
         return sv_extend(cur, cfg)
-    raise InvalidInput("unknown chain op %r" % op)
+    raise InvalidInput("unknown chain op %r" % step["op"])
 
 
 def _dispatch(args, doc):

@@ -17,7 +17,7 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotConcise, NotContainedInY, NotIrredundantInput,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
-from .exactlin import in_span, rank_rows, solve_columns
+from .exactlin import Echelon, in_span, rank_rows, solve_columns
 from .geometry import (MppPoint, SubspaceSpec, canonical_vector, embed,
                        line_point)
 
@@ -37,9 +37,10 @@ class ConstructionConfig:
 
 def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
     """Random nonzero vector outside the row span (rejection sampling)."""
+    span = Echelon(field, span_rows)
     for _ in range(tries):
         v = tuple(field.random_element(rng, box) for _ in range(length))
-        if any(x != 0 for x in v) and not in_span(field, span_rows, v):
+        if any(x != 0 for x in v) and not span.contains(v):
             return v
     raise GenericityExhausted("no direction off the span after %d draws"
                               % tries)
@@ -105,7 +106,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         _certify_minimal_via_oracle(d)
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    u_rows = [list(c) for c in d.embedded_columns]
+    u_span = Echelon(field, d.embedded_columns)
 
     viable = []
     for ai, a in enumerate(d.points):
@@ -115,7 +116,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                 e = tuple(field.one() if t == j else field.zero()
                           for t in range(n + 1))
                 fv = embed(space, a.replace_factor(i, e)).coords
-                if not in_span(field, u_rows, fv):
+                if not u_span.contains(fv):
                     viable.append((ai, i))
                     break
     if not viable:
@@ -153,9 +154,9 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                         else usable[:2])
         u = a.replace_factor(i, u_vec)
         v = a.replace_factor(i, v_vec)
-        if in_span(field, u_rows, embed(space, u).coords):
+        if u_span.contains(embed(space, u).coords):
             continue
-        if in_span(field, u_rows, embed(space, v).coords):
+        if u_span.contains(embed(space, v).coords):
             continue
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)

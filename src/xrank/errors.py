@@ -37,6 +37,12 @@ class FieldTooSmall(XrankError):
     code = "FieldTooSmall"
 
 
+class ModulusTooLarge(XrankError):
+    """The prime is too large for a kernel's int64 residue products."""
+
+    code = "ModulusTooLarge"
+
+
 class ZeroFactor(XrankError):
     """A projective factor vector (or tensor) is identically zero."""
 

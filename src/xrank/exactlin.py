@@ -5,9 +5,20 @@ ints in [0, p) over a prime field; `FieldSpec` owns the raw arithmetic.
 `Scalar` wraps a raw value with its field for the public surface and for
 serialization ("a/b" or "a" over Q, a decimal residue over GF(p)).
 
+`Echelon` is the incremental elimination kernel: an echelon basis of a
+row span that grows one row at a time (`insert`, undone by `pop`),
+reduces a vector against the span (`reduce`), and answers membership
+(`contains`) and `rank` without eliminating the span again.  Each basis
+row is scaled to 1 at its lead and is zero at the leads of the rows
+inserted before it, so one pass over the rows in insertion order clears
+every lead.  Over GF(p) it runs on plain ints with inline `% p`; over Q
+on `Fraction`.  Build one `Echelon` per fixed span and query it many
+times.
+
 Rank over Q runs fraction-free (Bareiss) on denominator-cleared integer
-rows; over GF(p) it is plain elimination mod p.  Pivoting is deterministic:
-first nonzero entry, scanning rows in order.
+rows; over GF(p) it is the rank of an `Echelon`.  `rref` gives the
+reduced system that `solve_columns` reads coefficients from.  Pivoting
+is deterministic: first nonzero entry, scanning rows in order.
 """
 
 import re
@@ -17,20 +28,36 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, DivisionByZero, MixedFields
 
+# Deterministic Miller-Rabin with these bases is exact below 3.18e23
+# (Sorenson and Webster), which covers every modulus below MODULUS_BOUND.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_BOUND = 2 ** 64
+
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; moduli here are desk scale."""
+    """Deterministic Miller-Rabin primality test for n < 2**64."""
+    if n >= MODULUS_BOUND:
+        raise ValueError("modulus %d is not supported: moduli must be "
+                         "below 2**64" % n)
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -181,68 +208,74 @@ class Scalar:
         return self.field.format_scalar(self.value)
 
 
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a, _b: -a,
-    "inv": lambda a, _b: a.inv(),
-}
-
-
-def scalar_arith(op: str, a: Scalar, b: Scalar | None = None) -> Scalar:
-    """Dispatch one arithmetic step: op in add/sub/mul/div/neg/inv."""
-    try:
-        f = _OPS[op]
-    except KeyError:
-        raise ValueError("unknown op %r" % (op,))
-    return f(a, b)
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Dense row-major matrix of raw values over one field."""
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        rows = [tuple(field.coerce(v) for v in r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        flat = tuple(v for r in rows for v in r)
-        return cls(field, len(rows), ncols, flat)
-
-    @classmethod
-    def from_columns(cls, field: FieldSpec, cols) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            n = len(cols[0])
-            rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        else:
-            rows = []
-        return cls.from_rows(field, rows)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.entries[i * self.cols + j])
-
-
 # -- elimination kernels on raw rows ------------------------------------
+
+
+class Echelon:
+    """Incremental echelon basis of a row span over one field.
+
+    rows: raw-value vectors of one length, inserted in order.  Queries
+    (`reduce`, `contains`, `rank`) never change the basis.
+    """
+
+    __slots__ = ("_p", "_rows", "_width")
+
+    def __init__(self, field: FieldSpec, rows=()):
+        self._p = field.modulus
+        self._rows = []  # (lead, row): row[lead] == 1, zero at earlier leads
+        self._width = None
+        for r in rows:
+            self.insert(r)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def reduce(self, vec) -> list:
+        """vec minus a combination of the basis rows that clears every
+        lead; the zero vector exactly when vec lies in the span."""
+        if self._width is not None and len(vec) != self._width:
+            raise DimensionMismatch("vector length %d vs span width %d"
+                                    % (len(vec), self._width))
+        p = self._p
+        if p is None:
+            v = list(vec)
+            for lead, row in self._rows:
+                c = v[lead]
+                if c:
+                    v = [x - c * y for x, y in zip(v, row)]
+        else:
+            v = [x % p for x in vec]
+            for lead, row in self._rows:
+                c = v[lead]
+                if c:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self.reduce(vec))
+
+    def insert(self, vec) -> bool:
+        """Add vec to the basis unless the span already holds it; returns
+        whether the rank grew."""
+        v = self.reduce(vec)
+        self._width = len(v)
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        p = self._p
+        if p is None:
+            inv = 1 / Fraction(v[lead])
+            row = tuple(x * inv for x in v)
+        else:
+            inv = pow(v[lead], -1, p)
+            row = tuple(x * inv % p for x in v)
+        self._rows.append((lead, row))
+        return True
+
+    def pop(self):
+        """Remove the row inserted last (undo one successful insert)."""
+        self._rows.pop()
 
 
 def rref(field: FieldSpec, rows):
@@ -253,6 +286,7 @@ def rref(field: FieldSpec, rows):
     fields; over Q this is plain Fraction arithmetic (solving wants the
     actual reduced system, rank alone uses the Bareiss path below).
     """
+    p = field.modulus
     work = [list(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -267,16 +301,23 @@ def rref(field: FieldSpec, rows):
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        if piv != field.one():
-            inv = field.inv(piv)
-            work[r] = [field.mul(v, inv) for v in work[r]]
+        rr = work[r]
+        piv = rr[c]
+        if piv != 1:
+            if p is None:
+                inv = 1 / Fraction(piv)
+                rr = [v * inv for v in rr]
+            else:
+                inv = pow(piv, -1, p)
+                rr = [v * inv % p for v in rr]
+            work[r] = rr
         for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                ri, rr = work[i], work[r]
-                work[i] = [field.sub(ri[j], field.mul(f, rr[j]))
-                           for j in range(ncols)]
+            f = work[i][c]
+            if i != r and f != 0:
+                if p is None:
+                    work[i] = [x - f * y for x, y in zip(work[i], rr)]
+                else:
+                    work[i] = [(x - f * y) % p for x, y in zip(work[i], rr)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -315,53 +356,24 @@ def _rank_bareiss(int_rows) -> int:
 
 def rank_rows(field: FieldSpec, rows) -> int:
     """Rank of a list of raw-value row vectors."""
-    rows = [r for r in rows if any(v != 0 for v in r)]
-    if not rows:
-        return 0
-    if field.modulus is None:
-        cleared = []
-        for r in rows:
-            r = [Fraction(v) for v in r]
-            den = 1
-            for v in r:
-                den = den * v.denominator // _gcd(den, v.denominator)
-            cleared.append([int(v * den) for v in r])
-        return _rank_bareiss(cleared)
-    # GF(p): plain elimination.
-    p = field.modulus
-    work = [list(r) for r in rows]
-    nrows, ncols = len(work), len(work[0])
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c] % p != 0:
-                pr = i
-                break
-        if pr is None:
+    if field.modulus is not None:
+        return Echelon(field, rows).rank
+    cleared = []
+    for r in rows:
+        if not any(v != 0 for v in r):
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [v * inv % p for v in work[r]]
-        for i in range(r + 1, nrows):
-            f = work[i][c] % p
-            if f:
-                row_i, row_r = work[i], work[r]
-                work[i] = [(row_i[j] - f * row_r[j]) % p for j in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        r = [Fraction(v) for v in r]
+        den = 1
+        for v in r:
+            den = den * v.denominator // _gcd(den, v.denominator)
+        cleared.append([int(v * den) for v in r])
+    return _rank_bareiss(cleared)
 
 
 def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def mat_rank(m: Matrix) -> int:
-    return rank_rows(m.field, [m.row(i) for i in range(m.rows)])
 
 
 class CoordinateSolution(NamedTuple):
@@ -396,27 +408,6 @@ def solve_columns(field: FieldSpec, columns, target) -> CoordinateSolution:
     return CoordinateSolution(tuple(coeffs), independent)
 
 
-def coordinates(generators: Matrix, target) -> CoordinateSolution:
-    """Coordinates of target in the span of the matrix columns.
-
-    target: sequence of Scalars or raw values in the matrix field.
-    """
-    field = generators.field
-    tv = []
-    for v in target:
-        if isinstance(v, Scalar):
-            if v.field != field:
-                raise MixedFields("%s target vs %s matrix" % (v.field, field))
-            tv.append(v.value)
-        else:
-            tv.append(field.coerce(v))
-    if len(tv) != generators.rows:
-        raise DimensionMismatch("target length %d vs %d rows"
-                                % (len(tv), generators.rows))
-    cols = [generators.column(j) for j in range(generators.cols)]
-    return solve_columns(field, cols, tv)
-
-
 # -- small vector helpers used across modules ---------------------------
 
 
@@ -438,7 +429,4 @@ def vec_scale(field, c, a):
 
 def in_span(field, rows, vec) -> bool:
     """Whether vec lies in the row span of rows."""
-    base = [r for r in rows if any(v != 0 for v in r)]
-    if not any(v != 0 for v in vec):
-        return True
-    return rank_rows(field, base + [list(vec)]) == rank_rows(field, base)
+    return Echelon(field, rows).contains(vec)

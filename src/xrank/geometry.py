@@ -10,6 +10,7 @@ Projective representatives are canonical: first nonzero coordinate 1.
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
@@ -101,18 +102,22 @@ def monomial_exponents(n_vars: int, degree: int) -> tuple:
 
 def canonical_vector(field: FieldSpec, vec):
     """Scale so the first nonzero coordinate is 1; raises ZeroFactor."""
-    vec = tuple(field.coerce(v) for v in vec)
-    lead = None
-    for v in vec:
-        if v != 0:
-            lead = v
-            break
+    p = field.modulus
+    if p is None:
+        vec = tuple(v if type(v) is Fraction else Fraction(v) for v in vec)
+    else:
+        vec = tuple(v % p if type(v) is int else field.coerce(v)
+                    for v in vec)
+    lead = next((v for v in vec if v), None)
     if lead is None:
         raise ZeroFactor("zero vector has no projective class")
-    if lead == field.one():
+    if lead == 1:
         return vec
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, v) for v in vec)
+    if p is None:
+        inv = 1 / lead
+        return tuple(inv * v for v in vec)
+    inv = pow(lead, -1, p)
+    return tuple(inv * v % p for v in vec)
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,14 @@ class MppPoint:
         return cls(space, tuple(canon))
 
     def replace_factor(self, i: int, vector) -> "MppPoint":
+        vector = tuple(vector)
+        if len(vector) != self.space.factor_dims[i] + 1:
+            raise DimensionMismatch("factor vector length %d, want %d"
+                                    % (len(vector),
+                                       self.space.factor_dims[i] + 1))
         vecs = list(self.coords)
-        vecs[i] = vector
-        return MppPoint.of(self.space, vecs)
+        vecs[i] = canonical_vector(self.space.field, vector)
+        return MppPoint(self.space, tuple(vecs))
 
     def to_json(self) -> list:
         f = self.space.field
@@ -207,6 +217,14 @@ def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
     if point.space != space:
         raise SpaceMismatch("point does not live on the given space")
     field = space.field
+    p = field.modulus
+    if p is not None and space.is_segre:
+        # Kronecker product of canonical factors: its first nonzero entry
+        # is the product of the factors' leading 1s, so it is canonical.
+        coords = [1]
+        for vec in point.coords:
+            coords = [c * v % p for c in coords for v in vec]
+        return Tensor(space, tuple(coords))
     coords = [field.one()]
     for vec, d in zip(point.coords, space.multidegree):
         vals = _evaluate_monomials(field, vec, d)
@@ -219,7 +237,10 @@ def line_point(field: FieldSpec, a, w, t):
     if len(a) != len(w):
         raise DimensionMismatch("vector lengths %d vs %d" % (len(a), len(w)))
     tv = field.coerce(t.value if hasattr(t, "value") else t)
-    return tuple(field.add(x, field.mul(tv, y)) for x, y in zip(a, w))
+    p = field.modulus
+    if p is None:
+        return tuple(x + tv * y for x, y in zip(a, w))
+    return tuple((x + tv * y) % p for x, y in zip(a, w))
 
 
 def random_point(space: MultiProjectiveSpace, rng_seed=0,
@@ -324,28 +345,30 @@ def _poly_mul(field, f, g):
 
 
 def substitution_columns(field: FieldSpec, basis, degree: int):
-    """Degree-d monomials of the subspace, expanded in ambient monomials.
+    """Columns through which the degree-d Veronese of a subspace factors.
 
-    basis: raw vectors spanning a subspace of K^{n+1}.  Returns one ambient
-    coefficient column per reduced monomial (reduced monomials over the
-    basis vectors, embedding order), i.e. the matrix through which the
-    degree-d Veronese of the subspace factors.
+    basis: raw vectors b_1..b_r spanning a subspace of K^{n+1}.  Returns
+    one ambient column per degree-d monomial c^beta in r variables
+    (embedding order): column beta holds, for every ambient monomial
+    x^alpha, the coefficient of c^beta in (sum_j c_j b_j)^alpha.  So
+    v_d(sum_j c_j b_j) = sum_beta c^beta * column_beta as a polynomial
+    identity in c, over any field and any degree.
     """
-    n_amb = len(basis[0])
-    amb_monos = monomial_exponents(n_amb, degree)
-    amb_index = {e: i for i, e in enumerate(amb_monos)}
-    lin = [_poly_from_vector(b) for b in basis]
-    cols = []
-    for expo in monomial_exponents(len(basis), degree):
-        poly = {tuple(0 for _ in range(n_amb)): field.one()}
-        for j, e in enumerate(expo):
+    r = len(basis)
+    red_index = {e: i for i, e in enumerate(monomial_exponents(r, degree))}
+    # the ambient coordinate x_i as a linear form in c
+    coord_forms = [_poly_from_vector([b[i] for b in basis])
+                   for i in range(len(basis[0]))]
+    amb_monos = monomial_exponents(len(basis[0]), degree)
+    cols = [[field.zero()] * len(amb_monos) for _ in red_index]
+    for row, expo in enumerate(amb_monos):
+        poly = {(0,) * r: field.one()}
+        for form, e in zip(coord_forms, expo):
             for _ in range(e):
-                poly = _poly_mul(field, poly, lin[j])
-        col = [field.zero()] * len(amb_monos)
-        for e, c in poly.items():
-            col[amb_index[e]] = c
-        cols.append(tuple(col))
-    return cols
+                poly = _poly_mul(field, poly, form)
+        for beta, c in poly.items():
+            cols[red_index[beta]][row] = c
+    return [tuple(c) for c in cols]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ import numpy as np
 
 from .decomp import Decomposition, set_envelope
 from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
-                     NoConciseWitness, SpaceMismatch, TargetNotSpanned)
-from .exactlin import solve_columns
+                     ModulusTooLarge, NoConciseWitness, SpaceMismatch,
+                     TargetNotSpanned)
+from .exactlin import Echelon, solve_columns
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                        ambient_dim, embed, enumerate_points)
 
@@ -81,33 +82,9 @@ def ground_set(space: MultiProjectiveSpace,
 # ------------------------------------------------------------ span caching
 
 @lru_cache(maxsize=64)
-def _ground_rref(g: GroundSet):
-    """Reduced row form of the ground columns: (rank, ((lead, row), ...))."""
-    p = g.space.field.modulus
-    rref = []
-    for r in g.columns:
-        v = list(r)
-        for lead, row in rref:
-            c = v[lead] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        leadpos = next((i for i, x in enumerate(v) if x % p), None)
-        if leadpos is None:
-            continue
-        inv = pow(v[leadpos], p - 2, p)
-        rref.append((leadpos, tuple((x * inv) % p for x in v)))
-    return len(rref), tuple(rref)
-
-
-def _is_spanned(g: GroundSet, q: Tensor) -> bool:
-    p = g.space.field.modulus
-    _, rref = _ground_rref(g)
-    v = list(q.coords)
-    for lead, row in rref:
-        c = v[lead] % p
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return not any(x % p for x in v)
+def _ground_span(g: GroundSet) -> Echelon:
+    """Echelon basis of the ground columns' span (never mutated)."""
+    return Echelon(g.space.field, g.columns)
 
 
 # ------------------------------------------------------------ exact verifier
@@ -135,33 +112,6 @@ def _project_rows(field, cols, qvec):
         w = tuple(field.sub(x, field.mul(c, y)) for x, y in zip(v, qhat))
         out.append(w[:s] + w[s + 1:])
     return out
-
-
-def _rank_gf(rows, p):
-    """Row rank of integer rows mod p (local elimination on copies)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p:
-                c = work[r][col] % p
-                work[r] = [(x - c * y) % p
-                           for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 # ------------------------------------------------------- candidate engines
@@ -195,35 +145,23 @@ def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
     """Lex-ordered subsets whose quotient images have rank t-1 with the
     last point closing the dependency.  Superset of the witnesses; the
     exact verifier rejects dependencies with missing support."""
-    p = field.modulus
     proj = _project_rows(field, cols, qvec)
     M = len(cols)
+    span = Echelon(field)  # quotient images of the chosen prefix
 
-    def reduce_vec(rref, v):
-        v = list(v)
-        for lead, row in rref:
-            c = v[lead] % p
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        return v
-
-    def rec(start, chosen, rref):
+    def rec(start, chosen):
         if len(chosen) == t - 1:
             for l in range(start, M):
-                w = reduce_vec(rref, proj[l])
-                if not any(w):
+                if span.contains(proj[l]):
                     yield chosen + (l,)
             return
         for i in range(start, M - (t - 1 - len(chosen))):
-            w = reduce_vec(rref, proj[i])
-            lead = next((j for j, x in enumerate(w) if x != 0), None)
-            if lead is None:
+            if not span.insert(proj[i]):
                 continue
-            inv = pow(w[lead], p - 2, p)
-            row = [(x * inv) % p for x in w]
-            yield from rec(i + 1, chosen + (i,), rref + [(lead, row)])
+            yield from rec(i + 1, chosen + (i,))
+            span.pop()
 
-    yield from rec(0, (), [])
+    yield from rec(0, ())
 
 
 def _inv_table(p):
@@ -282,6 +220,7 @@ def _pair_plane_keys(canon, lead, ii, jj, p, INV):
 
 
 _T3_CHUNK = 200_000
+_INT64_LIMIT = 2 ** 63
 
 
 def _t3_candidates(field, cols, qvec):
@@ -289,6 +228,10 @@ def _t3_candidates(field, cols, qvec):
     from its pair (i,j) plus a third point on the same quotient plane.
     Pairs are processed in chunks to bound memory."""
     p = field.modulus
+    if (p - 1) ** 2 >= _INT64_LIMIT:
+        raise ModulusTooLarge(
+            "the t=3 engine multiplies residues in int64; GF(%d) needs "
+            "(p-1)^2 < 2^63" % p)
     emb = np.array(cols, dtype=np.int64)
     qarr = np.array(qvec, dtype=np.int64)
     s = int(np.flatnonzero(qarr)[0])
@@ -330,7 +273,7 @@ def _t3_candidates(field, cols, qvec):
         a, b = int(starts[run]), int(starts[run + 1])
         gi, gj = ii[a:b], jj[a:b]
         loc = np.unique(np.concatenate([gi, gj]))
-        if _rank_gf([cols[int(idx[x])] for x in loc], p) <= 2:
+        if Echelon(field, [cols[int(idx[x])] for x in loc]).rank <= 2:
             continue
         rays = {int(x): tuple(int(w) for w in rwords[x]) for x in loc}
         spts = sorted(rays)
@@ -480,7 +423,7 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
         raise BudgetExceeded(
             "search space C(%d,%d)=%d exceeds budget %d; pass budget>=%d "
             "to run anyway" % (M, t, size, budget, size))
-    if not _is_spanned(g, q):
+    if not _ground_span(g).contains(q.coords):
         return SpanningSets(q, t, (), size, True)
     if engine == "naive":
         cand = itertools.combinations(range(M), t)
@@ -521,8 +464,9 @@ def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
     TargetNotSpanned when the ground set cannot express the target."""
     space = q.space
     g = ground_set(space, within)
-    big, _ = _ground_rref(g)
-    if not _is_spanned(g, q):
+    span = _ground_span(g)
+    big = span.rank
+    if not span.contains(q.coords):
         raise TargetNotSpanned(
             "target lies outside the span of the %d ground points" % g.size)
     searched = 0
@@ -568,8 +512,7 @@ def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET,
     answer are fully enumerated and reported as non-concise-only."""
     space = q.space
     cert = brute_rank(q, budget=budget, engine=engine)
-    g = ground_set(space)
-    big, _ = _ground_rref(g)
+    big = _ground_span(ground_set(space)).rank
 
     def full_env(d):
         return set_envelope(space, d.points).is_full

@@ -1,13 +1,21 @@
-"""End-to-end runs of the command line frontend (in process)."""
+"""End-to-end runs of the command line frontend (in process), and the
+README's library, CLI and chain examples."""
+import contextlib
 import csv
+import io
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
 from xrank.cli import main
-from xrank.decomp import Decomposition
+from xrank.decomp import Decomposition, verify_irredundant
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, embed)
 
@@ -257,3 +265,122 @@ def test_scalar_strings_round_trip_through_the_cli(tmp_path, capsys):
     # so only their ratio is pinned down
     c0, c1 = (Fraction(x) for x in payload["coefficients"])
     assert c0 == 2 * c1 and c1 != 0
+
+
+# ------------------------------------------------------------------ stdin
+
+def test_stdin_input_is_read_with_dash(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_diag_doc())))
+    code, payload = _run(capsys, ["verify", "--in", "-"])
+    assert code == 0
+    assert payload["irredundant"] is True
+
+
+def test_stdin_unparseable_is_io_failure(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+    code = main(["verify", "--in", "-"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+
+def test_stdin_through_a_real_pipe():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-m", "xrank.cli", "verify", "--in", "-"],
+        input=json.dumps(_diag_doc()), capture_output=True, text=True,
+        env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["irredundant"] is True
+
+
+def test_chain_rejects_unknown_and_non_string_ops(tmp_path, capsys):
+    for step in ({"op": "plus_two"}, {"op": 3}, {}):
+        doc = {"decomposition": _diag_doc(), "steps": [step]}
+        path = _write(tmp_path, "c.json", doc)
+        code, payload = _run(capsys, ["chain", "--in", path])
+        assert code == 2
+        assert payload["error"] == "InvalidInput"
+
+
+# ------------------------------------------------------- README examples
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    text = README.read_text()
+    return re.findall(r"```%s\n(.*?)```" % lang, text, re.S)
+
+
+def _readme_files_and_commands(block):
+    """`$ cat NAME` sections become {NAME: text}; other `$` lines are
+    commands, each followed by the output lines the README shows."""
+    files, commands = {}, []
+    current = None
+    for line in block.splitlines():
+        if line.startswith("$ cat ") and "&&" not in line:
+            current = files.setdefault(line[len("$ cat "):].strip(), [])
+        elif line.startswith("$ "):
+            current = []
+            commands.append((line[2:], current))
+        elif current is not None:
+            current.append(line)
+    return {k: "\n".join(v) for k, v in files.items()}, commands
+
+
+def test_readme_library_example():
+    (code,) = _readme_blocks("python")
+    expected = [line.split("#", 1)[1].strip()
+                for line in code.splitlines()
+                if line.startswith("print(") and "#" in line]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().split("\n")[:-1] == expected
+    assert expected == ["True", "2 6", "3 True"]
+
+
+def test_readme_rank_example_reads_stdin(monkeypatch, capsys):
+    block = next(b for b in _readme_blocks("sh") if "xrank rank" in b)
+    files, commands = _readme_files_and_commands(block)
+    ((command, shown),) = commands
+    assert command.startswith("xrank rank --in q.json |")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(files["q.json"]))
+    code, payload = _run(capsys, ["rank", "--in", "-"])
+    assert code == 0
+    got = "%d %d" % (payload["rank"], len(payload["minimal_decompositions"]))
+    assert [got] == shown
+
+
+def test_readme_gaps_example(tmp_path, capsys):
+    block = next(b for b in _readme_blocks("sh") if "xrank gaps" in b)
+    files, commands = _readme_files_and_commands(block)
+    ((command, shown),) = commands
+    assert command == ("xrank gaps --in quartic.json --out gaps.csv "
+                       "&& cat gaps.csv")
+    path = tmp_path / "quartic.json"
+    path.write_text(files["quartic.json"])
+    out = tmp_path / "gaps.csv"
+    code, payload = _run(capsys, ["gaps", "--in", str(path),
+                                  "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines() == shown
+
+
+def test_readme_chain_example(monkeypatch, capsys):
+    docs = _readme_blocks("json")
+    decomposition = json.loads(docs[0])
+    chain_line = next(line for block in docs for line in block.splitlines()
+                      if '"steps"' in line)
+    doc = json.loads(chain_line.replace("{ ... }", json.dumps(decomposition)))
+    assert [s["op"] for s in doc["steps"]] == ["plus_one", "plus_one"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, payload = _run(capsys, ["chain", "--in", "-"])
+    assert code == 0
+    assert len(payload["points"]) == 4
+    steps = payload["provenance"]["steps"]
+    assert [s["construction"] for s in steps] == ["plus_one", "plus_one"]
+    assert verify_irredundant(Decomposition.from_json(payload)).irredundant

@@ -1,4 +1,6 @@
 """The four constructive procedures: contracts, determinism, error paths."""
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,7 +16,8 @@ from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
                           NotVeronese, TargetTooSmall, UnsupportedDegree,
                           YEqualsW)
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
-                            Tensor, embed)
+                            Tensor, embed, random_point)
+from xrank.oracle import brute_rank
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -322,6 +325,18 @@ def test_sv_extend_degree_two_line_steps():
     assert out.provenance["route"] == "line_steps"
 
 
+@pytest.mark.parametrize("field", [QQ, gf(3), gf(11)], ids=str)
+def test_sv_extend_with_a_non_coordinate_base_point(field):
+    SV = MultiProjectiveSpace((1, 2), (1, 2), field)
+    o = (1, 1, 0)
+    A = [pt(SV, E0, o), pt(SV, E1, o)]
+    d = Decomposition(SV, A, lin_comb(SV, A))
+    out = sv_extend(d, ConstructionConfig(rng_seed=4))
+    assert len(out.points) == 2 + 2 * 2  # rho + e * m
+    assert verify_irredundant(out).irredundant
+    assert set_envelope(SV, out.points).dims[-1] == 2
+
+
 def test_sv_extend_rejects_spread_out_input():
     # points off a common last-factor slice cannot define Y x {o}; the
     # shape check fires before any containment question can arise
@@ -351,3 +366,78 @@ def test_json_round_trip_keeps_provenance():
     out = plus_one(_diag(), ConstructionConfig(rng_seed=5))
     back = Decomposition.from_json(out.to_json())
     assert back == out and back.provenance == out.provenance
+
+
+# ------------------------------------------------------- frozen outputs
+
+def _digest(outputs):
+    h = hashlib.sha256()
+    for d in outputs:
+        h.update(json.dumps(d.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _irredundant_sum(space, rng, r, draw_point, coeff):
+    """A random r-point irredundant decomposition, or None."""
+    pts = [draw_point() for _ in range(r)]
+    if len(set(p.coords for p in pts)) != r:
+        return None
+    f = space.field
+    acc = [f.zero()] * (len(embed(space, pts[0]).coords))
+    for p in pts:
+        c = f.coerce(coeff())
+        acc = [f.add(a, f.mul(c, x)) for a, x in zip(acc, embed(space, p).coords)]
+    if not any(acc):
+        return None
+    d = Decomposition(space, pts, Tensor.of(space, acc))
+    return d if verify_irredundant(d).irredundant else None
+
+
+def test_plus_one_frozen_outputs_gf11():
+    """Seeded plus_one outputs (points, target and provenance) on oracle
+    witnesses of P1xP1 targets and on random P1xP1xP1 decompositions over
+    GF(11).  The digest pins the arithmetic and the order of random draws;
+    it was recorded before the echelon kernel replaced the two-rank span
+    test."""
+    f = gf(11)
+    rng = random.Random(4242)
+    outs = []
+    S = segre((1, 1), f)
+    for _ in range(3):
+        q = Tensor.of(S, [rng.randrange(1, 11) for _ in range(4)])
+        wits = brute_rank(q).witnesses
+        for i, w in enumerate(wits[::max(1, len(wits) // 6)][:6]):
+            outs.append(plus_one(w, ConstructionConfig(rng_seed=i)))
+    S = segre((1, 1, 1), f)
+    made = 0
+    while made < 8:
+        d = _irredundant_sum(S, rng, 2 + made % 2,
+                             lambda: random_point(S, rng),
+                             lambda: rng.randrange(1, 11))
+        if d is None:
+            continue
+        outs.append(plus_one(d, ConstructionConfig(rng_seed=made)))
+        made += 1
+    assert len(outs) == 26
+    assert _digest(outs) == (
+        "3e6eb4722310279f60eb9524d027cf95c8636adf641814b28721f660023cc648")
+
+
+def test_plus_one_frozen_outputs_rationals():
+    rng = random.Random(777)
+    outs = []
+    for dims in ((1, 1), (2, 2), (1, 1, 1), (2, 2, 2)):
+        S = segre(dims)
+        made = 0
+        while made < 3:
+            r = rng.randint(1, min(dims) + 1)
+            d = _irredundant_sum(S, rng, r,
+                                 lambda: random_point(S, rng, 5),
+                                 lambda: rng.randint(1, 5))
+            if d is None:
+                continue
+            outs.append(plus_one(d, ConstructionConfig(rng_seed=made)))
+            made += 1
+    assert len(outs) == 12
+    assert _digest(outs) == (
+        "a4dfaf091bd8b62fc9aaa543f72aff24b28574db5a6f9ae92107b321be4801b4")

@@ -1,14 +1,18 @@
-"""Scalar arithmetic, rank, and coordinate solves over Q and GF(p)."""
+"""Scalar arithmetic, rank, echelon spans and coordinate solves over Q
+and GF(p)."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xrank.errors import DimensionMismatch, DivisionByZero, MixedFields
-from xrank.exactlin import (FieldSpec, Matrix, Scalar, coordinates, in_span,
-                            is_prime, mat_rank, rank_rows, rref, scalar_arith,
-                            solve_columns, vec_add, vec_scale)
+from xrank.exactlin import (Echelon, FieldSpec, Scalar, in_span, is_prime,
+                            rank_rows, rref, solve_columns, vec_add,
+                            vec_scale)
 
 QQ = FieldSpec.parse("QQ")
 GF2, GF3, GF5, GF7 = FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7)
@@ -35,33 +39,73 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def _is_prime_by_trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 5000):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_strong_pseudoprimes_and_large_primes():
+    # Carmichael numbers and strong pseudoprimes to the first few bases
+    for n in (561, 41041, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not is_prime(n), n
+    for n in (10 ** 9 + 7, 2 ** 61 - 1, 1000000000000000003, 2 ** 64 - 59):
+        assert is_prime(n), n
+
+
+def test_fieldspec_large_prime_is_fast_and_bounded():
+    start = time.perf_counter()
+    f = FieldSpec.parse("GF(1000000000000000003)")
+    assert time.perf_counter() - start < 1.0
+    assert f.modulus == 1000000000000000003
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        FieldSpec.parse("GF(%d)" % (2 ** 64 + 13))
+    with pytest.raises(ValueError):
+        is_prime(2 ** 64)
+
+
 # ------------------------------------------------------------- scalar frozen
 
 def test_add_halves_and_thirds():
     a = Scalar.of(QQ, "1/2")
     b = Scalar.of(QQ, "1/3")
-    assert str(scalar_arith("add", a, b)) == "5/6"
+    assert str(a + b) == "5/6"
 
 
 def test_inverse_of_three_mod_seven():
-    assert str(scalar_arith("inv", Scalar.of(GF7, "3"))) == "5"
+    assert str(Scalar.of(GF7, "3").inv()) == "5"
+    assert str(Scalar.of(GF7, "1") / Scalar.of(GF7, "3")) == "5"
 
 
 def test_division_by_zero_raises():
     x = Scalar.of(QQ, "4")
     with pytest.raises(DivisionByZero):
-        scalar_arith("div", x, Scalar.of(QQ, "0"))
+        x / Scalar.of(QQ, "0")
     with pytest.raises(DivisionByZero):
-        scalar_arith("inv", Scalar.of(GF5, "0"))
+        Scalar.of(GF5, "0").inv()
 
 
 def test_mixed_field_operands_rejected():
-    with pytest.raises(MixedFields):
-        scalar_arith("add", Scalar.of(QQ, "1"), Scalar.of(GF5, "1"))
+    one_q, one_5 = Scalar.of(QQ, "1"), Scalar.of(GF5, "1")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(MixedFields):
+            op(one_q, one_5)
 
 
 def test_rationals_stay_in_lowest_terms():
-    s = scalar_arith("add", Scalar.of(QQ, "1/6"), Scalar.of(QQ, "1/3"))
+    s = Scalar.of(QQ, "1/6") + Scalar.of(QQ, "1/3")
     assert s.value == Fraction(1, 2)
     assert s.value.denominator == 2
     assert str(s) == "1/2"
@@ -82,27 +126,28 @@ def test_field_axioms_on_random_triples(field):
     zero, one = Scalar(field, field.zero()), Scalar(field, field.one())
     for _ in range(1000):
         a, b, c = (Scalar(field, field.random_element(rng, 30)) for _ in range(3))
-        assert scalar_arith("add", scalar_arith("add", a, b), c) == \
-            scalar_arith("add", a, scalar_arith("add", b, c))
-        assert scalar_arith("mul", scalar_arith("mul", a, b), c) == \
-            scalar_arith("mul", a, scalar_arith("mul", b, c))
-        assert scalar_arith("add", a, b) == scalar_arith("add", b, a)
-        assert scalar_arith("mul", a, b) == scalar_arith("mul", b, a)
-        left = scalar_arith("mul", a, scalar_arith("add", b, c))
-        right = scalar_arith("add", scalar_arith("mul", a, b),
-                             scalar_arith("mul", a, c))
-        assert left == right
-        assert scalar_arith("add", a, scalar_arith("neg", a)) == zero
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + (-a) == zero
+        assert a - b == a + (-b)
         if not a.is_zero:
-            assert scalar_arith("mul", a, scalar_arith("inv", a)) == one
+            assert a * a.inv() == one
+            assert b / a == b * a.inv()
 
 
 # --------------------------------------------------------------------- rank
 
 def test_rank_frozen_values():
-    assert mat_rank(Matrix.from_rows(QQ, [[1, 0], [0, 1]])) == 2
-    assert mat_rank(Matrix.from_rows(QQ, [[0, 0, 0]] * 3)) == 0
-    assert mat_rank(Matrix.from_rows(QQ, [[1, 2], [2, 4]])) == 1
+    assert rank_rows(QQ, [[1, 0], [0, 1]]) == 2
+    assert rank_rows(QQ, [[0, 0, 0]] * 3) == 0
+    assert rank_rows(QQ, [[1, 2], [2, 4]]) == 1
+    assert rank_rows(QQ, []) == 0
+    assert rank_rows(GF7, [[1, 2], [2, 4]]) == 1
+    assert rank_rows(GF7, [[1, 2], [3, 4]]) == 2
+    assert rank_rows(GF2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
 
 
 def _perm_sign(perm):
@@ -156,26 +201,23 @@ def test_rank_matches_minor_expansion(field):
                 for _ in range(nrows)]
         expect = _rank_by_minor_expansion(field, rows, ncols)
         assert rank_rows(field, rows) == expect
-        assert mat_rank(Matrix.from_rows(field, rows)) == expect
+        assert Echelon(field, rows).rank == expect
 
 
 # -------------------------------------------------------------- coordinates
 
 def test_coordinates_frozen_expressible_target():
-    gens = Matrix.from_columns(QQ, [(1, 0, 0, 0), (0, 0, 0, 1)])
-    sol = coordinates(gens, (1, 0, 0, 1))
+    sol = solve_columns(QQ, [(1, 0, 0, 0), (0, 0, 0, 1)], (1, 0, 0, 1))
     assert sol.independent
     assert list(sol.coefficients) == [1, 1]
 
 
 def test_coordinates_frozen_absent_target():
-    gens = Matrix.from_columns(QQ, [(1, 0)])
-    assert coordinates(gens, (1, 1)).coefficients is None
+    assert solve_columns(QQ, [(1, 0)], (1, 1)).coefficients is None
 
 
 def test_coordinates_frozen_gf2():
-    gens = Matrix.from_columns(GF2, [(1, 0, 0), (0, 1, 0)])
-    sol = coordinates(gens, (1, 1, 0))
+    sol = solve_columns(GF2, [(1, 0, 0), (0, 1, 0)], (1, 1, 0))
     assert list(sol.coefficients) == [1, 1]
 
 
@@ -212,15 +254,8 @@ def test_coordinates_independence_flag():
 
 
 def test_coordinates_dimension_mismatch():
-    gens = Matrix.from_columns(QQ, [(1, 0)])
     with pytest.raises(DimensionMismatch):
-        coordinates(gens, (1, 0, 0))
-
-
-def test_coordinates_mixed_fields():
-    gens = Matrix.from_columns(QQ, [(1, 0)])
-    with pytest.raises(MixedFields):
-        coordinates(gens, (Scalar.of(GF5, "1"), Scalar.of(GF5, "0")))
+        solve_columns(QQ, [(1, 0)], (1, 0, 0))
 
 
 # --------------------------------------------------------------------- rref
@@ -245,3 +280,84 @@ def test_in_span_basic():
     assert in_span(QQ, [(1, 0), (0, 1)], (5, -2))
     assert not in_span(QQ, [(1, 0)], (0, 1))
     assert in_span(GF3, [(1, 2)], (2, 1))
+
+
+def test_in_span_gf_frozen():
+    assert in_span(GF5, [(1, 2, 3)], (2, 4, 1))
+    assert not in_span(GF5, [(1, 2, 3)], (2, 4, 0))
+    assert in_span(GF5, [], (0, 0, 0))
+    assert not in_span(QQ, [], (0, 1))
+
+
+# ------------------------------------------------------------------ echelon
+
+def test_echelon_insert_reduce_pop():
+    e = Echelon(GF7, [(1, 2, 3), (2, 4, 6)])
+    assert e.rank == 1
+    assert e.insert((0, 1, 1)) and e.rank == 2
+    assert not e.insert((1, 3, 4))
+    assert e.contains((1, 3, 4)) and not e.contains((0, 0, 1))
+    assert e.reduce((1, 2, 3)) == [0, 0, 0]
+    e.pop()
+    assert e.rank == 1 and not e.contains((0, 1, 1))
+    with pytest.raises(DimensionMismatch):
+        e.contains((1, 2))
+
+
+def test_echelon_over_q_stays_exact():
+    e = Echelon(QQ, [(1, Fraction(1, 3)), (3, 1)])
+    assert e.rank == 1
+    assert e.contains((Fraction(-2, 7), Fraction(-2, 21)))
+    assert not e.contains((1, 0))
+    assert all(isinstance(x, Fraction) for x in e.reduce((1, 0)))
+
+
+def _old_in_span(field, rows, vec):
+    base = [r for r in rows if any(v != 0 for v in r)]
+    if not any(v != 0 for v in vec):
+        return True
+    return rank_rows(field, base + [list(vec)]) == rank_rows(field, base)
+
+
+def _field_rows(field):
+    if field.is_finite:
+        entry = st.integers(0, field.modulus - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    @st.composite
+    def rows_and_vec(draw):
+        width = draw(st.integers(1, 5))
+        row = st.lists(entry, min_size=width, max_size=width).map(tuple)
+        rows = draw(st.lists(row, max_size=6))
+        if rows and draw(st.booleans()):
+            # a combination of the rows, so membership is exercised too
+            coeffs = draw(st.lists(entry, min_size=len(rows),
+                                   max_size=len(rows)))
+            vec = tuple(field.zero() for _ in range(width))
+            for c, r in zip(coeffs, rows):
+                vec = vec_add(field, vec,
+                              vec_scale(field, field.coerce(c), r))
+        else:
+            vec = draw(row)
+        return rows, vec
+
+    return rows_and_vec()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, FieldSpec(11)], ids=str)
+def test_echelon_agrees_with_rank_and_two_rank_in_span(field):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_field_rows(field))
+    def check(case):
+        rows, vec = case
+        e = Echelon(field, rows)
+        assert e.rank == rank_rows(field, rows)
+        # rref's pivot count is an independent column-scan elimination
+        assert e.rank == len(rref(field, rows)[1])
+        assert e.contains(vec) == _old_in_span(field, rows, vec)
+        assert in_span(field, rows, vec) == e.contains(vec)
+        grown = Echelon(field, rows)
+        assert grown.insert(vec) == (not e.contains(vec))
+
+    check()

@@ -8,7 +8,7 @@ import pytest
 from conftest import QQ, gf, pt, segre, veronese
 
 from xrank.errors import (DimensionMismatch, FieldNotFinite, ZeroFactor)
-from xrank.exactlin import FieldSpec, Matrix, coordinates, rank_rows
+from xrank.exactlin import FieldSpec, rank_rows, solve_columns
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, ambient_dim, canonical_vector,
                             count_points, embed, enumerate_points, line_point,
@@ -160,7 +160,7 @@ def test_line_point_frozen():
 def test_line_point_membership_solve():
     u = line_point(QQ, (1, 0), (0, 1), QQ.coerce(1))
     v = line_point(QQ, (1, 0), (0, 1), QQ.coerce(-1))
-    sol = coordinates(Matrix.from_columns(QQ, [u, v]), (1, 0))
+    sol = solve_columns(QQ, [u, v], (1, 0))
     assert sol.independent
     assert list(sol.coefficients) == [Fraction(1, 2), Fraction(1, 2)]
 
@@ -212,9 +212,42 @@ def test_subspace_span_columns_catch_target():
     cols = y.span_columns()
     inside = embed(S, pt(S, (1, 2), (1, 0))).coords
     outside = embed(S, pt(S, (1, 2), (1, 1))).coords
-    from xrank.exactlin import solve_columns
     assert solve_columns(S.field, cols, inside).coefficients is not None
     assert solve_columns(S.field, cols, outside).coefficients is None
+
+
+@pytest.mark.parametrize("field", [QQ, gf(3), gf(11)], ids=str)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_subspace_span_columns_hold_every_lifted_point(field, degree):
+    """embed(lift_point(r)) lies in the span of span_columns, also when
+    the characteristic is at most the degree (GF(3), degrees 3 and 4)."""
+    rng = random.Random(degree)
+    for dims, degs, bases in (
+            ((2,), (degree,), [((1, 1, 0), (0, 2, 1))]),
+            ((1, 2), (1, degree), [((1, 0), (0, 1)), ((1, 1, 0),)]),
+            ((1, 2), (degree, degree), [((1, 2),),
+                                        ((1, 1, 0), (0, 1, 1))])):
+        space = MultiProjectiveSpace(dims, degs, field)
+        y = SubspaceSpec.of(space, bases)
+        cols = y.span_columns()
+        for _ in range(4):
+            lifted = y.lift_point(random_point(y.reduced_space(), rng, 5))
+            assert y.contains_point(lifted)
+            sol = solve_columns(field, cols, embed(space, lifted).coords)
+            assert sol.coefficients is not None
+
+
+def test_span_columns_are_the_veronese_of_the_reduced_point():
+    # over Q the columns are independent and the coordinates of a lifted
+    # point's image are the reduced point's own image, up to scale
+    space = MultiProjectiveSpace((2,), (3,), QQ)
+    y = SubspaceSpec.of(space, [((1, 1, 0), (0, 2, 1))])
+    r = MppPoint.of(y.reduced_space(), [(2, -3)])
+    sol = solve_columns(QQ, y.span_columns(),
+                        embed(space, y.lift_point(r)).coords)
+    assert sol.independent
+    assert Tensor.of(y.reduced_space(), sol.coefficients) == \
+        embed(y.reduced_space(), r)
 
 
 def test_full_subspace_is_full():

@@ -7,12 +7,12 @@ from conftest import gf, lin_comb, pt, segre, veronese
 
 from xrank.decomp import Decomposition, set_envelope, verify_irredundant
 from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
-                          TargetNotSpanned)
+                          ModulusTooLarge, TargetNotSpanned)
 from xrank.exactlin import FieldSpec
 from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                             count_points, embed)
-from xrank.oracle import (brute_rank, gap_profile, ground_set, min_concise_t,
-                          spanning_sets)
+from xrank.oracle import (_t3_candidates, brute_rank, gap_profile, ground_set,
+                          min_concise_t, spanning_sets)
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -261,3 +261,18 @@ def test_gap_profile_json_shape():
     assert j["rank"] == 2 and j["gaps"] == [3]
     assert [e["t"] for e in j["entries"]] == [2, 3, 4, 5]
     assert [e["nonempty"] for e in j["entries"]] == [True, False, True, False]
+
+
+def test_t3_engine_refuses_moduli_that_overflow_int64():
+    # (p-1)^2 >= 2^63 would wrap in the int64 residue products
+    big = FieldSpec(2 ** 61 - 1)
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    with pytest.raises(ModulusTooLarge):
+        _t3_candidates(big, cols, (1, 1, 0))
+    # 3037000507 is the first prime with (p-1)^2 >= 2^63 (the prime
+    # before it is 3037000493)
+    edge = FieldSpec(3037000507)
+    assert (3037000493 - 1) ** 2 < 2 ** 63 <= (edge.modulus - 1) ** 2
+    with pytest.raises(ModulusTooLarge):
+        _t3_candidates(edge, cols, (1, 1, 0))
+    assert _t3_candidates(FieldSpec(101), cols, (1, 1, 0)) == []
