@@ -64,6 +64,22 @@ def _line_candidates(field, rng, box, a_vec, w_vec, count):
     return [line_point(field, a_vec, w_vec, t) for t in ts]
 
 
+def _escaping_fibers(space, points, u_span):
+    """(point index, factor) pairs, in order, whose fiber through the point
+    has a coordinate direction embedding outside U."""
+    field = space.field
+    for ai, a in enumerate(points):
+        for i in range(space.k):
+            n = space.factor_dims[i]
+            for j in range(n + 1):
+                e = tuple(field.one() if t == j else field.zero()
+                          for t in range(n + 1))
+                if not u_span.contains(
+                        embed(space, a.replace_factor(i, e)).coords):
+                    yield ai, i
+                    break
+
+
 def _certify_minimal_via_oracle(d, within=None):
     """Finite-field minimality certification (on demand; oracle import is
     local to keep this module usable without numpy)."""
@@ -108,23 +124,18 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     rng = random.Random(cfg.rng_seed)
     u_span = Echelon(field, d.embedded_columns)
 
-    viable = []
-    for ai, a in enumerate(d.points):
-        for i in range(space.k):
-            n = space.factor_dims[i]
-            for j in range(n + 1):
-                e = tuple(field.one() if t == j else field.zero()
-                          for t in range(n + 1))
-                fv = embed(space, a.replace_factor(i, e)).coords
-                if not u_span.contains(fv):
-                    viable.append((ai, i))
-                    break
-    if not viable:
+    # (point, factor) pairs whose fiber escapes U, scanned as attempts need
+    # them: the first attempt takes the first, a retry needs them all
+    escaping = _escaping_fibers(space, d.points, u_span)
+    viable = [next(escaping, None)]
+    if viable[0] is None:
         raise NoEscapingFiber(
             "every fiber span lies inside the input span; the input cannot "
             "be a minimal decomposition of a desk-scale target")
 
     for attempt in range(cfg.max_retries):
+        if attempt == 1:
+            viable.extend(escaping)
         ai, i = viable[attempt % len(viable)]
         a = d.points[ai]
         others = [p for idx, p in enumerate(d.points) if idx != ai]
@@ -154,9 +165,11 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                         else usable[:2])
         u = a.replace_factor(i, u_vec)
         v = a.replace_factor(i, v_vec)
-        if u_span.contains(embed(space, u).coords):
+        u_col = embed(space, u).coords
+        if u_span.contains(u_col):
             continue
-        if u_span.contains(embed(space, v).coords):
+        v_col = embed(space, v).coords
+        if u_span.contains(v_col):
             continue
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)
@@ -166,6 +179,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
             cand = Decomposition(space, others + [u, v], d.target, prov)
         except InvalidInput:
             continue
+        cand._with_columns([c for idx, c in enumerate(d.embedded_columns)
+                            if idx != ai] + [u_col, v_col])
         if verify_irredundant(cand).irredundant:
             return cand
     raise GenericityExhausted("plus_one failed after %d retries"

@@ -108,6 +108,12 @@ class Decomposition:
                              for p in self.points]
         return self._columns
 
+    def _with_columns(self, cols) -> "Decomposition":
+        """Take the embeddings of the points, in point order, from a caller
+        that already holds them; returns self."""
+        self._columns = list(cols)
+        return self
+
     def to_json(self) -> dict:
         d = {"space": self.space.to_json(),
              "points": [p.to_json() for p in self.points],

@@ -5,8 +5,9 @@ searches size-t subsets that give irredundant decompositions of a target.
 Witness sets are found by quotienting out the target: a size-t subset
 works iff its points are independent and their images in V/<q> carry a
 dependency with full support (a circuit).  Engines: t=1 scans for points
-parallel to q; t=2 buckets by quotient ray; t=3 buckets point pairs by
-quotient plane (numpy); t>=4 runs a depth-first search over
+parallel to q; t=2 buckets the points by ray in V/<q>; t=3 takes each
+point a as an anchor and buckets the later points by ray in V/<q, a>
+(numpy, O(M) memory); t>=4 runs a depth-first search over
 independent-quotient prefixes.  A naive subset scan is kept as a
 reference engine for cross-testing.  Every candidate passes through the
 same exact verification used everywhere else, so engine bugs can only
@@ -28,7 +29,8 @@ from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                      TargetNotSpanned)
 from .exactlin import Echelon, solve_columns
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
-                       ambient_dim, embed, enumerate_points)
+                       ambient_dim, count_points, embed,
+                       enumerate_points)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -68,15 +70,31 @@ def _ground_within(ysub: SubspaceSpec) -> GroundSet:
     return GroundSet(space, ysub, tuple(pts), tuple(cols))
 
 
-def ground_set(space: MultiProjectiveSpace,
-               within: Optional[SubspaceSpec] = None) -> GroundSet:
+def _ground_space(space, within):
+    """The space whose points make up the ground set."""
     if not space.field.is_finite:
         raise FieldNotFinite("the oracle enumerates points over GF(p) only")
-    if within is not None:
-        if within.space != space:
-            raise SpaceMismatch("subspace spec is for a different space")
-        return _ground_within(within)
-    return _ground_full(space)
+    if within is not None and within.space != space:
+        raise SpaceMismatch("subspace spec is for a different space")
+    return space if within is None else within.reduced_space()
+
+
+def ground_set(space: MultiProjectiveSpace,
+               within: Optional[SubspaceSpec] = None) -> GroundSet:
+    _ground_space(space, within)
+    return _ground_full(space) if within is None else _ground_within(within)
+
+
+def _search_size(space, within, t, budget):
+    """C(M, t) for the M ground points, counted without enumerating them;
+    raises BudgetExceeded above the budget."""
+    M = count_points(_ground_space(space, within))
+    size = math.comb(M, t)
+    if size > budget:
+        raise BudgetExceeded(
+            "search space C(%d,%d)=%d exceeds budget %d; pass budget>=%d "
+            "to run anyway" % (M, t, size, budget, size))
+    return size
 
 
 # ------------------------------------------------------------ span caching
@@ -123,24 +141,6 @@ def _t1_candidates(field, cols, qvec) -> Iterator[tuple]:
             yield (i,)
 
 
-def _t2_candidates(field, cols, qvec) -> Iterator[tuple]:
-    proj = _project_rows(field, cols, qvec)
-    buckets = {}
-    for i, w in enumerate(proj):
-        lead = next((j for j, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            continue
-        inv = field.inv(w[lead])
-        key = tuple(field.mul(x, inv) for x in w)
-        buckets.setdefault(key, []).append(i)
-    pairs = []
-    for members in buckets.values():
-        for a, b in itertools.combinations(members, 2):
-            pairs.append((a, b))
-    pairs.sort()
-    return iter(pairs)
-
-
 def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
     """Lex-ordered subsets whose quotient images have rank t-1 with the
     last point closing the dependency.  Superset of the witnesses; the
@@ -164,19 +164,36 @@ def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
     yield from rec(0, ())
 
 
-def _inv_table(p):
-    """Inverse table mod p by vectorized binary exponentiation."""
-    v = np.arange(p, dtype=np.int64)
-    r = np.ones(p, dtype=np.int64)
-    base = v.copy()
+_INT64_LIMIT = 2 ** 63
+# (anchor, point) rows the t=3 engine projects at once; bounds its memory
+_T3_BLOCK_ROWS = 2 ** 15
+
+
+def _inverses(vals, p):
+    """Inverses of nonzero residues mod p by vectorised exponentiation."""
+    out = np.ones_like(vals)
     e = p - 2
     while e:
         if e & 1:
-            r = (r * base) % p
-        base = (base * base) % p
+            out = out * vals % p
+        vals = vals * vals % p
         e >>= 1
-    r[0] = 0
-    return r
+    return out
+
+
+def _canonical(rows, p):
+    """Each nonzero row divided by its lead entry, and the lead indices.
+    Only the lead values present are inverted."""
+    lead = np.argmax(rows != 0, axis=1)
+    vals, where = np.unique(np.take_along_axis(rows, lead[:, None], 1),
+                            return_inverse=True)
+    return rows * _inverses(vals, p)[where.reshape(-1, 1)] % p, lead
+
+
+def _project(rows, hat, lead, p):
+    """Images of the rows in V/<h>, h canonical (one, or one per row):
+    row - row[lead] h.  The lead column becomes zero and is kept."""
+    return (rows - hat * np.take_along_axis(rows, lead[:, None], 1)) % p
 
 
 def _pack_digits(digits, p):
@@ -194,101 +211,92 @@ def _pack_digits(digits, p):
     return words
 
 
-def _pair_plane_keys(canon, lead, ii, jj, p, INV):
-    """Canonical RREF key of the plane spanned by each (non-parallel)
-    projected pair, packed into int64 words."""
-    A, B = canon[ii], canon[jj]
-    la, lb = lead[ii], lead[jj]
-    swap = la > lb
-    A2 = np.where(swap[:, None], B, A)
-    B2 = np.where(swap[:, None], A, B)
-    l2 = np.maximum(la, lb)
-    neq = la != lb
-    # distinct leads: reduce the first row at the second row's lead
-    coef = np.take_along_axis(A2, l2[:, None], 1)
-    r1_neq = (A2 - coef * B2) % p
-    # equal leads: the normalized difference becomes the second row
-    Ceq = (B2 - A2) % p
-    leadC = np.argmax(Ceq != 0, axis=1).astype(np.int64)
-    valC = np.take_along_axis(Ceq, leadC[:, None], 1)[:, 0]
-    Chat = (Ceq * INV[valC][:, None]) % p
-    coef2 = np.take_along_axis(A2, leadC[:, None], 1)
-    r1_eq = (A2 - coef2 * Chat) % p
-    row1 = np.where(neq[:, None], r1_neq, r1_eq)
-    row2 = np.where(neq[:, None], B2, Chat)
-    return _pack_digits(np.concatenate([row1, row2], axis=1), p)
+def _ray_keys(rows, p):
+    """Packed key of the ray of each nonzero row."""
+    return _pack_digits(_canonical(rows, p)[0], p)
 
 
-_T3_CHUNK = 200_000
-_INT64_LIMIT = 2 ** 63
+def _bucket_pairs(keys):
+    """Row pairs (u, v), u < v, whose key rows are equal."""
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    ends = np.append(np.flatnonzero(new)[1:], len(order))
+    later = ends[np.cumsum(new) - 1] - 1 - np.arange(len(order))
+    first = np.repeat(np.arange(len(order)), later)
+    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    u, v = order[first], order[first + 1 + step]
+    return np.minimum(u, v), np.maximum(u, v)
 
 
-def _t3_candidates(field, cols, qvec):
-    """Plane-bucketed pair search: every witness triple (i<j<k) is found
-    from its pair (i,j) plus a third point on the same quotient plane.
-    Pairs are processed in chunks to bound memory."""
+def _quotient(field, cols, qvec):
+    """The columns as int64 rows, and their images in V/<q>."""
     p = field.modulus
     if (p - 1) ** 2 >= _INT64_LIMIT:
         raise ModulusTooLarge(
-            "the t=3 engine multiplies residues in int64; GF(%d) needs "
+            "the numpy engines multiply residues in int64; GF(%d) needs "
             "(p-1)^2 < 2^63" % p)
     emb = np.array(cols, dtype=np.int64)
-    qarr = np.array(qvec, dtype=np.int64)
-    s = int(np.flatnonzero(qarr)[0])
-    qhat = (qarr * pow(int(qarr[s]), p - 2, p)) % p
-    proj = (emb - emb[:, s:s + 1] * qhat[None, :]) % p
-    proj = np.delete(proj, s, axis=1)
-    nzmask = proj.any(axis=1)
-    idx = np.flatnonzero(nzmask)
-    P = proj[idx]
-    Dm = P.shape[1]
-    if len(idx) < 3 or Dm < 2:
-        return []
-    INV = _inv_table(p)
-    lead = np.argmax(P != 0, axis=1).astype(np.int64)
-    lv = np.take_along_axis(P, lead[:, None], 1)[:, 0]
-    canon = (P * INV[lv][:, None]) % p
-    rwords = _pack_digits(canon, p)
-    ii, jj = np.triu_indices(len(idx), 1)
-    par = (rwords[ii] == rwords[jj]).all(axis=1)
-    ii, jj = ii[~par], jj[~par]
-    npairs = len(ii)
-    if npairs == 0:
-        return []
-    key_parts = []
-    for a in range(0, npairs, _T3_CHUNK):
-        b = min(a + _T3_CHUNK, npairs)
-        key_parts.append(_pair_plane_keys(canon, lead, ii[a:b], jj[a:b],
-                                          p, INV))
-    keys = np.concatenate(key_parts, axis=0)
-    order = np.lexsort(keys.T[::-1])
-    ii, jj, keys = ii[order], jj[order], keys[order]
-    diff = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.concatenate([[0], np.flatnonzero(diff) + 1, [npairs]])
-    lengths = np.diff(starts)
-    # a circuit contributes all three of its pairs to one bucket
-    big_runs = np.flatnonzero(lengths >= 3)
-    triples = []
-    for run in big_runs:
-        a, b = int(starts[run]), int(starts[run + 1])
-        gi, gj = ii[a:b], jj[a:b]
-        loc = np.unique(np.concatenate([gi, gj]))
-        if Echelon(field, [cols[int(idx[x])] for x in loc]).rank <= 2:
-            continue
-        rays = {int(x): tuple(int(w) for w in rwords[x]) for x in loc}
-        spts = sorted(rays)
-        for a1, b1 in zip(gi.tolist(), gj.tolist()):
-            i1, j1 = (a1, b1) if a1 < b1 else (b1, a1)
-            ri, rj = rays[i1], rays[j1]
-            for k1 in spts:
-                if k1 <= j1:
-                    continue
-                rk = rays[k1]
-                if rk == ri or rk == rj:
-                    continue
-                triples.append((int(idx[i1]), int(idx[j1]), int(idx[k1])))
-    triples.sort()
-    return triples
+    img = _project(emb, *_canonical(np.array([qvec], np.int64), p), p)
+    return emb, img
+
+
+def _t2_candidates(field, cols, qvec) -> list:
+    """Pairs (i<j) whose images in V/<q> share a ray: the t=3 search
+    below with no anchor."""
+    _, img = _quotient(field, cols, qvec)
+    idx = np.flatnonzero(img.any(axis=1))
+    u, v = _bucket_pairs(_ray_keys(img[idx], field.modulus))
+    return sorted(zip(idx[u].tolist(), idx[v].tolist()))
+
+
+def _t3_candidates(field, cols, qvec) -> list:
+    """Anchor-quotient search: triples (a<b<c), ascending, with b and c on
+    one ray of V/<q, a>.
+
+    Each point a with a nonzero image a' in V/<q> is an anchor in turn;
+    the later points are projected into V/<q, a> and bucketed by ray, in
+    blocks of anchors of at most _T3_BLOCK_ROWS rows, so memory is O(M)
+    rather than O(M^2).  A witness {a, b, c} is independent and has a
+    dependency x a' + y b' + z c' = 0 in V/<q> with x, y, z nonzero, so
+    b and c are on one ray modulo a'.  Two kinds of bucket pairs are
+    dropped, and neither can be a witness:
+    - b' and c' parallel in V/<q>: a dependency y b' + z c' = 0 leaves a
+      out, and the dependency of a rank-2 image triple is unique up to
+      scale (a rank-1 triple spans at most a plane with q, so a, b, c are
+      dependent).  This also drops the pairs of points whose images are
+      parallel to a', which all share the zero key;
+    - b and c on one ray of V/<a>: a, b, c are collinear in V, hence
+      dependent.
+    What is left is exactly the witnesses, but every candidate still
+    goes through the exact verifier."""
+    p = field.modulus
+    emb, img = _quotient(field, cols, qvec)
+    idx = np.flatnonzero(img.any(axis=1))
+    emb, img = emb[idx], img[idx]
+    M = len(idx)
+    hat, lead = _canonical(img, p)
+    qkeys = _pack_digits(hat, p)
+    ehat, elead = _canonical(emb, p)
+    found = [np.zeros((0, 3), np.int64)]
+    a0 = 0
+    while a0 < M - 2:
+        a1 = min(M - 2, a0 + max(1, _T3_BLOCK_ROWS // (M - 1 - a0)))
+        ai, bi = np.nonzero(np.arange(a0 + 1, M)
+                            > np.arange(a0, a1)[:, None])
+        ai, bi = ai + a0, bi + a0 + 1
+        rays = _project(img[bi], hat[ai], lead[ai], p)
+        u, v = _bucket_pairs(np.column_stack([ai, _ray_keys(rays, p)]))
+        a, b, c = ai[u], bi[u], bi[v]
+        keep = (qkeys[b] != qkeys[c]).any(axis=1)
+        a, b, c = a[keep], b[keep], c[keep]
+        keep = (_ray_keys(_project(emb[b], ehat[a], elead[a], p), p)
+                != _ray_keys(_project(emb[c], ehat[a], elead[a], p), p)
+                ).any(axis=1)
+        found.append(np.column_stack([a[keep], b[keep], c[keep]]))
+        a0 = a1
+    return sorted(map(tuple, idx[np.concatenate(found)].tolist()))
 
 
 # ----------------------------------------------------------------- results
@@ -415,18 +423,13 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
         raise InvalidInput("mode must be 'all' or 'exists'")
     if engine not in ("auto", "naive", "dfs"):
         raise InvalidInput("engine must be auto, naive, or dfs")
+    size = _search_size(space, within, t, budget)
     g = ground_set(space, within)
     field = space.field
-    M = g.size
-    size = math.comb(M, t)
-    if size > budget:
-        raise BudgetExceeded(
-            "search space C(%d,%d)=%d exceeds budget %d; pass budget>=%d "
-            "to run anyway" % (M, t, size, budget, size))
     if not _ground_span(g).contains(q.coords):
         return SpanningSets(q, t, (), size, True)
     if engine == "naive":
-        cand = itertools.combinations(range(M), t)
+        cand = itertools.combinations(range(g.size), t)
     elif engine == "dfs" and t >= 2:
         cand = _dfs_candidates(field, g.columns, q.coords, t)
     elif t == 1:
@@ -446,7 +449,7 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
             continue
         d = Decomposition(space, [g.points[i] for i in tup], q,
                           {"source": "oracle", "t": t,
-                           "indices": list(tup)})
+                           "indices": list(tup)})._with_columns(cols)
         if predicate is not None and not predicate(d):
             continue
         witnesses.append(d)
@@ -463,6 +466,7 @@ def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
     ground points, with all minimal decompositions.  Raises
     TargetNotSpanned when the ground set cannot express the target."""
     space = q.space
+    _search_size(space, within, 1, budget)
     g = ground_set(space, within)
     span = _ground_span(g)
     big = span.rank

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -244,6 +245,19 @@ def test_domain_error_payload(tmp_path, capsys):
     code, payload = _run(capsys, ["rank", "--in", path])
     assert code == 2
     assert payload["error"] == "FieldNotFinite"
+
+
+def test_rank_over_a_huge_field_fails_fast(tmp_path, capsys):
+    # P1xP1 over GF(10^9+7) has ~10^18 points; the budget stops the
+    # search before any of them is enumerated
+    S = segre((1, 1), gf(1000000007))
+    path = _write(tmp_path, "t.json",
+                  {"space": S.to_json(), "coords": ["1", "0", "0", "1"]})
+    start = time.perf_counter()
+    code, payload = _run(capsys, ["rank", "--in", path])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert payload["error"] == "BudgetExceeded"
 
 
 def test_malformed_document_is_a_domain_error(tmp_path, capsys):

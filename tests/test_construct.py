@@ -69,6 +69,15 @@ def test_plus_one_over_gf11():
     assert verify_irredundant(out).irredundant
 
 
+def test_plus_one_columns_match_fresh_embeddings():
+    S = segre((1, 1, 1), gf(5))
+    q = Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 0))  # W: rank 3, 225 witnesses
+    for seed, w in enumerate(brute_rank(q).witnesses[:40]):
+        out = plus_one(w, ConstructionConfig(rng_seed=seed))
+        assert out.embedded_columns == [embed(S, p).coords
+                                        for p in out.points]
+
+
 def test_plus_one_rejects_redundant_input():
     S = segre((1, 1))
     A = [pt(S, E0, E0), pt(S, E1, E1)]

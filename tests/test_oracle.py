@@ -1,5 +1,10 @@
 """Finite-field brute-force search: ranks, witness sets, gaps, concision."""
+import hashlib
+import itertools
+import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -11,7 +16,8 @@ from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
 from xrank.exactlin import FieldSpec
 from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                             count_points, embed)
-from xrank.oracle import (_t3_candidates, brute_rank, gap_profile, ground_set,
+from xrank.oracle import (_is_witness, _t2_candidates, _t3_candidates,
+                          brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
 
 E0, E1 = (1, 0), (0, 1)
@@ -26,7 +32,7 @@ def test_ground_set_counts_and_caching():
     assert ground_set(S) is g  # cached
     y = SubspaceSpec.of(S, [(E0, E1), (E0,)])
     gy = ground_set(S, y)
-    assert len(gy.points) == 6
+    assert len(gy.points) == 6 == count_points(y.reduced_space())
     assert all(y.contains_point(p) for p in gy.points)
 
 
@@ -121,6 +127,32 @@ def test_budget_is_enforced_and_mentions_the_override():
     assert "budget" in str(err.value)
 
 
+def test_budget_is_checked_before_the_ground_set_is_enumerated():
+    # (p+1)^2 ~ 10^18 points: enumerating them would never end
+    S = segre((1, 1), gf(1000000007))
+    q = Tensor.of(S, (1, 0, 0, 1))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        spanning_sets(q, 2)
+    with pytest.raises(BudgetExceeded):
+        brute_rank(q)
+    y = SubspaceSpec.of(S, [(E0, E1), (E0,)])
+    with pytest.raises(BudgetExceeded):
+        spanning_sets(q, 1, within=y)
+    assert time.perf_counter() - start < 2
+
+
+def test_witness_columns_are_the_embeddings_of_their_points():
+    S = segre((1, 1), gf(5))
+    y = SubspaceSpec.of(S, [(E0, E1), ((1, 1), E1)])
+    q = Tensor.of(S, (1, 2, 3, 4))
+    for within in (None, y):
+        for t in (2, 3):
+            for w in spanning_sets(q, t, within=within).witnesses:
+                assert w.embedded_columns == [embed(S, p).coords
+                                              for p in w.points]
+
+
 # ------------------------------------------------------- engine equivalence
 
 def _random_targets(space, rng, n):
@@ -165,6 +197,94 @@ def test_engines_agree_at_fixed_cardinality():
             counts = {e: spanning_sets(q, t, engine=e).count
                       for e in ("auto", "naive")}
             assert counts["auto"] == counts["naive"], (q.coords, t, counts)
+
+
+def _e(*idx):
+    """The 2x2x2 tensor with ones at the given indices 4i + 2j + k."""
+    return tuple(int(i in idx) for i in range(8))
+
+
+# one target per GL2^3 orbit of nonzero 2x2x2 tensors over GF(3): rank 1,
+# the three orbits with one flattening of rank 1, W, and a nonzero square
+# and a non-square hyperdeterminant
+ORBITS_2X2X2 = (_e(0), _e(0, 3), _e(0, 5), _e(0, 6), _e(1, 2, 4), _e(0, 7),
+                (0, 1, 1, 0, 1, 0, 0, 2))
+
+
+def test_t3_engine_matches_naive_witnesses():
+    rng = random.Random(303)
+    S = segre((1, 1, 1), gf(3))  # 64 points
+    T = segre((1, 2), gf(3))  # 52 points
+    targets = ([Tensor.of(S, c) for c in ORBITS_2X2X2]
+               + _random_targets(S, rng, 1) + _random_targets(T, rng, 3))
+    for q in targets:
+        auto, naive = (spanning_sets(q, 3, engine=e) for e in ("auto",
+                                                               "naive"))
+        assert [w.points for w in auto.witnesses] == \
+            [w.points for w in naive.witnesses], q.coords
+
+
+@pytest.mark.parametrize("coords,count,digest", [
+    ((0, 1, 1, 0, 1, 0, 0, 2), 2640,  # non-square hyperdeterminant
+     "076612529b7bc7a40feffeb232459129640275c216eb8fdb54cc5fa5c09031dc"),
+    (_e(1, 2, 4), 3751,  # W
+     "0ec4ca9022a144353931bbbaf9feda195d2483853e8acb0520943b607e3b353f"),
+], ids=["nonsquare", "W"])
+def test_t3_witnesses_frozen_over_gf11(coords, count, digest):
+    # recorded before the anchor engine existed, so they check it
+    # independently
+    res = spanning_sets(Tensor.of(segre((1, 1, 1), gf(11)), coords), 3,
+                        budget=10 ** 9)
+    triples = sorted(tuple(w.provenance["indices"]) for w in res.witnesses)
+    assert len(triples) == count
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+
+
+def test_t3_engine_peak_memory_stays_small():
+    S = segre((1, 1, 1), gf(11))
+    cols = ground_set(S).columns  # 1728 points, C(1728, 2) ~ 1.5M pairs
+    tracemalloc.start()
+    try:
+        found = _t3_candidates(S.field, cols, (0, 1, 1, 0, 1, 0, 0, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2640
+    assert peak < 16 * 2 ** 20
+
+
+def test_numpy_engines_at_the_largest_modulus_they_take():
+    # (p-1)^2 < 2^63 still holds; ray keys need two int64 words here
+    F = FieldSpec(3037000493)
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    assert _t3_candidates(F, cols, (1, 2, 3)) == \
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert _t2_candidates(F, cols, (1, 1, 0)) == [(0, 1), (2, 3)]
+
+
+def test_numpy_engines_on_64_coordinates_over_gf2():
+    # a GF(2) key word holds 63 digits; with q = e1^(x)6 the image of the
+    # all-ones point in V/<q> is one in each of the first 63 coordinates
+    S = segre([1] * 6, gf(2))
+    q = Tensor.of(S, embed(S, pt(S, *[E1] * 6)).coords)
+    counts = [len(spanning_sets(q, t, budget=math.comb(729, t)).witnesses)
+              for t in (2, 3)]
+    assert counts == [6, 60]
+    # against the definition, on the points that differ from q in at most
+    # two of the first four factors, and the all-ones point
+    g = ground_set(S)
+    near = [i for i, p in enumerate(g.points)
+            if p.coords[4:] == (E1, E1)
+            and sum(v != E1 for v in p.coords) <= 2
+            or p.coords == ((1, 1),) * 6]
+    cols = [g.columns[i] for i in near]
+    assert len(cols) == 34
+    for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
+        found = engine(S.field, cols, q.coords)
+        assert found == [tup for tup in itertools.combinations(range(34), t)
+                         if _is_witness(S.field, [cols[i] for i in tup],
+                                        q.coords)[0]]
+        assert found
 
 
 # -------------------------------------------------------------- gap profile
