@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 from .construct import (ConstructionConfig, concise_plus_m, escape, plus_one,
                         sv_extend, veronese_extend)
@@ -79,12 +80,25 @@ def _override_field(node, field):
     return node
 
 
+@contextmanager
+def _parsing(what):
+    """Report a malformed document shape as InvalidInput.  Such shapes
+    surface as KeyError/TypeError/ValueError inside the parsers (and as
+    OverflowError from int() of an infinite JSON number); anything raised
+    outside a parser is left to propagate."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise InvalidInput("bad %s: %s" % (what, e)) from e
+
+
 def _decomp_from(doc):
     if isinstance(doc, dict) and "decomposition" in doc:
         doc = doc["decomposition"]
     if not isinstance(doc, dict):
         raise InvalidInput("expected a decomposition document")
-    return Decomposition.from_json(doc)
+    with _parsing("decomposition document"):
+        return Decomposition.from_json(doc)
 
 
 def _tensor_from(doc):
@@ -93,13 +107,19 @@ def _tensor_from(doc):
     if not isinstance(doc, dict) or "space" not in doc or "coords" not in doc:
         raise InvalidInput(
             "expected a tensor document with 'space' and 'coords'")
-    space = MultiProjectiveSpace.from_json(doc["space"])
-    return Tensor.from_json(space, doc["coords"])
+    with _parsing("tensor document"):
+        space = MultiProjectiveSpace.from_json(doc["space"])
+        return Tensor.from_json(space, doc["coords"])
+
+
+def _subspace_from(data):
+    with _parsing("subspace document"):
+        return SubspaceSpec.from_json(data)
 
 
 def _within_from(doc):
     if isinstance(doc, dict) and "within" in doc:
-        return SubspaceSpec.from_json(doc["within"])
+        return _subspace_from(doc["within"])
     return None
 
 
@@ -123,15 +143,19 @@ def _chain_step(cur, step, cfg):
     if op == "escape":
         if "subspace" not in step:
             raise InvalidInput("chain escape step needs a 'subspace'")
-        return escape(cur, SubspaceSpec.from_json(step["subspace"]), cfg)
+        return escape(cur, _subspace_from(step["subspace"]), cfg)
     if op == "concise-plus-m":
         if "m" not in step:
             raise InvalidInput("chain concise-plus-m step needs 'm'")
-        return concise_plus_m(cur, int(step["m"]), cfg)
+        with _parsing("chain step 'm'"):
+            m = int(step["m"])
+        return concise_plus_m(cur, m, cfg)
     if op == "veronese-extend":
         if "target_n" not in step:
             raise InvalidInput("chain veronese-extend step needs 'target_n'")
-        return veronese_extend(cur, int(step["target_n"]), cfg)
+        with _parsing("chain step 'target_n'"):
+            target_n = int(step["target_n"])
+        return veronese_extend(cur, target_n, cfg)
     if op == "sv-extend":
         return sv_extend(cur, cfg)
     raise InvalidInput("unknown chain op %r" % step["op"])
@@ -171,7 +195,7 @@ def _dispatch(args, doc):
     if cmd == "escape":
         if not isinstance(doc, dict) or "subspace" not in doc:
             raise InvalidInput("escape needs a 'subspace' member")
-        ysub = SubspaceSpec.from_json(doc["subspace"])
+        ysub = _subspace_from(doc["subspace"])
         return escape(_decomp_from(doc), ysub, _cfg(args)).to_json(), None
     if cmd == "concise-plus-m":
         m = _need(args.m, "--m")
@@ -185,6 +209,8 @@ def _dispatch(args, doc):
     if cmd == "chain":
         if not isinstance(doc, dict) or "steps" not in doc:
             raise InvalidInput("chain needs 'decomposition' and 'steps'")
+        if not isinstance(doc["steps"], list):
+            raise InvalidInput("chain 'steps' must be a list")
         cur = _decomp_from(doc)
         provs = []
         for i, step in enumerate(doc["steps"]):
@@ -224,12 +250,6 @@ def main(argv=None) -> int:
         payload, csv_rows = _dispatch(args, doc)
     except XrankError as e:
         print(json.dumps({"error": e.code, "message": str(e)}, indent=2))
-        return 2
-    except (KeyError, TypeError, ValueError) as e:
-        # malformed document shapes surface as plain exceptions deep in
-        # the parsers; keep the exit-code contract instead of a traceback
-        print(json.dumps({"error": "InvalidInput", "message": str(e)},
-                         indent=2))
         return 2
     try:
         _write(args, payload, csv_rows)

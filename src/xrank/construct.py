@@ -80,6 +80,17 @@ def _escaping_fibers(space, points, u_span):
                     break
 
 
+def _starved_p1_fibers(space, points, viable):
+    """Whether every viable fiber lies on a P^1 factor and leaves fewer than
+    two points off the point's and the other points' coordinates there.
+    The fiber line in a P^1 factor is all of P^1, so no redraw of the line
+    can change its usable points."""
+    p = space.field.modulus
+    return all(space.factor_dims[i] == 1
+               and p + 1 - len({q.coords[i] for q in points}) < 2
+               for _, i in viable)
+
+
 def _certify_minimal_via_oracle(d, within=None):
     """Finite-field minimality certification (on demand; oracle import is
     local to keep this module usable without numpy)."""
@@ -107,7 +118,9 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     span not inside U = span of the embedded input; the replacement points
     sit on a random line through the chosen point inside that fiber, differ
     from all remaining points in the chosen factor, and embed outside U.
-    The result is verified irredundant with cardinality #A + 1.
+    The result is verified irredundant with cardinality #A + 1.  Over
+    GF(p), FieldTooSmall is raised at the first retry when every viable
+    fiber is a P^1 with fewer than two usable points.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -136,6 +149,12 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     for attempt in range(cfg.max_retries):
         if attempt == 1:
             viable.extend(escaping)
+            if field.is_finite and _starved_p1_fibers(space, d.points,
+                                                      viable):
+                raise FieldTooSmall(
+                    "every viable fiber is a P^1 factor with fewer than "
+                    "two GF(%d) points off the input's coordinates there"
+                    % field.modulus)
         ai, i = viable[attempt % len(viable)]
         a = d.points[ai]
         others = [p for idx, p in enumerate(d.points) if idx != ai]

@@ -9,21 +9,28 @@ serialization ("a/b" or "a" over Q, a decimal residue over GF(p)).
 row span that grows one row at a time (`insert`, undone by `pop`),
 reduces a vector against the span (`reduce`), and answers membership
 (`contains`) and `rank` without eliminating the span again.  Each basis
-row is scaled to 1 at its lead and is zero at the leads of the rows
-inserted before it, so one pass over the rows in insertion order clears
-every lead.  Over GF(p) it runs on plain ints with inline `% p`; over Q
-on `Fraction`.  Build one `Echelon` per fixed span and query it many
-times.
+row is zero at the leads of the rows inserted before it, so one pass over
+the rows in insertion order clears every lead.  Over GF(p) it runs on
+plain ints with inline `% p`, each row scaled to 1 at its lead.  Over Q it
+is fraction-free: a vector's denominators are cleared once, a lead is
+cleared by `v <- r[lead]*v - v[lead]*r` (both factors divided by their
+gcd first), and each new row is divided by the gcd of its entries, so
+rows stay primitive integer vectors and `Fraction`s appear only in the
+values `reduce` returns.  Build one `Echelon` per fixed span and query it
+many times.
 
-Rank over Q runs fraction-free (Bareiss) on denominator-cleared integer
-rows; over GF(p) it is the rank of an `Echelon`.  `rref` gives the
-reduced system that `solve_columns` reads coefficients from.  Pivoting
-is deterministic: first nonzero entry, scanning rows in order.
+`rank_rows` is the rank of an `Echelon` over both fields.
+`solve_columns` inserts the columns into an `Echelon`, each carrying its
+combination of the columns, and reads the target's coefficients off the
+same elimination.  `rref` is the column-scan Gauss-Jordan reduction that
+gives a span's canonical basis.  Pivoting is deterministic: the first
+nonzero entry, scanning in order.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, DivisionByZero, MixedFields
@@ -61,7 +68,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_FIELD_RE = re.compile(r"^GF\((\d+)\)$")
+_FIELD_RE = re.compile(r"GF\(([0-9]+)\)")
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class FieldSpec:
     def parse(cls, text: str) -> "FieldSpec":
         if text == "QQ":
             return cls(None)
-        m = _FIELD_RE.match(text)
+        m = _FIELD_RE.fullmatch(text)
         if m:
             return cls(int(m.group(1)))
         raise ValueError("unrecognized field %r (want 'QQ' or 'GF(p)')" % (text,))
@@ -140,10 +147,15 @@ class FieldSpec:
         return a * pow(b, -1, self.modulus) % self.modulus if self.modulus else a / b
 
     def parse_scalar(self, text: str):
-        """Parse "a" or "a/b" (decimal residue over GF(p))."""
+        """Parse "a" or "a/b" (decimal residue over GF(p)); ValueError
+        when text names no finite rational."""
+        try:
+            value = Fraction(text)
+        except (OverflowError, ZeroDivisionError) as e:
+            raise ValueError("bad scalar %r: %s" % (text, e)) from e
         if self.modulus is None:
-            return Fraction(text)
-        return self.coerce(Fraction(text))
+            return value
+        return self.coerce(value)
 
     def format_scalar(self, value) -> str:
         return str(value)
@@ -211,6 +223,19 @@ class Scalar:
 # -- elimination kernels on raw rows ------------------------------------
 
 
+def _integer_row(vec):
+    """(ints, den): den is the least common denominator of vec's entries
+    and ints = den * vec, all plain ints."""
+    den = 1
+    for x in vec:
+        d = x.denominator
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 class Echelon:
     """Incremental echelon basis of a row span over one field.
 
@@ -222,7 +247,9 @@ class Echelon:
 
     def __init__(self, field: FieldSpec, rows=()):
         self._p = field.modulus
-        self._rows = []  # (lead, row): row[lead] == 1, zero at earlier leads
+        # (lead, row): row is nonzero at lead and zero at earlier leads;
+        # over GF(p) row[lead] == 1, over Q row is a primitive int vector
+        self._rows = []
         self._width = None
         for r in rows:
             self.insert(r)
@@ -231,42 +258,63 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec) -> list:
-        """vec minus a combination of the basis rows that clears every
-        lead; the zero vector exactly when vec lies in the span."""
+    def _eliminate(self, vec):
+        """(v, scale): v is scale times `reduce(vec)`.  Over Q, v holds
+        ints and scale is a nonzero int; over GF(p), scale is 1."""
         if self._width is not None and len(vec) != self._width:
             raise DimensionMismatch("vector length %d vs span width %d"
                                     % (len(vec), self._width))
         p = self._p
         if p is None:
-            v = list(vec)
+            v, scale = _integer_row(vec)
             for lead, row in self._rows:
                 c = v[lead]
                 if c:
-                    v = [x - c * y for x, y in zip(v, row)]
-        else:
-            v = [x % p for x in vec]
-            for lead, row in self._rows:
-                c = v[lead]
-                if c:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
+                    a = row[lead]
+                    g = gcd(a, c)
+                    if g != 1:
+                        a //= g
+                        c //= g
+                    v = [a * x - c * y for x, y in zip(v, row)]
+                    scale *= a
+            return v, scale
+        v = [x % p for x in vec]
+        for lead, row in self._rows:
+            c = v[lead]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v, 1
+
+    def reduce(self, vec) -> list:
+        """vec minus a combination of the basis rows that clears every
+        lead; the zero vector exactly when vec lies in the span."""
+        v, scale = self._eliminate(vec)
+        if self._p is None:
+            return [Fraction(x, scale) for x in v]
         return v
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._eliminate(vec)[0])
 
     def insert(self, vec) -> bool:
         """Add vec to the basis unless the span already holds it; returns
         whether the rank grew."""
-        v = self.reduce(vec)
+        return self._insert(vec, len(vec))
+
+    def _insert(self, vec, lead_width) -> bool:
+        """`insert` with leads taken among the first lead_width entries
+        only; the entries after them ride along through the elimination."""
+        v = self._eliminate(vec)[0]
         self._width = len(v)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
+        for lead in range(lead_width):
+            if v[lead]:
+                break
+        else:
             return False
         p = self._p
         if p is None:
-            inv = 1 / Fraction(v[lead])
-            row = tuple(x * inv for x in v)
+            g = gcd(*v)
+            row = tuple(x // g for x in v) if g != 1 else tuple(v)
         else:
             inv = pow(v[lead], -1, p)
             row = tuple(x * inv % p for x in v)
@@ -283,8 +331,8 @@ def rref(field: FieldSpec, rows):
 
     Returns (new_rows, pivot_cols).  Deterministic: for each column the
     first remaining row with a nonzero entry pivots.  Exact over both
-    fields; over Q this is plain Fraction arithmetic (solving wants the
-    actual reduced system, rank alone uses the Bareiss path below).
+    fields; over Q this is plain Fraction arithmetic.  Gives the canonical
+    basis of a row span (`geometry.canonical_basis_rows`).
     """
     p = field.modulus
     work = [list(r) for r in rows]
@@ -325,55 +373,9 @@ def rref(field: FieldSpec, rows):
     return work, pivots
 
 
-def _rank_bareiss(int_rows) -> int:
-    """Fraction-free rank of integer rows (Bareiss one-step elimination)."""
-    work = [list(r) for r in int_rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, nrows):
-            lead = work[i][c]
-            row_i, row_r = work[i], work[r]
-            work[i] = [(piv * row_i[j] - lead * row_r[j]) // prev
-                       for j in range(ncols)]
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def rank_rows(field: FieldSpec, rows) -> int:
     """Rank of a list of raw-value row vectors."""
-    if field.modulus is not None:
-        return Echelon(field, rows).rank
-    cleared = []
-    for r in rows:
-        if not any(v != 0 for v in r):
-            continue
-        r = [Fraction(v) for v in r]
-        den = 1
-        for v in r:
-            den = den * v.denominator // _gcd(den, v.denominator)
-        cleared.append([int(v * den) for v in r])
-    return _rank_bareiss(cleared)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return Echelon(field, rows).rank
 
 
 class CoordinateSolution(NamedTuple):
@@ -389,6 +391,14 @@ def solve_columns(field: FieldSpec, columns, target) -> CoordinateSolution:
 
     Free variables (dependent generators) are set to zero, so the returned
     combination is one valid choice; it is unique iff independent.
+
+    The columns enter an `Echelon` in order, each tagged with its unit
+    combination vector, so every basis row carries the combination of
+    columns it equals.  A column that reduces to zero is dependent and
+    gets no row, so its coefficient stays zero; the columns that do get
+    rows are the pivot columns of the reduced system.  The target reduces
+    through the same rows, and its tag entries, negated and divided by the
+    elimination's scale, are the coefficients.
     """
     ncols = len(columns)
     dim = len(target)
@@ -396,16 +406,22 @@ def solve_columns(field: FieldSpec, columns, target) -> CoordinateSolution:
         if len(c) != dim:
             raise DimensionMismatch("column length %d vs target %d"
                                     % (len(c), dim))
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]]
-           for i in range(dim)]
-    red, pivots = rref(field, aug)
-    independent = sum(1 for pc in pivots if pc < ncols) == ncols
-    if any(pc == ncols for pc in pivots):
+    span = Echelon(field)
+    independent = True
+    for j, col in enumerate(columns):
+        tag = [0] * ncols
+        tag[j] = 1
+        if not span._insert(list(col) + tag, dim):
+            independent = False
+    v, scale = span._eliminate(list(target) + [0] * ncols)
+    if any(v[:dim]):
         return CoordinateSolution(None, independent)
-    coeffs = [field.zero()] * ncols
-    for i, pc in enumerate(pivots):
-        coeffs[pc] = red[i][ncols]
-    return CoordinateSolution(tuple(coeffs), independent)
+    p = field.modulus
+    if p is None:
+        coeffs = tuple(Fraction(-x, scale) for x in v[dim:])
+    else:
+        coeffs = tuple(-x % p for x in v[dim:])
+    return CoordinateSolution(coeffs, independent)
 
 
 # -- small vector helpers used across modules ---------------------------

@@ -12,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
@@ -317,6 +319,204 @@ def test_chain_rejects_unknown_and_non_string_ops(tmp_path, capsys):
         code, payload = _run(capsys, ["chain", "--in", path])
         assert code == 2
         assert payload["error"] == "InvalidInput"
+
+
+# --------------------------------------------------- malformed documents
+
+# P1 x P2 over GF(5); the two points share the last-factor point (1, 0, 0)
+# and lie in Y = P1 x <(1, 0, 0), (0, 1, 0)>, so every decomposition
+# subcommand but veronese-extend (a single-factor operation) succeeds
+_SPACE = {"dims": [1, 2], "degrees": [1, 1], "field": "GF(5)"}
+_Y = {"space": _SPACE, "bases": [[["1", "0"], ["0", "1"]],
+                                 [["1", "0", "0"], ["0", "1", "0"]]]}
+_DECOMP_DOC = {
+    "decomposition": {"space": _SPACE,
+                      "points": [[["1", "0"], ["1", "0", "0"]],
+                                 [["0", "1"], ["1", "0", "0"]]],
+                      "target": ["1", "0", "0", "1", "0", "0"]},
+    "subspace": _Y,
+    "steps": [{"op": "escape", "subspace": _Y}, {"op": "plus-one"}],
+}
+_TENSOR_DOC = {
+    "tensor": {"space": _SPACE, "coords": ["1", "0", "0", "0", "1", "0"]},
+    "within": _Y,
+}
+# the members each subcommand reads; a mutation of any other member can
+# leave the document valid for it
+_READS = {
+    "verify": ("decomposition",), "envelope": ("decomposition",),
+    "fiber-check": ("decomposition",), "plus-one": ("decomposition",),
+    "escape": ("decomposition", "subspace"),
+    "concise-plus-m": ("decomposition",),
+    "veronese-extend": ("decomposition",), "sv-extend": ("decomposition",),
+    "chain": ("decomposition", "steps"),
+    "tensor-envelope": ("tensor",), "rank": ("tensor", "within"),
+    "spanning-sets": ("tensor", "within"), "gaps": ("tensor", "within"),
+    "min-concise-t": ("tensor",),
+}
+_DELETE = object()
+# values that no member of the given kind accepts; digit strings, finite
+# numbers and booleans are left out because int() and Fraction() take them
+_BAD_CONTAINER = [None, 5, -1.5, "x", {}]
+_BAD_SCALAR = [None, "x", "", [], {}, "1/0", "1/5", "0x1",
+               float("inf"), float("nan")]
+_BAD_INTS = [None, "x", [], {}, [None], ["a"], [[1]], [-1], [1, 1, 1],
+             float("inf")]
+_BAD_FIELD = st.one_of(
+    st.sampled_from([None, 5, [], "GF(4)", "GF(1)", "GF(0)", "GF(x)",
+                     "GF(5)\n", "GF(٥)", "gf(5)", "QQQ",
+                     "GF(%d)" % (2 ** 64 + 13)]),
+    st.text(max_size=8).filter(lambda s: s != "QQ"
+                               and not re.fullmatch(r"GF\([0-9]+\)", s)))
+_BAD_STEP = [None, 5, "x", [], {}, {"op": None}, {"op": "nope"},
+             {"op": "escape"}, {"op": "escape", "subspace": 5},
+             {"op": "escape", "subspace": {"space": _SPACE}},
+             {"op": "concise-plus-m"}, {"op": "veronese-extend"}]
+_BAD_STEP += [{"op": "concise-plus-m", "m": m} for m in _BAD_SCALAR]
+_BAD_STEP += [{"op": "veronese-extend", "target_n": n} for n in _BAD_SCALAR]
+
+
+def _sites(node, path=()):
+    """(path, kind) for every member of a document below `path`: "field",
+    "ints" (dims, degrees), "vector" (a list of scalars), "scalar",
+    "steps", "step" or "container" (a required dict or list)."""
+    key = path[-1] if path else None
+    if key == "steps":
+        yield path, "steps"
+        for i in range(len(node)):
+            yield path + (i,), "step"
+        return
+    if key == "field":
+        yield path, "field"
+        return
+    if key in ("dims", "degrees"):
+        yield path, "ints"
+        return
+    if isinstance(node, dict):
+        yield path, "container"
+        for k, v in node.items():
+            yield from _sites(v, path + (k,))
+    elif isinstance(node, list):
+        if node and all(isinstance(x, str) for x in node):
+            yield path, "vector"
+        else:
+            yield path, "container"
+        for i, v in enumerate(node):
+            yield from _sites(v, path + (i,))
+    else:
+        yield path, "scalar"
+
+
+def _mutations(kind, in_list):
+    """A strategy for the replacement of a member of this kind; _DELETE
+    removes a dict member (every member listed in _READS is required),
+    and a list member is never deleted, since a shorter point, basis or
+    step list can be valid."""
+    if kind == "field":
+        return st.one_of(st.just(_DELETE), _BAD_FIELD)
+    if kind == "ints":
+        return st.sampled_from(_BAD_INTS + [_DELETE])
+    if kind == "scalar":
+        return st.sampled_from(_BAD_SCALAR)
+    if kind == "step":
+        return st.sampled_from(_BAD_STEP)
+    if kind == "vector":
+        # ragged, padded, zero, or not a list of scalars
+        return st.sampled_from(["ragged", "padded", "zero"]
+                               + _BAD_CONTAINER)
+    return st.sampled_from(_BAD_CONTAINER + ([] if in_list else [_DELETE]))
+
+
+def _apply(doc, path, change):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return change
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if change is _DELETE:
+        del parent[key]
+    elif change == "ragged":
+        parent[key] = parent[key][:-1]
+    elif change == "padded":
+        parent[key] = parent[key] + ["1"]
+    elif change == "zero":
+        parent[key] = ["0"] * len(parent[key])
+    else:
+        parent[key] = change
+    return doc
+
+
+@st.composite
+def _malformed(draw):
+    """(subcommand, extra argv, document text): one member of a valid
+    document broken, or the valid document under a bad --field."""
+    cmd = draw(st.sampled_from(sorted(_READS)))
+    base = _TENSOR_DOC if "tensor" in _READS[cmd] else _DECOMP_DOC
+    if draw(st.integers(0, 7)) == 0:
+        field = draw(_BAD_FIELD.filter(lambda s: isinstance(s, str) and s))
+        return cmd, ["--field=" + field], json.dumps(base)
+    sites = [(p, k) for p, k in _sites(base)
+             if not p or p[0] in _READS[cmd]]
+    path, kind = draw(st.sampled_from(sites))
+    in_list = bool(path) and isinstance(path[-1], int)
+    change = draw(_mutations(kind, in_list))
+    if not path and change is _DELETE:
+        change = None
+    return cmd, [], json.dumps(_apply(base, path, change))
+
+
+def _run_in_process(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_FLAGS = ["--t", "1", "--m", "2", "--target-n", "1"]
+
+
+@pytest.mark.parametrize("cmd", sorted(_READS))
+def test_base_documents_of_the_malformed_document_test_are_valid(cmd):
+    base = _TENSOR_DOC if "tensor" in _READS[cmd] else _DECOMP_DOC
+    code, out, err = _run_in_process([cmd, "--in", "-"] + _FLAGS,
+                                     json.dumps(base))
+    if cmd == "veronese-extend":
+        assert code == 2 and json.loads(out)["error"] == "NotVeronese"
+    else:
+        assert code == 0, (out, err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_malformed())
+def test_malformed_documents_end_in_an_error_payload(case):
+    """A malformed document ends in exit code 1 or 2 with a JSON error for
+    every subcommand, never in an uncaught exception."""
+    cmd, extra, text = case
+    code, out, err = _run_in_process([cmd, "--in", "-"] + _FLAGS + extra,
+                                     text)
+    assert code in (1, 2), (cmd, extra, text, out)
+    payload = json.loads(out if code == 2 else err)
+    assert isinstance(payload["error"], str), payload
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.sampled_from(_BAD_STEP),
+       st.lists(st.sampled_from(_BAD_STEP + _DECOMP_DOC["steps"]),
+                max_size=2))
+def test_malformed_chain_steps_end_in_an_error_payload(valid, bad, rest):
+    """A bad step after `valid` good ones stops the chain with exit 2."""
+    doc = dict(_DECOMP_DOC, steps=_DECOMP_DOC["steps"][:valid] + [bad]
+               + rest)
+    code, out, err = _run_in_process(["chain", "--in", "-"], json.dumps(doc))
+    assert code == 2, (doc, out, err)
+    assert isinstance(json.loads(out)["error"], str)
 
 
 # ------------------------------------------------------- README examples

@@ -78,6 +78,29 @@ def test_plus_one_columns_match_fresh_embeddings():
                                         for p in out.points]
 
 
+def test_plus_one_fails_fast_when_every_p1_fiber_is_starved():
+    """Over GF(3) a P^1 has 4 points.  Three minimal decompositions of W
+    take 3 of them in every factor, so every viable fiber line (all of
+    P^1) leaves one usable point: no redraw helps, and plus_one says so
+    instead of spending every retry.  The other 36 still grow."""
+    S = segre((1, 1, 1), gf(3))
+    q = Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 0))
+    wits = brute_rank(q).witnesses
+    assert len(wits) == 39
+    starved = [w for w in wits
+               if all(len({p.coords[i] for p in w.points}) == 3
+                      for i in range(3))]
+    assert len(starved) == 3
+    for w in wits:
+        for seed in range(5):
+            cfg = ConstructionConfig(rng_seed=seed)
+            if w in starved:
+                with pytest.raises(FieldTooSmall):
+                    plus_one(w, cfg)
+            else:
+                assert verify_irredundant(plus_one(w, cfg)).irredundant
+
+
 def test_plus_one_rejects_redundant_input():
     S = segre((1, 1))
     A = [pt(S, E0, E0), pt(S, E1, E1)]

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xrank.errors import DimensionMismatch, DivisionByZero, MixedFields
-from xrank.exactlin import (Echelon, FieldSpec, Scalar, in_span, is_prime,
-                            rank_rows, rref, solve_columns, vec_add,
-                            vec_scale)
+from xrank.exactlin import (CoordinateSolution, Echelon, FieldSpec, Scalar,
+                            in_span, is_prime, rank_rows, rref,
+                            solve_columns, vec_add, vec_scale)
 
 QQ = FieldSpec.parse("QQ")
 GF2, GF3, GF5, GF7 = FieldSpec(2), FieldSpec(3), FieldSpec(5), FieldSpec(7)
@@ -256,6 +256,81 @@ def test_coordinates_independence_flag():
 def test_coordinates_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_columns(QQ, [(1, 0)], (1, 0, 0))
+
+
+def _reference_solve(field, columns, target):
+    """The reduced-system solve: Gauss-Jordan on [columns | target] with
+    `rref`; the target's column pivoting means inconsistent, the pivot
+    columns take the reduced target entries, free variables stay zero."""
+    ncols = len(columns)
+    aug = [[col[i] for col in columns] + [target[i]]
+           for i in range(len(target))]
+    red, pivots = rref(field, aug)
+    independent = sum(1 for pc in pivots if pc < ncols) == ncols
+    if ncols in pivots:
+        return CoordinateSolution(None, independent)
+    coeffs = [field.zero()] * ncols
+    for i, pc in enumerate(pivots):
+        coeffs[pc] = red[i][ncols]
+    return CoordinateSolution(tuple(coeffs), independent)
+
+
+def _solve_cases(field):
+    if field.is_finite:
+        entry = st.integers(0, field.modulus - 1)
+    else:
+        # numerators near 10**30 make every row carry a large content
+        big = st.integers(10 ** 30 - 50, 10 ** 30 + 50)
+        numer = st.one_of(st.integers(-6, 6), big, big.map(lambda n: -n))
+        entry = st.builds(Fraction, numer, st.integers(1, 5))
+
+    @st.composite
+    def case(draw):
+        dim = draw(st.integers(1, 5))
+        vec = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+        cols = draw(st.lists(vec, max_size=6))
+        zero = tuple(field.zero() for _ in range(dim))
+        if cols and draw(st.booleans()):
+            cols.insert(draw(st.integers(0, len(cols))),
+                        draw(st.sampled_from(cols + [zero])))
+        kind = draw(st.sampled_from(("combination", "zero", "random")))
+        if kind == "combination" and cols:
+            target = zero
+            for col in cols:
+                c = draw(entry)
+                target = vec_add(field, target,
+                                 vec_scale(field, field.coerce(c), col))
+        elif kind == "zero":
+            target = zero
+        else:
+            target = draw(vec)
+        return cols, target
+
+    return case()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, FieldSpec(11),
+                                   FieldSpec(3037000493)], ids=str)
+def test_solve_columns_matches_reference_solve(field):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_solve_cases(field))
+    def check(case):
+        cols, target = case
+        assert solve_columns(field, cols, target) == _reference_solve(
+            field, cols, target)
+
+    check()
+
+
+def test_solve_columns_edge_cases():
+    assert solve_columns(QQ, [], (0, 0)) == ((), True)
+    assert solve_columns(QQ, [], (0, 1)) == (None, True)
+    assert solve_columns(GF5, [(0, 0), (1, 2), (2, 4)], (3, 1)) == (
+        (0, 3, 0), False)
+    assert solve_columns(GF5, [(1, 2), (1, 2)], (1, 0)) == (None, False)
+    sol = solve_columns(QQ, [(Fraction(10 ** 30, 3), 0), (0, 7)], (1, 1))
+    assert sol == ((Fraction(3, 10 ** 30), Fraction(1, 7)), True)
+    assert all(isinstance(c, Fraction) for c in sol.coefficients)
 
 
 # --------------------------------------------------------------------- rref
