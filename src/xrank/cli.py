@@ -18,7 +18,7 @@ from .construct import (ConstructionConfig, concise_plus_m, escape, plus_one,
 from .decomp import (Decomposition, fiber_condition, set_envelope,
                      tensor_envelope, verify_irredundant)
 from .errors import InvalidInput, XrankError
-from .geometry import MultiProjectiveSpace, SubspaceSpec, Tensor
+from .geometry import MultiProjectiveSpace, SubspaceSpec, Tensor, as_size
 from .oracle import (DEFAULT_BUDGET, brute_rank, gap_profile, min_concise_t,
                      spanning_sets)
 
@@ -83,12 +83,11 @@ def _override_field(node, field):
 @contextmanager
 def _parsing(what):
     """Report a malformed document shape as InvalidInput.  Such shapes
-    surface as KeyError/TypeError/ValueError inside the parsers (and as
-    OverflowError from int() of an infinite JSON number); anything raised
-    outside a parser is left to propagate."""
+    surface as KeyError/TypeError/ValueError inside the parsers; anything
+    raised outside a parser is left to propagate."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InvalidInput("bad %s: %s" % (what, e)) from e
 
 
@@ -147,15 +146,13 @@ def _chain_step(cur, step, cfg):
     if op == "concise-plus-m":
         if "m" not in step:
             raise InvalidInput("chain concise-plus-m step needs 'm'")
-        with _parsing("chain step 'm'"):
-            m = int(step["m"])
-        return concise_plus_m(cur, m, cfg)
+        return concise_plus_m(cur, as_size(step["m"], "chain step 'm'"),
+                              cfg)
     if op == "veronese-extend":
         if "target_n" not in step:
             raise InvalidInput("chain veronese-extend step needs 'target_n'")
-        with _parsing("chain step 'target_n'"):
-            target_n = int(step["target_n"])
-        return veronese_extend(cur, target_n, cfg)
+        return veronese_extend(
+            cur, as_size(step["target_n"], "chain step 'target_n'"), cfg)
     if op == "sv-extend":
         return sv_extend(cur, cfg)
     raise InvalidInput("unknown chain op %r" % step["op"])

@@ -19,12 +19,12 @@ rows stay primitive integer vectors and `Fraction`s appear only in the
 values `reduce` returns.  Build one `Echelon` per fixed span and query it
 many times.
 
-`rank_rows` is the rank of an `Echelon` over both fields.
-`solve_columns` inserts the columns into an `Echelon`, each carrying its
+`Echelon` is the only elimination: `rank_rows` is the rank of one;
+`solve_columns` inserts the columns into one, each carrying its
 combination of the columns, and reads the target's coefficients off the
-same elimination.  `rref` is the column-scan Gauss-Jordan reduction that
-gives a span's canonical basis.  Pivoting is deterministic: the first
-nonzero entry, scanning in order.
+same elimination; `rref` back-substitutes one through a second `Echelon`
+to give a span's canonical basis.  Leads are deterministic: the first
+nonzero entry of each reduced row, scanning in order.
 """
 
 import re
@@ -327,50 +327,28 @@ class Echelon:
 
 
 def rref(field: FieldSpec, rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form: (new_rows, pivot_cols).
 
-    Returns (new_rows, pivot_cols).  Deterministic: for each column the
-    first remaining row with a nonzero entry pivots.  Exact over both
-    fields; over Q this is plain Fraction arithmetic.  Gives the canonical
-    basis of a row span (`geometry.canonical_basis_rows`).
+    The rows enter an `Echelon`, whose rows are zero at the leads of the
+    rows inserted before them.  Inserting those rows into a second
+    `Echelon` in reverse order clears each one at the leads of the rows
+    inserted after it (a lead stays the first nonzero entry of its row).
+    The rows are sorted by lead and divided by it; zero rows pad the
+    result to len(rows).  Gives the canonical basis of a row span
+    (`geometry.canonical_basis_rows`).
     """
-    p = field.modulus
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        rr = work[r]
-        piv = rr[c]
-        if piv != 1:
-            if p is None:
-                inv = 1 / Fraction(piv)
-                rr = [v * inv for v in rr]
-            else:
-                inv = pow(piv, -1, p)
-                rr = [v * inv % p for v in rr]
-            work[r] = rr
-        for i in range(nrows):
-            f = work[i][c]
-            if i != r and f != 0:
-                if p is None:
-                    work[i] = [x - f * y for x, y in zip(work[i], rr)]
-                else:
-                    work[i] = [(x - f * y) % p for x, y in zip(work[i], rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    rows = list(rows)
+    reduced = Echelon(field)
+    for _, row in reversed(Echelon(field, rows)._rows):
+        reduced.insert(row)
+    basis = sorted(reduced._rows)
+    if field.modulus is None:
+        out = [[Fraction(x, row[lead]) for x in row] for lead, row in basis]
+    else:
+        out = [list(row) for _, row in basis]
+    width = len(rows[0]) if rows else 0
+    out += [[field.zero()] * width for _ in range(len(rows) - len(out))]
+    return out, [lead for lead, _ in basis]
 
 
 def rank_rows(field: FieldSpec, rows) -> int:

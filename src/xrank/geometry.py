@@ -5,9 +5,12 @@ A space is a product P^{n_1} x ... x P^{n_k} with a multidegree
 monomials (exponent vectors in leading-first lexicographic order) and
 nests factors left to right, so the last factor's index moves fastest.
 Projective representatives are canonical: first nonzero coordinate 1.
+`embed` runs on plain ints over both fields (over Q after clearing each
+factor's denominators) and makes one `Fraction` per entry at the end.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,9 +18,16 @@ from functools import lru_cache
 
 from .errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
                      SpaceMismatch, ZeroFactor)
-from .exactlin import FieldSpec, rank_rows, rref
+from .exactlin import FieldSpec, _integer_row, rank_rows, rref
 
 DEFAULT_COORD_BOX = 50
+
+
+def as_size(value, what: str) -> int:
+    """value as an int; InvalidInput for a bool, float, str or the like."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInput("%s must be an integer, got %r" % (what, value))
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,8 @@ class MultiProjectiveSpace:
     field: FieldSpec
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
-        degs = tuple(int(d) for d in self.multidegree)
+        dims = tuple(as_size(n, "factor dim") for n in self.factor_dims)
+        degs = tuple(as_size(d, "degree") for d in self.multidegree)
         object.__setattr__(self, "factor_dims", dims)
         object.__setattr__(self, "multidegree", degs)
         if len(dims) == 0 or len(dims) != len(degs):
@@ -193,43 +203,51 @@ class Tensor:
         return cls.of(space, coords)
 
 
-def _evaluate_monomials(field: FieldSpec, vec, degree: int):
-    """Values of all degree-`degree` monomials at vec, embedding order."""
-    n_vars = len(vec)
+def _evaluate_monomials(vec, degree: int):
+    """Values of all degree-`degree` monomials at the int vector vec,
+    embedding order, unreduced."""
+    if degree == 1:
+        return vec
     powers = []
     for v in vec:
-        row = [field.one()]
+        row = [1]
         for _ in range(degree):
-            row.append(field.mul(row[-1], v))
+            row.append(row[-1] * v)
         powers.append(row)
     out = []
-    for expo in monomial_exponents(n_vars, degree):
-        acc = field.one()
-        for var, e in zip(range(n_vars), expo):
+    for expo in monomial_exponents(len(vec), degree):
+        acc = 1
+        for row, e in zip(powers, expo):
             if e:
-                acc = field.mul(acc, powers[var][e])
+                acc *= row[e]
         out.append(acc)
     return out
 
 
 def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
-    """Segre-Veronese embedding of a point, canonical scaling."""
+    """Segre-Veronese embedding of a point, scaled by the image's own
+    first nonzero entry, so canonical however the factors are scaled.
+    Clearing a factor's denominators over Q is a projective rescaling."""
     if point.space != space:
         raise SpaceMismatch("point does not live on the given space")
-    field = space.field
-    p = field.modulus
-    if p is not None and space.is_segre:
-        # Kronecker product of canonical factors: its first nonzero entry
-        # is the product of the factors' leading 1s, so it is canonical.
-        coords = [1]
-        for vec in point.coords:
-            coords = [c * v % p for c in coords for v in vec]
-        return Tensor(space, tuple(coords))
-    coords = [field.one()]
+    p = space.field.modulus
+    coords = [1]
     for vec, d in zip(point.coords, space.multidegree):
-        vals = _evaluate_monomials(field, vec, d)
-        coords = [field.mul(c, v) for c in coords for v in vals]
-    return Tensor.of(space, coords)
+        if p is None:
+            vals = _evaluate_monomials(_integer_row(vec)[0], d)
+            coords = [c * v for c in coords for v in vals]
+        else:
+            vals = _evaluate_monomials(vec, d)
+            coords = [c * v % p for c in coords for v in vals]
+    lead = next((c for c in coords if c), None)
+    if lead is None:
+        raise ZeroFactor("zero vector has no projective class")
+    if p is None:
+        coords = [Fraction(c, lead) for c in coords]
+    elif lead != 1:
+        inv = pow(lead, -1, p)
+        coords = [c * inv % p for c in coords]
+    return Tensor(space, tuple(coords))
 
 
 def line_point(field: FieldSpec, a, w, t):

@@ -355,13 +355,18 @@ _READS = {
     "min-concise-t": ("tensor",),
 }
 _DELETE = object()
-# values that no member of the given kind accepts; digit strings, finite
-# numbers and booleans are left out because int() and Fraction() take them
+# values that no member of the given kind accepts; digit strings and
+# finite numbers are left out of the scalars because Fraction() takes them,
+# while sizes (dims, degrees, a step's m and target_n) must be ints: a
+# float, a bool or a digit string is rejected even where its int() would
+# make a valid document
 _BAD_CONTAINER = [None, 5, -1.5, "x", {}]
 _BAD_SCALAR = [None, "x", "", [], {}, "1/0", "1/5", "0x1",
                float("inf"), float("nan")]
+_BAD_SIZE = [1.5, 2.0, True, "2"]
 _BAD_INTS = [None, "x", [], {}, [None], ["a"], [[1]], [-1], [1, 1, 1],
-             float("inf")]
+             float("inf"), [1.5, 2], [1, 2.0], [True, 2], [1, "2"],
+             [True, True]]
 _BAD_FIELD = st.one_of(
     st.sampled_from([None, 5, [], "GF(4)", "GF(1)", "GF(0)", "GF(x)",
                      "GF(5)\n", "GF(٥)", "gf(5)", "QQQ",
@@ -372,8 +377,10 @@ _BAD_STEP = [None, 5, "x", [], {}, {"op": None}, {"op": "nope"},
              {"op": "escape"}, {"op": "escape", "subspace": 5},
              {"op": "escape", "subspace": {"space": _SPACE}},
              {"op": "concise-plus-m"}, {"op": "veronese-extend"}]
-_BAD_STEP += [{"op": "concise-plus-m", "m": m} for m in _BAD_SCALAR]
-_BAD_STEP += [{"op": "veronese-extend", "target_n": n} for n in _BAD_SCALAR]
+_BAD_STEP += [{"op": "concise-plus-m", "m": m}
+              for m in _BAD_SCALAR + _BAD_SIZE]
+_BAD_STEP += [{"op": "veronese-extend", "target_n": n}
+              for n in _BAD_SCALAR + _BAD_SIZE]
 
 
 def _sites(node, path=()):

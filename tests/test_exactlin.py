@@ -258,14 +258,62 @@ def test_coordinates_dimension_mismatch():
         solve_columns(QQ, [(1, 0)], (1, 0, 0))
 
 
+def _reference_rref(field: FieldSpec, rows):
+    """Reduced row echelon form by column-scan Gauss-Jordan, independent of
+    `Echelon`: the tests' reference elimination.
+
+    Returns (new_rows, pivot_cols).  Deterministic: for each column the
+    first remaining row with a nonzero entry pivots.  Exact over both
+    fields; over Q this is plain Fraction arithmetic.
+    """
+    p = field.modulus
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if work[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        rr = work[r]
+        piv = rr[c]
+        if piv != 1:
+            if p is None:
+                inv = 1 / Fraction(piv)
+                rr = [v * inv for v in rr]
+            else:
+                inv = pow(piv, -1, p)
+                rr = [v * inv % p for v in rr]
+            work[r] = rr
+        for i in range(nrows):
+            f = work[i][c]
+            if i != r and f != 0:
+                if p is None:
+                    work[i] = [x - f * y for x, y in zip(work[i], rr)]
+                else:
+                    work[i] = [(x - f * y) % p for x, y in zip(work[i], rr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
+
+
 def _reference_solve(field, columns, target):
     """The reduced-system solve: Gauss-Jordan on [columns | target] with
-    `rref`; the target's column pivoting means inconsistent, the pivot
-    columns take the reduced target entries, free variables stay zero."""
+    `_reference_rref`; the target's column pivoting means inconsistent, the
+    pivot columns take the reduced target entries, free variables stay
+    zero."""
     ncols = len(columns)
     aug = [[col[i] for col in columns] + [target[i]]
            for i in range(len(target))]
-    red, pivots = rref(field, aug)
+    red, pivots = _reference_rref(field, aug)
     independent = sum(1 for pc in pivots if pc < ncols) == ncols
     if ncols in pivots:
         return CoordinateSolution(None, independent)
@@ -275,14 +323,17 @@ def _reference_solve(field, columns, target):
     return CoordinateSolution(tuple(coeffs), independent)
 
 
-def _solve_cases(field):
+def _entries(field):
     if field.is_finite:
-        entry = st.integers(0, field.modulus - 1)
-    else:
-        # numerators near 10**30 make every row carry a large content
-        big = st.integers(10 ** 30 - 50, 10 ** 30 + 50)
-        numer = st.one_of(st.integers(-6, 6), big, big.map(lambda n: -n))
-        entry = st.builds(Fraction, numer, st.integers(1, 5))
+        return st.integers(0, field.modulus - 1)
+    # numerators near 10**30 make every row carry a large content
+    big = st.integers(10 ** 30 - 50, 10 ** 30 + 50)
+    numer = st.one_of(st.integers(-6, 6), big, big.map(lambda n: -n))
+    return st.builds(Fraction, numer, st.integers(1, 5))
+
+
+def _solve_cases(field):
+    entry = _entries(field)
 
     @st.composite
     def case(draw):
@@ -349,6 +400,36 @@ def test_rref_is_canonical_for_the_row_space():
             c = field.coerce(3)
             scaled = [vec_scale(field, c, rows[0])] + list(rows[1:])
             assert rref(field, scaled) == base
+
+
+def _rref_cases(field):
+    @st.composite
+    def rows(draw):
+        width = draw(st.integers(1, 5))
+        row = st.lists(_entries(field), min_size=width,
+                       max_size=width).map(tuple)
+        out = draw(st.lists(row, max_size=6))
+        zero = tuple(field.zero() for _ in range(width))
+        for _ in range(draw(st.integers(0, 2))):
+            # a repeated or a zero row
+            out.insert(draw(st.integers(0, len(out))),
+                       draw(st.sampled_from(out + [zero])))
+        return out
+
+    return rows()
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, FieldSpec(11),
+                                   FieldSpec(3037000493)], ids=str)
+def test_rref_matches_reference_rref(field):
+    assert rref(field, []) == _reference_rref(field, []) == ([], [])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_rref_cases(field))
+    def check(rows):
+        assert rref(field, rows) == _reference_rref(field, rows)
+
+    check()
 
 
 def test_in_span_basic():
@@ -428,8 +509,9 @@ def test_echelon_agrees_with_rank_and_two_rank_in_span(field):
         rows, vec = case
         e = Echelon(field, rows)
         assert e.rank == rank_rows(field, rows)
-        # rref's pivot count is an independent column-scan elimination
-        assert e.rank == len(rref(field, rows)[1])
+        # the reference's pivot count is an independent column-scan
+        # elimination
+        assert e.rank == len(_reference_rref(field, rows)[1])
         assert e.contains(vec) == _old_in_span(field, rows, vec)
         assert in_span(field, rows, vec) == e.contains(vec)
         grown = Echelon(field, rows)

@@ -1,13 +1,16 @@
 """Spaces, embeddings, point enumeration, and subspaces."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import QQ, gf, pt, segre, veronese
 
-from xrank.errors import (DimensionMismatch, FieldNotFinite, ZeroFactor)
+from xrank.errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
+                          ZeroFactor)
 from xrank.exactlin import FieldSpec, rank_rows, solve_columns
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, ambient_dim, canonical_vector,
@@ -34,6 +37,21 @@ def test_ambient_dim_mixed_degree():
     for c in sp.factor_monomial_counts():
         n *= c
     assert ambient_dim(sp) == n - 1
+
+
+@pytest.mark.parametrize("dims,degs", [((1.5, 1), (1, 1)),
+                                       ((1, 2.0), (1, 1)),
+                                       ((1, 1), (True, 1)),
+                                       (("2",), (1,))])
+def test_space_sizes_must_be_integers(dims, degs):
+    with pytest.raises(InvalidInput):
+        MultiProjectiveSpace(dims, degs, QQ)
+
+
+def test_space_sizes_take_any_integer_type():
+    sp = MultiProjectiveSpace((np.int64(1), 2), (1, np.int32(3)), QQ)
+    assert sp == MultiProjectiveSpace((1, 2), (1, 3), QQ)
+    assert all(type(n) is int for n in sp.factor_dims + sp.multidegree)
 
 
 def test_monomial_count_matches_enumeration():
@@ -108,6 +126,72 @@ def test_segre_multilinearity(dims):
                 v *= p.coords[i][j]
             expect.append(v)
         assert embed(sp, p).coords == canonical_vector(QQ, expect)
+
+
+# Segre, Veronese (degrees 2-4) and mixed shapes: (factor dims, degrees)
+_EMBED_SHAPES = [((1, 1), (1, 1)), ((2, 3), (1, 1)), ((1, 1, 1), (1, 1, 1)),
+                 ((1,), (2,)), ((2,), (3,)), ((3,), (4,)),
+                 ((1, 2), (2, 1)), ((1, 1, 2), (3, 1, 2))]
+
+
+@pytest.mark.parametrize("field,digest", [
+    (QQ, "62a3384d4d2b90d037d60e98f6f1e81b0027080bd5b5ef4bfcabc6acc6481ed4"),
+    (gf(2),
+     "c06986f1a808a4fda9644796e9683fc05c2a328b342eac3d49f8798eba071257"),
+    (gf(11),
+     "89149ccbf695987df3d454bfba46d7942df8046541ccee3f944a81418d103117"),
+], ids=str)
+def test_embed_frozen_digests(field, digest):
+    """Images of seeded points on every shape; the repr pins the values and
+    their types (Fraction over Q, int over GF(p)).  Recorded before
+    `embed` moved onto integer monomials."""
+    rng = random.Random(5150)
+    h = hashlib.sha256()
+    for dims, degs in _EMBED_SHAPES:
+        sp = MultiProjectiveSpace(dims, degs, field)
+        for _ in range(20):
+            p = random_point(sp, rng)
+            h.update(repr(embed(sp, p).coords).encode())
+    assert h.hexdigest() == digest
+
+
+def _field_embed(space, coords):
+    """Monomials and Kronecker product entry by entry through the field's
+    own `mul`, then `Tensor.of` to canonicalise."""
+    f = space.field
+    out = [f.one()]
+    for vec, d in zip(coords, space.multidegree):
+        vals = []
+        for expo in monomial_exponents(len(vec), d):
+            acc = f.one()
+            for x, e in zip(vec, expo):
+                for _ in range(e):
+                    acc = f.mul(acc, f.coerce(x))
+            vals.append(acc)
+        out = [f.mul(c, v) for c in out for v in vals]
+    return Tensor.of(space, out)
+
+
+@pytest.mark.parametrize("field", [QQ, gf(2), gf(11)], ids=str)
+def test_embed_of_non_canonical_point_is_canonical(field):
+    """A point built directly, skipping `MppPoint.of`, may carry unscaled
+    factors; its image is still the canonical one."""
+    rng = random.Random(77)
+    for dims, degs in _EMBED_SHAPES:
+        sp = MultiProjectiveSpace(dims, degs, field)
+        for _ in range(10):
+            coords = []
+            for n in dims:
+                v = [field.random_element(rng, 9) for _ in range(n)]
+                v.insert(rng.randrange(n + 1),
+                         field.random_element(rng, 9, nonzero=True))
+                if not field.is_finite:
+                    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                    v = [c * x for x in v]
+                coords.append(tuple(v))
+            p = MppPoint(sp, tuple(coords))
+            assert embed(sp, p) == _field_embed(sp, coords)
+            assert embed(sp, p) == embed(sp, MppPoint.of(sp, coords))
 
 
 # -------------------------------------------------------------- enumeration
