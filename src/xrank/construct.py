@@ -120,7 +120,10 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     from all remaining points in the chosen factor, and embed outside U.
     The result is verified irredundant with cardinality #A + 1.  Over
     GF(p), FieldTooSmall is raised at the first retry when every viable
-    fiber is a P^1 with fewer than two usable points.
+    fiber is a P^1 with fewer than two usable points.  The input is
+    checked by `verify_irredundant`, which reuses a report the input
+    already carries (an oracle witness has one) instead of solving again;
+    each candidate is solved on its own.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, EmptySet, InvalidInput, NotContained,
                      SpaceMismatch, UnsupportedDegree)
-from .exactlin import Scalar, rank_rows, solve_columns
+from .exactlin import Scalar, solve_columns
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
                        canonical_basis_rows, embed)
 

@@ -411,12 +411,6 @@ def vec_add(field, a, b):
     return tuple(field.add(x, y) for x, y in zip(a, b))
 
 
-def vec_sub(field, a, b):
-    if len(a) != len(b):
-        raise DimensionMismatch("vector lengths %d vs %d" % (len(a), len(b)))
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
 def vec_scale(field, c, a):
     return tuple(field.mul(c, x) for x in a)
 

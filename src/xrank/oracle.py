@@ -7,12 +7,15 @@ works iff its points are independent and their images in V/<q> carry a
 dependency with full support (a circuit).  Engines: t=1 scans for points
 parallel to q; t=2 buckets the points by ray in V/<q>; t=3 takes each
 point a as an anchor and buckets the later points by ray in V/<q, a>
-(numpy, O(M) memory); t>=4 runs a depth-first search over
-independent-quotient prefixes.  A naive subset scan is kept as a
-reference engine for cross-testing.  Every candidate passes through the
-same exact verification used everywhere else, so engine bugs can only
-lose witnesses, not invent them; the test suite compares engines against
-the naive scan to guard the losing direction.
+(numpy, O(M) memory), sorting one int64 key word per (anchor, point)
+row whenever the ray key and the block's anchor index fit in one; t>=4
+runs a depth-first search over independent-quotient prefixes.  A naive
+subset scan is kept as a reference engine for cross-testing.  Every
+candidate passes through `verify_irredundant`, the exact verification
+used everywhere else, so engine bugs can only lose witnesses, not invent
+them; the test suite compares engines against the naive scan to guard
+the losing direction.  The report that verification caches on a witness
+is the one the constructions read, so a witness is solved only once.
 """
 
 import itertools
@@ -23,11 +26,11 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .decomp import Decomposition, set_envelope
+from .decomp import Decomposition, set_envelope, verify_irredundant
 from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                      ModulusTooLarge, NoConciseWitness, SpaceMismatch,
                      TargetNotSpanned)
-from .exactlin import Echelon, solve_columns
+from .exactlin import Echelon
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                        ambient_dim, count_points, embed,
                        enumerate_points)
@@ -105,19 +108,6 @@ def _ground_span(g: GroundSet) -> Echelon:
     return Echelon(g.space.field, g.columns)
 
 
-# ------------------------------------------------------------ exact verifier
-
-def _is_witness(field, cols, qvec):
-    """Definitional check: columns independent, q in their span, all
-    coefficients nonzero.  Returns (ok, coefficients)."""
-    sol = solve_columns(field, cols, qvec)
-    if not sol.independent or sol.coefficients is None:
-        return False, None
-    if any(c == 0 for c in sol.coefficients):
-        return False, None
-    return True, sol.coefficients
-
-
 def _project_rows(field, cols, qvec):
     """Images of the columns in V/<q>, as coordinate rows with the pivot
     coordinate of q dropped."""
@@ -165,8 +155,9 @@ def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
 
 
 _INT64_LIMIT = 2 ** 63
-# (anchor, point) rows the t=3 engine projects at once; bounds its memory
-_T3_BLOCK_ROWS = 2 ** 15
+# (anchor, point) rows the t=3 engine projects at once: bounds its memory
+# and keeps a block's arrays in cache (2^13 ran ~25% faster than 2^15)
+_T3_BLOCK_ROWS = 2 ** 13
 
 
 def _inverses(vals, p):
@@ -183,11 +174,10 @@ def _inverses(vals, p):
 
 def _canonical(rows, p):
     """Each nonzero row divided by its lead entry, and the lead indices.
-    Only the lead values present are inverted."""
+    A zero row stays zero (its lead index is 0)."""
     lead = np.argmax(rows != 0, axis=1)
-    vals, where = np.unique(np.take_along_axis(rows, lead[:, None], 1),
-                            return_inverse=True)
-    return rows * _inverses(vals, p)[where.reshape(-1, 1)] % p, lead
+    vals = np.take_along_axis(rows, lead[:, None], 1)
+    return rows * _inverses(vals, p) % p, lead
 
 
 def _project(rows, hat, lead, p):
@@ -217,11 +207,14 @@ def _ray_keys(rows, p):
 
 
 def _bucket_pairs(keys):
-    """Row pairs (u, v), u < v, whose key rows are equal."""
-    order = np.lexsort(keys.T[::-1])
+    """Row pairs (u, v), u < v, whose keys are equal, in no set order.
+    A 1-D key (one int64 word per row) is sorted by `argsort`; a 2-D key
+    of several words per row by `lexsort`."""
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T[::-1])
     sk = keys[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    diff = sk[1:] != sk[:-1]
+    new[1:] = diff if keys.ndim == 1 else diff.any(axis=1)
     ends = np.append(np.flatnonzero(new)[1:], len(order))
     later = ends[np.cumsum(new) - 1] - 1 - np.arange(len(order))
     first = np.repeat(np.arange(len(order)), later)
@@ -258,10 +251,14 @@ def _t3_candidates(field, cols, qvec) -> list:
     Each point a with a nonzero image a' in V/<q> is an anchor in turn;
     the later points are projected into V/<q, a> and bucketed by ray, in
     blocks of anchors of at most _T3_BLOCK_ROWS rows, so memory is O(M)
-    rather than O(M^2).  A witness {a, b, c} is independent and has a
-    dependency x a' + y b' + z c' = 0 in V/<q> with x, y, z nonzero, so
-    b and c are on one ray modulo a'.  Two kinds of bucket pairs are
-    dropped, and neither can be a witness:
+    rather than O(M^2).  An (anchor a, point) row sorts on one int64
+    word, (a - a0) * p**L + its ray key, for a block from anchor a0 on
+    rows of L coordinates, when the ray key is one word and the block's
+    anchors fit below 2^63 (checked in Python ints); otherwise the anchor
+    and the key words are lexsorted.  A witness {a, b, c} is independent
+    and has a dependency x a' + y b' + z c' = 0 in V/<q> with x, y, z
+    nonzero, so b and c are on one ray modulo a'.  Two kinds of bucket
+    pairs are dropped, and neither can be a witness:
     - b' and c' parallel in V/<q>: a dependency y b' + z c' = 0 leaves a
       out, and the dependency of a rank-2 image triple is unique up to
       scale (a rank-1 triple spans at most a plane with q, so a, b, c are
@@ -279,6 +276,7 @@ def _t3_candidates(field, cols, qvec) -> list:
     hat, lead = _canonical(img, p)
     qkeys = _pack_digits(hat, p)
     ehat, elead = _canonical(emb, p)
+    base = p ** img.shape[1]  # bounds every one-word ray key
     found = [np.zeros((0, 3), np.int64)]
     a0 = 0
     while a0 < M - 2:
@@ -286,8 +284,12 @@ def _t3_candidates(field, cols, qvec) -> list:
         ai, bi = np.nonzero(np.arange(a0 + 1, M)
                             > np.arange(a0, a1)[:, None])
         ai, bi = ai + a0, bi + a0 + 1
-        rays = _project(img[bi], hat[ai], lead[ai], p)
-        u, v = _bucket_pairs(np.column_stack([ai, _ray_keys(rays, p)]))
+        keys = _ray_keys(_project(img[bi], hat[ai], lead[ai], p), p)
+        if keys.shape[1] == 1 and (a1 - a0) * base < _INT64_LIMIT:
+            keys = (ai - a0) * base + keys[:, 0]
+        else:
+            keys = np.column_stack([ai, keys])
+        u, v = _bucket_pairs(keys)
         a, b, c = ai[u], bi[u], bi[v]
         keep = (qkeys[b] != qkeys[c]).any(axis=1)
         a, b, c = a[keep], b[keep], c[keep]
@@ -443,13 +445,11 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
     witnesses = []
     complete = True
     for tup in cand:
-        cols = [g.columns[i] for i in tup]
-        ok, _ = _is_witness(field, cols, q.coords)
-        if not ok:
-            continue
         d = Decomposition(space, [g.points[i] for i in tup], q,
-                          {"source": "oracle", "t": t,
-                           "indices": list(tup)})._with_columns(cols)
+                          {"source": "oracle", "t": t, "indices": list(tup)}
+                          )._with_columns([g.columns[i] for i in tup])
+        if not verify_irredundant(d).irredundant:
+            continue
         if predicate is not None and not predicate(d):
             continue
         witnesses.append(d)

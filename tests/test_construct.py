@@ -7,6 +7,7 @@ import pytest
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
+from xrank import decomp
 from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
                              plus_one, sv_extend, veronese_extend)
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
@@ -392,6 +393,29 @@ def test_sv_extend_deterministic():
 def test_config_validation():
     with pytest.raises(InvalidInput):
         ConstructionConfig(max_retries=0)
+
+
+def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
+    # the witness carries the oracle's report, so only the candidate is
+    # solved; a fresh copy of the same witness is solved twice
+    S = segre((1, 1), gf(11))
+    w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
+    calls = []
+    solve = decomp.solve_columns
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(decomp, "solve_columns", counting)
+    out = plus_one(w)
+    assert out.provenance["retries_used"] == 0
+    assert len(calls) == 1
+    calls.clear()
+    again = plus_one(Decomposition(S, w.points, w.target))
+    assert len(calls) == 2
+    assert again.points == out.points
+    assert verify_irredundant(out).irredundant
 
 
 def test_json_round_trip_keeps_provenance():

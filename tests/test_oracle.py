@@ -6,21 +6,38 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gf, lin_comb, pt, segre, veronese
 
+from xrank import oracle
 from xrank.decomp import Decomposition, set_envelope, verify_irredundant
 from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                           ModulusTooLarge, TargetNotSpanned)
-from xrank.exactlin import FieldSpec
+from xrank.exactlin import FieldSpec, solve_columns
 from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
-                            count_points, embed)
-from xrank.oracle import (_is_witness, _t2_candidates, _t3_candidates,
+                            canonical_vector, count_points, embed)
+from xrank.oracle import (_canonical, _t2_candidates, _t3_candidates,
                           brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
 
 E0, E1 = (1, 0), (0, 1)
+
+
+def _is_witness(field, cols, qvec):
+    """The definition: columns independent, q in their span, every
+    coefficient nonzero."""
+    sol = solve_columns(field, cols, qvec)
+    return (sol.independent and sol.coefficients is not None
+            and all(c != 0 for c in sol.coefficients))
+
+
+def _witnesses_by_definition(field, cols, qvec, t):
+    return [tup for tup in itertools.combinations(range(len(cols)), t)
+            if _is_witness(field, [cols[i] for i in tup], qvec)]
 
 
 # --------------------------------------------------------------- ground set
@@ -281,10 +298,98 @@ def test_numpy_engines_on_64_coordinates_over_gf2():
     assert len(cols) == 34
     for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
         found = engine(S.field, cols, q.coords)
-        assert found == [tup for tup in itertools.combinations(range(34), t)
-                         if _is_witness(S.field, [cols[i] for i in tup],
-                                        q.coords)[0]]
+        assert found == _witnesses_by_definition(S.field, cols, q.coords, t)
         assert found
+
+
+def _clustered_columns(p, n, seed):
+    """Distinct canonical columns of length n over GF(p) in a random
+    4-dimensional subspace, so that many triples are witnesses, plus
+    columns that the t=3 engine's two filters must drop: c = b + q
+    (b and c parallel modulo q) and c = a + b (a, b, c collinear)."""
+    F = FieldSpec(p)
+    rng = random.Random(seed)
+    basis = [[rng.randrange(p) for _ in range(n)] for _ in range(4)]
+
+    def comb(coeffs):
+        return [sum(c * b[i] for c, b in zip(coeffs, basis)) % p
+                for i in range(n)]
+
+    q = tuple(comb([rng.randrange(p) for _ in range(4)]))
+    cols = []
+    for _ in range(24):
+        v = comb([rng.randrange(p) for _ in range(4)])
+        if any(v):
+            cols.append(canonical_vector(F, v))
+    for k in range(3):
+        cols.append(canonical_vector(F, [(x + y) % p for x, y in
+                                         zip(cols[2 * k], q)]))
+        cols.append(canonical_vector(F, [(x + y) % p for x, y in
+                                         zip(cols[2 * k], cols[2 * k + 1])]))
+    return F, sorted(set(cols)), q
+
+
+@pytest.mark.parametrize("n, key_shape", [
+    (5, ()),     # one word, anchors folded in: (a - a0) * 11^5 + key
+    (18, (2,)),  # one word (11^18 < 2^63), but 2 * 11^18 > 2^63: lexsort
+], ids=["folded", "unfolded"])
+def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
+    F, cols, q = _clustered_columns(11, n, seed=n)
+    shapes = []
+    bucket = oracle._bucket_pairs
+
+    def spy(keys):
+        shapes.append(keys.shape[1:])
+        return bucket(keys)
+
+    monkeypatch.setattr(oracle, "_bucket_pairs", spy)
+    found = _t3_candidates(F, cols, q)
+    assert shapes == [key_shape]  # the columns fit in one block
+    assert found == _witnesses_by_definition(F, cols, q, 3)
+    assert len(found) >= 20
+
+
+_ROWS = st.sampled_from([2, 3, 11, 3037000493]).flatmap(
+    lambda p: st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(p), st.lists(
+            st.one_of(st.just([0] * n),
+                      st.lists(st.integers(0, p - 1), min_size=n,
+                               max_size=n)),
+            min_size=1, max_size=8))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ROWS)
+def test_canonical_rows_match_canonical_vector(case):
+    p, rows = case
+    got, lead = _canonical(np.array(rows, dtype=np.int64), p)
+    for row, out, li in zip(rows, got.tolist(), lead.tolist()):
+        if any(row):
+            assert tuple(out) == canonical_vector(FieldSpec(p), row)
+            assert li == next(i for i, x in enumerate(row) if x)
+        else:
+            assert out == row and li == 0
+
+
+@pytest.mark.parametrize("space, coords, t", [
+    (segre((1, 1), gf(3)), (1, 0, 0, 0), 1),
+    (segre((1, 1), gf(3)), (1, 0, 0, 1), 2),
+    (segre((1, 1, 1), gf(3)), (0, 1, 1, 0, 1, 0, 0, 0), 3),  # W
+    (segre((1, 1), gf(3)), (1, 0, 0, 1), 4),
+], ids=["t1", "t2", "t3", "t4"])
+def test_witness_report_matches_a_fresh_solve(space, coords, t):
+    # the oracle's exact solve is cached as each witness's report
+    q = Tensor.of(space, coords)
+    res = spanning_sets(q, t, budget=10 ** 6)
+    assert res.witnesses
+    for w in res.witnesses:
+        rep = verify_irredundant(w)
+        fresh = verify_irredundant(Decomposition(space, w.points, q))
+        assert (rep.independent, rep.in_span, rep.irredundant) == \
+            (fresh.independent, fresh.in_span, fresh.irredundant) == \
+            (True, True, True)
+        assert rep.coefficients == fresh.coefficients
+        assert len(rep.coefficients) == t
 
 
 # -------------------------------------------------------------- gap profile
