@@ -46,9 +46,52 @@ def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
                               % tries)
 
 
+def _line_point_at(field, a_vec, w_vec, k):
+    """Point k of the p points other than a on the line through a and w
+    over GF(p): a + (k+1) w for k < p-1, and w itself for k = p-1."""
+    if k == field.modulus - 1:
+        return tuple(w_vec)
+    return line_point(field, a_vec, w_vec, k + 1)
+
+
+def _line_positions(p, a_vec, w_vec, vecs):
+    """Positions k, as in `_line_point_at`, of the vectors that lie on the
+    line through the independent a and w over GF(p), a's own class left
+    out.  Each vector e is tested for e = x a + y w, y != 0, exactly in
+    Python ints at O(n) cost; it sits at k = p-1 when x = 0 (e ~ w), and
+    at t = y/x, k = t-1, otherwise."""
+    s = next(j for j, x in enumerate(a_vec) if x)
+    a_inv = pow(a_vec[s], -1, p)
+    # w' = w - (w_s / a_s) a is zero at s, so e = g a + y w' reads g off e_s
+    w_s = w_vec[s] * a_inv % p
+    w_red = [(y - w_s * x) % p for x, y in zip(a_vec, w_vec)]
+    r = next(j for j, x in enumerate(w_red) if x)
+    w_inv = pow(w_red[r], -1, p)
+    out = set()
+    for e in vecs:
+        g = e[s] * a_inv % p
+        y = (e[r] - g * a_vec[r]) * w_inv % p
+        if y == 0 or any((g * ai + y * wi - ei) % p
+                         for ai, wi, ei in zip(a_vec, w_red, e)):
+            continue  # e ~ a, or e off the line
+        x = (g - y * w_s) % p
+        out.add(p - 1 if x == 0 else y * pow(x, -1, p) % p - 1)
+    return out
+
+
+def _skip_positions(j, taken):
+    """The j-th position (from 0) of the ones not in the sorted `taken`."""
+    for k in taken:
+        if k > j:
+            break
+        j += 1
+    return j
+
+
 def _line_candidates(field, rng, box, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
-    from a.  Over GF(p) the line carries p such points; over Q distinct
+    from a.  Over GF(p) the line carries p such points, and `count`
+    distinct positions among them are drawn by index; over Q distinct
     nonzero parameters are sampled from the coordinate box."""
     if field.is_finite:
         p = field.modulus
@@ -56,12 +99,39 @@ def _line_candidates(field, rng, box, a_vec, w_vec, count):
             raise FieldTooSmall(
                 "need %d distinct points on a line off its base point; "
                 "GF(%d) offers %d" % (count, p, p))
-        cands = [line_point(field, a_vec, w_vec, t) for t in range(1, p)]
-        cands.append(tuple(w_vec))
-        return rng.sample(cands, count)
+        return [_line_point_at(field, a_vec, w_vec, k)
+                for k in rng.sample(range(p), count)]
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
     return [line_point(field, a_vec, w_vec, t) for t in ts]
+
+
+def _usable_line_pair(field, rng, box, a_vec, w_vec, excluded):
+    """Two distinct canonical points of the line through a and w, neither
+    a nor in `excluded`, or None when the draw leaves fewer than two.
+
+    Over GF(p) the excluded points' positions on the line are found by
+    `_line_positions`, and `rng.sample(range(n_usable), 2)` picks two of
+    the n_usable other positions, in line order.  That is the draw of
+    two from the list of usable points, since `random.sample` draws
+    indices from the population's length alone, but p never enters the
+    cost and only the two chosen points are built.  Over Q the first two
+    usable points of four sampled ones are taken."""
+    if field.is_finite:
+        taken = sorted(_line_positions(field.modulus, a_vec, w_vec,
+                                       excluded))
+        n_usable = field.modulus - len(taken)
+        if n_usable < 2:
+            return None
+        return [canonical_vector(field, _line_point_at(
+                    field, a_vec, w_vec, _skip_positions(j, taken)))
+                for j in rng.sample(range(n_usable), 2)]
+    usable = []
+    for vvec in _line_candidates(field, rng, box, a_vec, w_vec, 4):
+        cv = canonical_vector(field, vvec)
+        if cv not in excluded and cv != a_vec:
+            usable.append(cv)
+    return usable[:2] if len(usable) >= 2 else None
 
 
 def _escaping_fibers(space, points, u_span):
@@ -119,7 +189,11 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     sit on a random line through the chosen point inside that fiber, differ
     from all remaining points in the chosen factor, and embed outside U.
     The result is verified irredundant with cardinality #A + 1.  Over
-    GF(p), FieldTooSmall is raised at the first retry when every viable
+    GF(p) the line is sampled by index: the positions of the remaining
+    points on it are found by an exact test, two of the other positions
+    are drawn, and only those two points are built, so an attempt costs
+    O(r·n) for r points in factor coordinates of length n, whatever p is.
+    FieldTooSmall is raised at the first retry when every viable
     fiber is a P^1 with fewer than two usable points.  The input is
     checked by `verify_irredundant`, which reuses a report the input
     already carries (an oracle witness has one) instead of solving again;
@@ -168,23 +242,11 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                                       [a.coords[i]])
         except GenericityExhausted:
             continue
-        if field.is_finite:
-            # enumerate the whole line so exclusions cannot starve the draw
-            p = field.modulus
-            cands = [line_point(field, a.coords[i], w, t)
-                     for t in range(1, p)] + [tuple(w)]
-        else:
-            cands = _line_candidates(field, rng, cfg.coord_box,
-                                     a.coords[i], w, 4)
-        usable = []
-        for vvec in cands:
-            cv = canonical_vector(field, vvec)
-            if cv not in excluded and cv != a.coords[i]:
-                usable.append(cv)
-        if len(usable) < 2:
+        pair = _usable_line_pair(field, rng, cfg.coord_box, a.coords[i], w,
+                                 excluded)
+        if pair is None:
             continue
-        u_vec, v_vec = (rng.sample(usable, 2) if field.is_finite
-                        else usable[:2])
+        u_vec, v_vec = pair
         u = a.replace_factor(i, u_vec)
         v = a.replace_factor(i, v_vec)
         u_col = embed(space, u).coords

@@ -11,27 +11,40 @@ the cross-testing fallback.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (DimensionMismatch, EmptySet, InvalidInput, NotContained,
                      SpaceMismatch, UnsupportedDegree)
-from .exactlin import Scalar, solve_columns
+from .exactlin import FieldSpec, Scalar, solve_columns
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
                        canonical_basis_rows, embed)
 
 
 @dataclass(frozen=True)
 class IrredundancyReport:
+    """Verification result.  `values` holds the raw coefficients (None
+    when the target is off the span); `coefficients` wraps them as
+    Scalars of `field` on first read, so a report nobody reads them from
+    never builds them."""
     independent: bool
     in_span: bool
-    coefficients: tuple | None
+    field: FieldSpec
+    values: tuple | None
     irredundant: bool
+
+    @cached_property
+    def coefficients(self) -> tuple | None:
+        if self.values is None:
+            return None
+        return tuple(Scalar(self.field, c) for c in self.values)
 
     def to_json(self) -> dict:
         return {
             "independent": self.independent,
             "in_span": self.in_span,
-            "coefficients": (None if self.coefficients is None
-                             else [str(c) for c in self.coefficients]),
+            "coefficients": (None if self.values is None
+                             else [self.field.format_scalar(c)
+                                   for c in self.values]),
             "irredundant": self.irredundant,
         }
 
@@ -148,11 +161,10 @@ def verify_irredundant(d: Decomposition) -> IrredundancyReport:
     field = d.space.field
     sol = solve_columns(field, d.embedded_columns, d.target.coords)
     in_span = sol.coefficients is not None
-    coeffs = (tuple(Scalar(field, c) for c in sol.coefficients)
-              if in_span else None)
-    irr = (sol.independent and in_span
-           and all(c != 0 for c in sol.coefficients))
-    d._report = IrredundancyReport(sol.independent, in_span, coeffs, irr)
+    values = tuple(sol.coefficients) if in_span else None
+    irr = sol.independent and in_span and all(c != 0 for c in values)
+    d._report = IrredundancyReport(sol.independent, in_span, field, values,
+                                   irr)
     return d._report
 
 
@@ -174,9 +186,8 @@ def verify_irredundant_exhaustive(d: Decomposition) -> IrredundancyReport:
             if sub.coefficients is not None:
                 irr = False
                 break
-    coeffs = (tuple(Scalar(field, c) for c in sol.coefficients)
-              if in_span else None)
-    return IrredundancyReport(sol.independent, in_span, coeffs, irr)
+    values = tuple(sol.coefficients) if in_span else None
+    return IrredundancyReport(sol.independent, in_span, field, values, irr)
 
 
 def set_envelope(space: MultiProjectiveSpace, points) -> Envelope:

@@ -9,13 +9,16 @@ parallel to q; t=2 buckets the points by ray in V/<q>; t=3 takes each
 point a as an anchor and buckets the later points by ray in V/<q, a>
 (numpy, O(M) memory), sorting one int64 key word per (anchor, point)
 row whenever the ray key and the block's anchor index fit in one; t>=4
-runs a depth-first search over independent-quotient prefixes.  A naive
-subset scan is kept as a reference engine for cross-testing.  Every
-candidate passes through `verify_irredundant`, the exact verification
-used everywhere else, so engine bugs can only lose witnesses, not invent
-them; the test suite compares engines against the naive scan to guard
-the losing direction.  The report that verification caches on a witness
-is the one the constructions read, so a witness is solved only once.
+runs a depth-first search over independent-quotient prefixes.  The numpy
+engines hold residues in the narrowest of int16, int32 and int64 that
+holds (p-1)^2 + p, so a product of two residues fits, and pack ray keys
+into int64 words.  A naive subset scan is kept as a reference engine
+for cross-testing.  Every candidate passes through `verify_irredundant`,
+the exact verification used everywhere else, so engine bugs can only
+lose witnesses, not invent them; the test suite compares engines against
+the naive scan to guard the losing direction.  The report that
+verification caches on a witness is the one the constructions read, so
+a witness is solved only once.
 """
 
 import itertools
@@ -155,6 +158,7 @@ def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
 
 
 _INT64_LIMIT = 2 ** 63
+_RESIDUE_DTYPES = (np.int16, np.int32, np.int64)
 # (anchor, point) rows the t=3 engine projects at once: bounds its memory
 # and keeps a block's arrays in cache (2^13 ran ~25% faster than 2^15)
 _T3_BLOCK_ROWS = 2 ** 13
@@ -224,14 +228,20 @@ def _bucket_pairs(keys):
 
 
 def _quotient(field, cols, qvec):
-    """The columns as int64 rows, and their images in V/<q>."""
+    """The columns as residue rows, and their images in V/<q>.  Both are
+    in the narrowest of int16, int32 and int64 that holds (p-1)^2 + p
+    (int16 up to GF(181), int32 up to GF(46337)), and every residue
+    product the engines form stays in that dtype; a modulus with
+    (p-1)^2 >= 2^63 fits none and raises ModulusTooLarge."""
     p = field.modulus
-    if (p - 1) ** 2 >= _INT64_LIMIT:
+    dtype = next((d for d in _RESIDUE_DTYPES
+                  if (p - 1) ** 2 + p <= np.iinfo(d).max), None)
+    if dtype is None:
         raise ModulusTooLarge(
             "the numpy engines multiply residues in int64; GF(%d) needs "
             "(p-1)^2 < 2^63" % p)
-    emb = np.array(cols, dtype=np.int64)
-    img = _project(emb, *_canonical(np.array([qvec], np.int64), p), p)
+    emb = np.array(cols, dtype=dtype)
+    img = _project(emb, *_canonical(np.array([qvec], dtype), p), p)
     return emb, img
 
 

@@ -221,6 +221,20 @@ def test_field_override_rejects_composite(tmp_path, capsys):
     assert payload["error"] == "InvalidInput"
 
 
+def test_plus_one_over_a_61_bit_prime_field(tmp_path, capsys):
+    # the fiber line carries 2^61 - 1 points; plus-one draws two by index
+    path = _write(tmp_path, "d.json", _diag_doc())
+    start = time.perf_counter()
+    code, payload = _run(capsys, ["plus-one", "--in", path, "--field",
+                                  "GF(2305843009213693951)"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert payload["space"]["field"] == "GF(2305843009213693951)"
+    assert len(payload["points"]) == 3
+    out = Decomposition.from_json(payload)
+    assert verify_irredundant(out).irredundant
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_missing_file_is_io_failure(tmp_path, capsys):

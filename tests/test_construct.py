@@ -2,12 +2,13 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
-from xrank import decomp
+from xrank import construct, decomp
 from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
                              plus_one, sv_extend, veronese_extend)
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
@@ -16,8 +17,10 @@ from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
                           NotConcise, NotContainedInY, NotIrredundantInput,
                           NotVeronese, TargetTooSmall, UnsupportedDegree,
                           YEqualsW)
+from xrank.exactlin import rank_rows
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
-                            Tensor, embed, random_point)
+                            Tensor, canonical_vector, embed, line_point,
+                            random_point)
 from xrank.oracle import brute_rank
 
 E0, E1 = (1, 0), (0, 1)
@@ -422,6 +425,95 @@ def test_json_round_trip_keeps_provenance():
     out = plus_one(_diag(), ConstructionConfig(rng_seed=5))
     back = Decomposition.from_json(out.to_json())
     assert back == out and back.provenance == out.provenance
+
+
+# ------------------------------------------------- line draws by index
+
+def _listed_line(field, a_vec, w_vec):
+    """The p points of the line through a and w other than a, listed."""
+    return ([line_point(field, a_vec, w_vec, t)
+             for t in range(1, field.modulus)] + [tuple(w_vec)])
+
+
+def _listed_pair(field, rng, a_vec, w_vec, excluded):
+    """plus_one's draw as it was before index sampling: list the line,
+    keep the usable canonical points, sample two of them."""
+    usable = [cv for cv in (canonical_vector(field, v)
+                            for v in _listed_line(field, a_vec, w_vec))
+              if cv not in excluded and cv != a_vec]
+    return rng.sample(usable, 2) if len(usable) >= 2 else None
+
+
+def _line_case(field, rng):
+    """A canonical a, a w off <a>, and excluded canonical vectors: some
+    of the line's points, at times a itself, and random vectors, which
+    are off the line unless the vectors have two coordinates."""
+    p = field.modulus
+    n = rng.randint(2, 4)
+
+    def draw():
+        while True:
+            v = [rng.randrange(p) for _ in range(n)]
+            if any(v):
+                return v
+
+    a = canonical_vector(field, draw())
+    w = draw()
+    while rank_rows(field, [a, w]) < 2:
+        w = draw()
+    line = [canonical_vector(field, v) for v in _listed_line(field, a, w)]
+    excluded = set(rng.sample(line, rng.randint(0, min(p, 4))))
+    if rng.random() < 0.3:
+        excluded.add(a)
+    excluded.update(canonical_vector(field, draw())
+                    for _ in range(rng.randint(0, 3)))
+    return a, w, excluded
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+def test_line_draws_by_index_match_the_listed_draws(p):
+    # the index draws return the listed draws' points and leave the
+    # stream in the same state, so every seeded output stays the same
+    F = gf(p)
+    seen = {"on": 0, "off": 0, "starved": 0}
+    for seed in range(200):
+        a, w, excluded = _line_case(F, random.Random(seed))
+        for e in excluded:
+            seen["on" if rank_rows(F, [a, w, e]) == 2 else "off"] += 1
+        old, new = random.Random(seed), random.Random(seed)
+        want = _listed_pair(F, old, a, w, excluded)
+        assert construct._usable_line_pair(F, new, 50, a, w,
+                                           excluded) == want
+        assert new.getstate() == old.getstate()
+        seen["starved"] += want is None
+        count = 1 + seed % min(p, 3)
+        want = old.sample(_listed_line(F, a, w), count)
+        assert construct._line_candidates(F, new, 50, a, w, count) == want
+        assert new.getstate() == old.getstate()
+    assert seen["on"] and seen["off"]
+    assert seen["starved"] or p > 5  # GF(11) never loses 10 points
+
+
+_P61 = 2 ** 61 - 1  # the Mersenne prime 2305843009213693951
+
+
+def test_constructions_over_a_61_bit_prime_end_in_bounded_time():
+    # no construction lists the p points of a line
+    F = gf(_P61)
+    start = time.perf_counter()
+    out = plus_one(_diag(F), ConstructionConfig(rng_seed=1))
+    assert len(out.points) == 3 and verify_irredundant(out).irredundant
+    S, y, d = _slice_instance(F)
+    out = escape(d, y, ConstructionConfig(rng_seed=2))
+    assert len(out.points) == 2
+    assert any(not y.contains_point(p) for p in out.points)
+    V = veronese(2, 2, F)
+    A = [pt(V, (1, 0, 0)), pt(V, (0, 1, 0))]
+    out = veronese_extend(Decomposition(V, A, lin_comb(V, A)), 2,
+                          ConstructionConfig(rng_seed=3))
+    assert len(out.points) == 4 and verify_irredundant(out).irredundant
+    assert set_envelope(V, out.points).dims == (2,)
+    assert time.perf_counter() - start < 10
 
 
 # ------------------------------------------------------- frozen outputs

@@ -349,7 +349,29 @@ def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
     assert len(found) >= 20
 
 
-_ROWS = st.sampled_from([2, 3, 11, 3037000493]).flatmap(
+def _residue_dtype(p):
+    """The dtype `_quotient` holds GF(p) residues in."""
+    return oracle._quotient(FieldSpec(p), [(1,)], (1,))[0].dtype
+
+
+@pytest.mark.parametrize("p, dtype", [
+    (181, np.int16),    # the last prime with (p-1)^2 + p < 2^15
+    (191, np.int32),
+    (46337, np.int32),  # the last prime with (p-1)^2 + p < 2^31
+    (46349, np.int64),
+])
+def test_numpy_engines_at_the_residue_dtype_edges(p, dtype):
+    F, cols, q = _clustered_columns(p, 5, seed=p)
+    emb, img = oracle._quotient(F, cols, q)
+    assert emb.dtype == img.dtype == dtype
+    for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
+        found = engine(F, cols, q)
+        assert found == _witnesses_by_definition(F, cols, q, t)
+        assert found
+
+
+_ROWS = st.sampled_from([2, 3, 11, 181, 191, 46337, 46349,
+                         3037000493]).flatmap(
     lambda p: st.integers(1, 6).flatmap(
         lambda n: st.tuples(st.just(p), st.lists(
             st.one_of(st.just([0] * n),
@@ -362,7 +384,7 @@ _ROWS = st.sampled_from([2, 3, 11, 3037000493]).flatmap(
 @given(_ROWS)
 def test_canonical_rows_match_canonical_vector(case):
     p, rows = case
-    got, lead = _canonical(np.array(rows, dtype=np.int64), p)
+    got, lead = _canonical(np.array(rows, dtype=_residue_dtype(p)), p)
     for row, out, li in zip(rows, got.tolist(), lead.tolist()):
         if any(row):
             assert tuple(out) == canonical_vector(FieldSpec(p), row)
