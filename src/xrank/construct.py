@@ -20,6 +20,7 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
 from .exactlin import Echelon, in_span, rank_rows, solve_columns
 from .geometry import (MppPoint, SubspaceSpec, canonical_vector, embed,
                        line_point)
+from .oracle import brute_rank
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,7 @@ def _starved_p1_fibers(space, points, viable):
 
 
 def _certify_minimal_via_oracle(d, within=None):
-    """Finite-field minimality certification (on demand; oracle import is
-    local to keep this module usable without numpy)."""
-    from .oracle import brute_rank
+    """Finite-field minimality certification (on demand)."""
     cert = brute_rank(d.target, within=within)
     if cert.rank != len(d.points):
         raise MinimalityNotCertified(

@@ -6,33 +6,29 @@ Witness sets are found by quotienting out the target: a size-t subset
 works iff its points are independent and their images in V/<q> carry a
 dependency with full support (a circuit).  Engines: t=1 scans for points
 parallel to q; t=2 buckets the points by ray in V/<q>; t=3 takes each
-point a as an anchor and buckets the later points by ray in V/<q, a>
-(numpy, O(M) memory), sorting one int64 key word per (anchor, point)
-row whenever the ray key and the block's anchor index fit in one; t>=4
-runs a depth-first search over independent-quotient prefixes.  The numpy
-engines hold residues in the narrowest of int16, int32 and int64 that
-holds (p-1)^2 + p, so a product of two residues fits, and pack ray keys
-into int64 words.  A naive subset scan is kept as a reference engine
-for cross-testing.  Every candidate passes through `verify_irredundant`,
-the exact verification used everywhere else, so engine bugs can only
-lose witnesses, not invent them; the test suite compares engines against
-the naive scan to guard the losing direction.  The report that
-verification caches on a witness is the one the constructions read, so
-a witness is solved only once.
+point a as an anchor and buckets the later points by ray in V/<q, a>;
+t>=4 runs a depth-first search over independent-quotient prefixes.  The
+t=2 and t=3 engines are numpy code in `xrank.quotient`, run on the
+residue matrix a ground set builds once; that module, and numpy with it,
+is imported only when the first GF(p) ground set is built, so this
+module loads without numpy.  A naive subset scan is kept as a reference
+engine for cross-testing.  Every candidate passes through
+`verify_irredundant`, the exact verification used everywhere else, so
+engine bugs can only lose witnesses, not invent them; the test suite
+compares engines against the naive scan to guard the losing direction.
+The report that verification caches on a witness is the one the
+constructions read, so a witness is solved only once.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from .decomp import Decomposition, set_envelope, verify_irredundant
 from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
-                     ModulusTooLarge, NoConciseWitness, SpaceMismatch,
-                     TargetNotSpanned)
+                     NoConciseWitness, SpaceMismatch, TargetNotSpanned)
 from .exactlin import Echelon
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                        ambient_dim, count_points, embed,
@@ -45,22 +41,35 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class GroundSet:
-    """All rational points of the (sub)variety with embedded coordinates."""
+    """All rational points of the (sub)variety with embedded coordinates.
+    `residues` holds the columns as the read-only numpy matrix the t=2
+    and t=3 engines run on (`quotient.residue_matrix`), or None when the
+    modulus is too large for them; it takes no part in equality or
+    hashing."""
     space: MultiProjectiveSpace
     within: Optional[SubspaceSpec]
     points: tuple
     columns: tuple
+    residues: object = dataclass_field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
 
+def _ground(space, within, pts, cols):
+    # the first GF(p) ground set imports the numpy engines
+    from .quotient import residue_matrix
+    return GroundSet(space, within, pts, cols,
+                     residue_matrix(space.field.modulus, cols))
+
+
 @lru_cache(maxsize=64)
 def _ground_full(space: MultiProjectiveSpace) -> GroundSet:
     pts = tuple(enumerate_points(space))
     cols = tuple(embed(space, p).coords for p in pts)
-    return GroundSet(space, None, pts, cols)
+    return _ground(space, None, pts, cols)
 
 
 @lru_cache(maxsize=64)
@@ -73,7 +82,7 @@ def _ground_within(ysub: SubspaceSpec) -> GroundSet:
         ap = ysub.lift_point(rp)
         pts.append(ap)
         cols.append(embed(space, ap).coords)
-    return GroundSet(space, ysub, tuple(pts), tuple(cols))
+    return _ground(space, ysub, tuple(pts), tuple(cols))
 
 
 def _ground_space(space, within):
@@ -155,160 +164,6 @@ def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
             span.pop()
 
     yield from rec(0, ())
-
-
-_INT64_LIMIT = 2 ** 63
-_RESIDUE_DTYPES = (np.int16, np.int32, np.int64)
-# (anchor, point) rows the t=3 engine projects at once: bounds its memory
-# and keeps a block's arrays in cache (2^13 ran ~25% faster than 2^15)
-_T3_BLOCK_ROWS = 2 ** 13
-
-
-def _inverses(vals, p):
-    """Inverses of nonzero residues mod p by vectorised exponentiation."""
-    out = np.ones_like(vals)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * vals % p
-        vals = vals * vals % p
-        e >>= 1
-    return out
-
-
-def _canonical(rows, p):
-    """Each nonzero row divided by its lead entry, and the lead indices.
-    A zero row stays zero (its lead index is 0)."""
-    lead = np.argmax(rows != 0, axis=1)
-    vals = np.take_along_axis(rows, lead[:, None], 1)
-    return rows * _inverses(vals, p) % p, lead
-
-
-def _project(rows, hat, lead, p):
-    """Images of the rows in V/<h>, h canonical (one, or one per row):
-    row - row[lead] h.  The lead column becomes zero and is kept."""
-    return (rows - hat * np.take_along_axis(rows, lead[:, None], 1)) % p
-
-
-def _pack_digits(digits, p):
-    """Pack base-p digit rows into int64 key words."""
-    n, nd = digits.shape
-    dpw = max(1, int(63 // math.log2(max(2, p))))
-    nwords = (nd + dpw - 1) // dpw
-    words = np.zeros((n, nwords), dtype=np.int64)
-    for wi in range(nwords):
-        chunk = digits[:, wi * dpw:(wi + 1) * dpw]
-        acc = np.zeros(n, dtype=np.int64)
-        for c in range(chunk.shape[1]):
-            acc = acc * p + chunk[:, c]
-        words[:, wi] = acc
-    return words
-
-
-def _ray_keys(rows, p):
-    """Packed key of the ray of each nonzero row."""
-    return _pack_digits(_canonical(rows, p)[0], p)
-
-
-def _bucket_pairs(keys):
-    """Row pairs (u, v), u < v, whose keys are equal, in no set order.
-    A 1-D key (one int64 word per row) is sorted by `argsort`; a 2-D key
-    of several words per row by `lexsort`."""
-    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T[::-1])
-    sk = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    diff = sk[1:] != sk[:-1]
-    new[1:] = diff if keys.ndim == 1 else diff.any(axis=1)
-    ends = np.append(np.flatnonzero(new)[1:], len(order))
-    later = ends[np.cumsum(new) - 1] - 1 - np.arange(len(order))
-    first = np.repeat(np.arange(len(order)), later)
-    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    u, v = order[first], order[first + 1 + step]
-    return np.minimum(u, v), np.maximum(u, v)
-
-
-def _quotient(field, cols, qvec):
-    """The columns as residue rows, and their images in V/<q>.  Both are
-    in the narrowest of int16, int32 and int64 that holds (p-1)^2 + p
-    (int16 up to GF(181), int32 up to GF(46337)), and every residue
-    product the engines form stays in that dtype; a modulus with
-    (p-1)^2 >= 2^63 fits none and raises ModulusTooLarge."""
-    p = field.modulus
-    dtype = next((d for d in _RESIDUE_DTYPES
-                  if (p - 1) ** 2 + p <= np.iinfo(d).max), None)
-    if dtype is None:
-        raise ModulusTooLarge(
-            "the numpy engines multiply residues in int64; GF(%d) needs "
-            "(p-1)^2 < 2^63" % p)
-    emb = np.array(cols, dtype=dtype)
-    img = _project(emb, *_canonical(np.array([qvec], dtype), p), p)
-    return emb, img
-
-
-def _t2_candidates(field, cols, qvec) -> list:
-    """Pairs (i<j) whose images in V/<q> share a ray: the t=3 search
-    below with no anchor."""
-    _, img = _quotient(field, cols, qvec)
-    idx = np.flatnonzero(img.any(axis=1))
-    u, v = _bucket_pairs(_ray_keys(img[idx], field.modulus))
-    return sorted(zip(idx[u].tolist(), idx[v].tolist()))
-
-
-def _t3_candidates(field, cols, qvec) -> list:
-    """Anchor-quotient search: triples (a<b<c), ascending, with b and c on
-    one ray of V/<q, a>.
-
-    Each point a with a nonzero image a' in V/<q> is an anchor in turn;
-    the later points are projected into V/<q, a> and bucketed by ray, in
-    blocks of anchors of at most _T3_BLOCK_ROWS rows, so memory is O(M)
-    rather than O(M^2).  An (anchor a, point) row sorts on one int64
-    word, (a - a0) * p**L + its ray key, for a block from anchor a0 on
-    rows of L coordinates, when the ray key is one word and the block's
-    anchors fit below 2^63 (checked in Python ints); otherwise the anchor
-    and the key words are lexsorted.  A witness {a, b, c} is independent
-    and has a dependency x a' + y b' + z c' = 0 in V/<q> with x, y, z
-    nonzero, so b and c are on one ray modulo a'.  Two kinds of bucket
-    pairs are dropped, and neither can be a witness:
-    - b' and c' parallel in V/<q>: a dependency y b' + z c' = 0 leaves a
-      out, and the dependency of a rank-2 image triple is unique up to
-      scale (a rank-1 triple spans at most a plane with q, so a, b, c are
-      dependent).  This also drops the pairs of points whose images are
-      parallel to a', which all share the zero key;
-    - b and c on one ray of V/<a>: a, b, c are collinear in V, hence
-      dependent.
-    What is left is exactly the witnesses, but every candidate still
-    goes through the exact verifier."""
-    p = field.modulus
-    emb, img = _quotient(field, cols, qvec)
-    idx = np.flatnonzero(img.any(axis=1))
-    emb, img = emb[idx], img[idx]
-    M = len(idx)
-    hat, lead = _canonical(img, p)
-    qkeys = _pack_digits(hat, p)
-    ehat, elead = _canonical(emb, p)
-    base = p ** img.shape[1]  # bounds every one-word ray key
-    found = [np.zeros((0, 3), np.int64)]
-    a0 = 0
-    while a0 < M - 2:
-        a1 = min(M - 2, a0 + max(1, _T3_BLOCK_ROWS // (M - 1 - a0)))
-        ai, bi = np.nonzero(np.arange(a0 + 1, M)
-                            > np.arange(a0, a1)[:, None])
-        ai, bi = ai + a0, bi + a0 + 1
-        keys = _ray_keys(_project(img[bi], hat[ai], lead[ai], p), p)
-        if keys.shape[1] == 1 and (a1 - a0) * base < _INT64_LIMIT:
-            keys = (ai - a0) * base + keys[:, 0]
-        else:
-            keys = np.column_stack([ai, keys])
-        u, v = _bucket_pairs(keys)
-        a, b, c = ai[u], bi[u], bi[v]
-        keep = (qkeys[b] != qkeys[c]).any(axis=1)
-        a, b, c = a[keep], b[keep], c[keep]
-        keep = (_ray_keys(_project(emb[b], ehat[a], elead[a], p), p)
-                != _ray_keys(_project(emb[c], ehat[a], elead[a], p), p)
-                ).any(axis=1)
-        found.append(np.column_stack([a[keep], b[keep], c[keep]]))
-        a0 = a1
-    return sorted(map(tuple, idx[np.concatenate(found)].tolist()))
 
 
 # ----------------------------------------------------------------- results
@@ -446,10 +301,11 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
         cand = _dfs_candidates(field, g.columns, q.coords, t)
     elif t == 1:
         cand = _t1_candidates(field, g.columns, q.coords)
-    elif t == 2:
-        cand = _t2_candidates(field, g.columns, q.coords)
-    elif t == 3:
-        cand = _t3_candidates(field, g.columns, q.coords)
+    elif t in (2, 3):
+        from . import quotient  # loaded with the ground set
+        engine_fn = (quotient._t2_candidates if t == 2
+                     else quotient._t3_candidates)
+        cand = engine_fn(field, g.residues, q.coords)
     else:
         cand = _dfs_candidates(field, g.columns, q.coords, t)
     witnesses = []

@@ -313,17 +313,60 @@ def test_stdin_unparseable_is_io_failure(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "io"
 
 
-def test_stdin_through_a_real_pipe():
+def _child_env():
+    """The environment for a child interpreter that imports this xrank."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [x for x in [env.get("PYTHONPATH")] if x])
+    return env
+
+
+def test_stdin_through_a_real_pipe():
     proc = subprocess.run(
         [sys.executable, "-m", "xrank.cli", "verify", "--in", "-"],
         input=json.dumps(_diag_doc()), capture_output=True, text=True,
-        env=env, timeout=60)
+        env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["irredundant"] is True
+
+
+# A fresh interpreter reports, after each step, whether numpy is loaded.
+_FOOTPRINT_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+loaded = {}
+import xrank
+loaded["import xrank"] = "numpy" in sys.modules
+import xrank.cli
+loaded["import xrank.cli"] = "numpy" in sys.modules
+doc, chain = sys.argv[1:3]
+for argv in (["verify", "--in", doc], ["plus-one", "--in", doc],
+             ["chain", "--in", chain]):
+    with redirect_stdout(io.StringIO()):
+        code = xrank.cli.main(argv)
+    loaded[argv[0]] = "numpy" in sys.modules if code == 0 else code
+space = xrank.MultiProjectiveSpace.segre((1, 1), xrank.FieldSpec(11))
+xrank.oracle.ground_set(space)
+loaded["ground_set"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_verification_and_constructions_never_import_numpy(tmp_path):
+    S = segre((1, 1, 1), gf(11))
+    A = [pt(S, E0, E0, E0), pt(S, E1, E1, E1)]
+    doc = Decomposition(S, A, lin_comb(S, A)).to_json()
+    chain = {"decomposition": doc,
+             "steps": [{"op": "plus-one"}, {"op": "plus-one"}]}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_CHILD,
+         _write(tmp_path, "d.json", doc), _write(tmp_path, "c.json", chain)],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import xrank": False, "import xrank.cli": False, "verify": False,
+        "plus-one": False, "chain": False, "ground_set": True}
 
 
 def test_chain_rejects_unknown_and_non_string_ops(tmp_path, capsys):

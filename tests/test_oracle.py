@@ -13,16 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import gf, lin_comb, pt, segre, veronese
 
-from xrank import oracle
+from xrank import oracle, quotient
 from xrank.decomp import Decomposition, set_envelope, verify_irredundant
 from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                           ModulusTooLarge, TargetNotSpanned)
 from xrank.exactlin import FieldSpec, solve_columns
 from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                             canonical_vector, count_points, embed)
-from xrank.oracle import (_canonical, _t2_candidates, _t3_candidates,
-                          brute_rank, gap_profile, ground_set,
+from xrank.oracle import (brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
+from xrank.quotient import _canonical, _t2_candidates, _t3_candidates
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -336,13 +336,13 @@ def _clustered_columns(p, n, seed):
 def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
     F, cols, q = _clustered_columns(11, n, seed=n)
     shapes = []
-    bucket = oracle._bucket_pairs
+    bucket = quotient._bucket_pairs
 
     def spy(keys):
         shapes.append(keys.shape[1:])
         return bucket(keys)
 
-    monkeypatch.setattr(oracle, "_bucket_pairs", spy)
+    monkeypatch.setattr(quotient, "_bucket_pairs", spy)
     found = _t3_candidates(F, cols, q)
     assert shapes == [key_shape]  # the columns fit in one block
     assert found == _witnesses_by_definition(F, cols, q, 3)
@@ -351,10 +351,12 @@ def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
 
 def _residue_dtype(p):
     """The dtype `_quotient` holds GF(p) residues in."""
-    return oracle._quotient(FieldSpec(p), [(1,)], (1,))[0].dtype
+    return quotient._quotient(FieldSpec(p), [(1,)], (1,))[0].dtype
 
 
 @pytest.mark.parametrize("p, dtype", [
+    (11, np.int8),      # the last prime with (p-1)^2 + p < 2^7
+    (13, np.int16),
     (181, np.int16),    # the last prime with (p-1)^2 + p < 2^15
     (191, np.int32),
     (46337, np.int32),  # the last prime with (p-1)^2 + p < 2^31
@@ -362,7 +364,7 @@ def _residue_dtype(p):
 ])
 def test_numpy_engines_at_the_residue_dtype_edges(p, dtype):
     F, cols, q = _clustered_columns(p, 5, seed=p)
-    emb, img = oracle._quotient(F, cols, q)
+    emb, img = quotient._quotient(F, cols, q)
     assert emb.dtype == img.dtype == dtype
     for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
         found = engine(F, cols, q)
@@ -370,7 +372,7 @@ def test_numpy_engines_at_the_residue_dtype_edges(p, dtype):
         assert found
 
 
-_ROWS = st.sampled_from([2, 3, 11, 181, 191, 46337, 46349,
+_ROWS = st.sampled_from([2, 3, 11, 13, 181, 191, 46337, 46349,
                          3037000493]).flatmap(
     lambda p: st.integers(1, 6).flatmap(
         lambda n: st.tuples(st.just(p), st.lists(
@@ -391,6 +393,47 @@ def test_canonical_rows_match_canonical_vector(case):
             assert li == next(i for i, x in enumerate(row) if x)
         else:
             assert out == row and li == 0
+
+
+@pytest.mark.parametrize("p", [11, 13, 181, 191, 46337, 46349])
+def test_ground_set_residues_are_its_columns_in_the_engine_dtype(p):
+    g = ground_set(segre((1,), gf(p)))
+    assert g.residues.dtype == _residue_dtype(p)
+    assert np.array_equal(g.residues,
+                          np.array(g.columns, dtype=_residue_dtype(p)))
+    assert not g.residues.flags.writeable
+
+
+@pytest.mark.parametrize("t, coords", [(2, _e(0, 7)), (3, _e(1, 2, 4))],
+                         ids=["t2", "t3"])
+def test_spanning_sets_runs_the_engines_on_the_ground_residues(
+        monkeypatch, t, coords):
+    S = segre((1, 1, 1), gf(5))
+    g = ground_set(S)
+    engine = getattr(quotient, "_t%d_candidates" % t)
+    seen = []
+
+    def spy(field, cols, qvec):
+        seen.append(cols)
+        return engine(field, cols, qvec)
+
+    monkeypatch.setattr(quotient, engine.__name__, spy)
+    res = spanning_sets(Tensor.of(S, coords), t)
+    assert len(seen) == 1 and seen[0] is g.residues
+    found = [tuple(w.provenance["indices"]) for w in res.witnesses]
+    assert found == engine(S.field, list(g.columns), coords)
+    assert found
+
+
+def test_ground_sets_build_over_a_modulus_the_engines_refuse():
+    # no residue dtype holds (p-1)^2 + p: t=1 still answers, t=2 refuses
+    S = segre((1, 1), FieldSpec(2 ** 61 - 1))
+    y = SubspaceSpec.of(S, [(E0,), (E0,)])
+    q = Tensor.of(S, (1, 0, 0, 0))
+    assert ground_set(S, y).residues is None
+    assert brute_rank(q, within=y).rank == 1
+    with pytest.raises(ModulusTooLarge):
+        spanning_sets(q, 2, within=y)
 
 
 @pytest.mark.parametrize("space, coords, t", [
