@@ -13,8 +13,8 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .construct import (ConstructionConfig, concise_plus_m, escape, plus_one,
-                        sv_extend, veronese_extend)
+from . import construct
+from .construct import ConstructionConfig
 from .decomp import (Decomposition, fiber_condition, set_envelope,
                      tensor_envelope, verify_irredundant)
 from .errors import InvalidInput, XrankError
@@ -22,9 +22,23 @@ from .geometry import MultiProjectiveSpace, SubspaceSpec, Tensor, as_size
 from .oracle import (DEFAULT_BUDGET, brute_rank, gap_profile, min_concise_t,
                      spanning_sets)
 
+# construction op -> (its function in `construct`, the parameter it takes
+# after the decomposition, or None); subcommands and chain steps both run
+# these.  The function is looked up by name on each call, so a rebinding
+# of `construct.plus_one` and the like (perfbench's tracer) is seen.
+_CONSTRUCTIONS = {
+    "plus-one": ("plus_one", None),
+    "escape": ("escape", "subspace"),
+    "concise-plus-m": ("concise_plus_m", "m"),
+    "veronese-extend": ("veronese_extend", "target_n"),
+    "sv-extend": ("sv_extend", None),
+}
 _COMMANDS = ("verify", "envelope", "tensor-envelope", "fiber-check", "rank",
-             "spanning-sets", "gaps", "min-concise-t", "plus-one", "escape",
-             "concise-plus-m", "veronese-extend", "sv-extend", "chain")
+             "spanning-sets", "gaps", "min-concise-t", *_CONSTRUCTIONS,
+             "chain")
+# where a subcommand takes each construction parameter from
+_SUBCOMMAND_PARAMS = {"subspace": "a 'subspace' member", "m": "--m",
+                      "target_n": "--target-n"}
 
 
 class _InputFailure(Exception):
@@ -128,34 +142,35 @@ def _need(value, flag):
     return value
 
 
-def _cfg(args):
-    return ConstructionConfig(rng_seed=args.seed,
+def _cfg(args, step=0):
+    return ConstructionConfig(rng_seed=args.seed + step,
                               max_retries=args.max_retries)
+
+
+def _construct(op, d, params, cfg, source):
+    """Run construction `op` on d.  Its parameter, if it takes one, is
+    read from the mapping `params`; source(name) says where it comes
+    from, for the error messages."""
+    fname, name = _CONSTRUCTIONS[op]
+    fn = getattr(construct, fname)
+    if name is None:
+        return fn(d, cfg)
+    raw = params.get(name)
+    if raw is None:
+        raise InvalidInput("%s needs %s" % (op, source(name)))
+    arg = (_subspace_from(raw) if name == "subspace"
+           else as_size(raw, source(name)))
+    return fn(d, arg, cfg)
 
 
 def _chain_step(cur, step, cfg):
     if not isinstance(step, dict) or not isinstance(step.get("op"), str):
         raise InvalidInput("each chain step needs an 'op' string")
     op = step["op"].replace("_", "-")  # "plus_one" names "plus-one"
-    if op == "plus-one":
-        return plus_one(cur, cfg)
-    if op == "escape":
-        if "subspace" not in step:
-            raise InvalidInput("chain escape step needs a 'subspace'")
-        return escape(cur, _subspace_from(step["subspace"]), cfg)
-    if op == "concise-plus-m":
-        if "m" not in step:
-            raise InvalidInput("chain concise-plus-m step needs 'm'")
-        return concise_plus_m(cur, as_size(step["m"], "chain step 'm'"),
-                              cfg)
-    if op == "veronese-extend":
-        if "target_n" not in step:
-            raise InvalidInput("chain veronese-extend step needs 'target_n'")
-        return veronese_extend(
-            cur, as_size(step["target_n"], "chain step 'target_n'"), cfg)
-    if op == "sv-extend":
-        return sv_extend(cur, cfg)
-    raise InvalidInput("unknown chain op %r" % step["op"])
+    if op not in _CONSTRUCTIONS:
+        raise InvalidInput("unknown chain op %r" % step["op"])
+    return _construct(op, cur, step, cfg,
+                      lambda name: "a step member %r" % name)
 
 
 def _dispatch(args, doc):
@@ -187,22 +202,13 @@ def _dispatch(args, doc):
     if cmd == "min-concise-t":
         res = min_concise_t(_tensor_from(doc), budget=args.budget)
         return res.to_json(), None
-    if cmd == "plus-one":
-        return plus_one(_decomp_from(doc), _cfg(args)).to_json(), None
-    if cmd == "escape":
-        if not isinstance(doc, dict) or "subspace" not in doc:
-            raise InvalidInput("escape needs a 'subspace' member")
-        ysub = _subspace_from(doc["subspace"])
-        return escape(_decomp_from(doc), ysub, _cfg(args)).to_json(), None
-    if cmd == "concise-plus-m":
-        m = _need(args.m, "--m")
-        return concise_plus_m(_decomp_from(doc), m, _cfg(args)).to_json(), None
-    if cmd == "veronese-extend":
-        n = _need(args.target_n, "--target-n")
-        out = veronese_extend(_decomp_from(doc), n, _cfg(args))
+    if cmd in _CONSTRUCTIONS:
+        params = {"m": args.m, "target_n": args.target_n,
+                  "subspace": (doc.get("subspace") if isinstance(doc, dict)
+                               else None)}
+        out = _construct(cmd, _decomp_from(doc), params, _cfg(args),
+                         _SUBCOMMAND_PARAMS.get)
         return out.to_json(), None
-    if cmd == "sv-extend":
-        return sv_extend(_decomp_from(doc), _cfg(args)).to_json(), None
     if cmd == "chain":
         if not isinstance(doc, dict) or "steps" not in doc:
             raise InvalidInput("chain needs 'decomposition' and 'steps'")
@@ -211,9 +217,7 @@ def _dispatch(args, doc):
         cur = _decomp_from(doc)
         provs = []
         for i, step in enumerate(doc["steps"]):
-            cfg = ConstructionConfig(rng_seed=args.seed + i,
-                                     max_retries=args.max_retries)
-            cur = _chain_step(cur, step, cfg)
+            cur = _chain_step(cur, step, _cfg(args, i))
             provs.append(cur.provenance)
         final = Decomposition(cur.space, cur.points, cur.target,
                               {"construction": "chain", "steps": provs})

@@ -6,7 +6,7 @@ ints in [0, p) over a prime field; `FieldSpec` owns the raw arithmetic.
 serialization ("a/b" or "a" over Q, a decimal residue over GF(p)).
 
 `Echelon` is the incremental elimination kernel: an echelon basis of a
-row span that grows one row at a time (`insert`, undone by `pop`),
+row span that grows one row at a time (`insert`),
 reduces a vector against the span (`reduce`), and answers membership
 (`contains`) and `rank` without eliminating the span again.  Each basis
 row is zero at the leads of the rows inserted before it, so one pass over
@@ -320,10 +320,6 @@ class Echelon:
             row = tuple(x * inv % p for x in v)
         self._rows.append((lead, row))
         return True
-
-    def pop(self):
-        """Remove the row inserted last (undo one successful insert)."""
-        self._rows.pop()
 
 
 def rref(field: FieldSpec, rows):

@@ -4,15 +4,15 @@ Enumerates all rational points of the embedded variety over GF(p) and
 searches size-t subsets that give irredundant decompositions of a target.
 Witness sets are found by quotienting out the target: a size-t subset
 works iff its points are independent and their images in V/<q> carry a
-dependency with full support (a circuit).  Engines: t=1 scans for points
-parallel to q; t=2 buckets the points by ray in V/<q>; t=3 takes each
-point a as an anchor and buckets the later points by ray in V/<q, a>;
-t>=4 runs a depth-first search over independent-quotient prefixes.  The
-t=2 and t=3 engines are numpy code in `xrank.quotient`, run on the
-residue matrix a ground set builds once; that module, and numpy with it,
-is imported only when the first GF(p) ground set is built, so this
-module loads without numpy.  A naive subset scan is kept as a reference
-engine for cross-testing.  Every candidate passes through
+dependency with full support (a circuit).  t=1 scans for the points
+whose columns are parallel to q.  Every t >= 2 runs one numpy engine,
+`xrank.quotient.candidates`, on the residue matrix a ground set builds
+once: ray buckets in V/<q> for t=2, and for t >= 3 a walk over the
+prefixes of t-3 points independent in V/<q> with an anchor search in
+V/<q, prefix, anchor> at each.  That module, and numpy with it, is
+imported only when the first GF(p) ground set is built, so this module
+loads without numpy.  A naive subset scan is kept as a reference engine
+for cross-testing.  Every candidate passes through
 `verify_irredundant`, the exact verification used everywhere else, so
 engine bugs can only lose witnesses, not invent them; the test suite
 compares engines against the naive scan to guard the losing direction.
@@ -24,14 +24,14 @@ import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .decomp import Decomposition, set_envelope, verify_irredundant
 from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                      NoConciseWitness, SpaceMismatch, TargetNotSpanned)
 from .exactlin import Echelon
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
-                       ambient_dim, count_points, embed,
+                       ambient_dim, canonical_vector, count_points, embed,
                        enumerate_points)
 
 DEFAULT_BUDGET = 10_000_000
@@ -42,16 +42,18 @@ DEFAULT_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class GroundSet:
     """All rational points of the (sub)variety with embedded coordinates.
-    `residues` holds the columns as the read-only numpy matrix the t=2
-    and t=3 engines run on (`quotient.residue_matrix`), or None when the
-    modulus is too large for them; it takes no part in equality or
-    hashing."""
+    `residues` holds the columns as the read-only numpy matrix the
+    quotient engine runs on (`quotient.residue_matrix`), or None when the
+    modulus is too large for it; `span` is the columns' echelon basis
+    (never mutated).  Neither takes part in equality or hashing."""
     space: MultiProjectiveSpace
     within: Optional[SubspaceSpec]
     points: tuple
     columns: tuple
     residues: object = dataclass_field(default=None, compare=False,
                                        repr=False)
+    span: Optional[Echelon] = dataclass_field(default=None, compare=False,
+                                              repr=False)
 
     @property
     def size(self) -> int:
@@ -59,10 +61,11 @@ class GroundSet:
 
 
 def _ground(space, within, pts, cols):
-    # the first GF(p) ground set imports the numpy engines
+    # the first GF(p) ground set imports the numpy engine
     from .quotient import residue_matrix
     return GroundSet(space, within, pts, cols,
-                     residue_matrix(space.field.modulus, cols))
+                     residue_matrix(space.field.modulus, cols),
+                     Echelon(space.field, cols))
 
 
 @lru_cache(maxsize=64)
@@ -110,60 +113,6 @@ def _search_size(space, within, t, budget):
             "search space C(%d,%d)=%d exceeds budget %d; pass budget>=%d "
             "to run anyway" % (M, t, size, budget, size))
     return size
-
-
-# ------------------------------------------------------------ span caching
-
-@lru_cache(maxsize=64)
-def _ground_span(g: GroundSet) -> Echelon:
-    """Echelon basis of the ground columns' span (never mutated)."""
-    return Echelon(g.space.field, g.columns)
-
-
-def _project_rows(field, cols, qvec):
-    """Images of the columns in V/<q>, as coordinate rows with the pivot
-    coordinate of q dropped."""
-    s = next(i for i, x in enumerate(qvec) if x != 0)
-    inv = field.inv(qvec[s])
-    qhat = tuple(field.mul(x, inv) for x in qvec)
-    out = []
-    for v in cols:
-        c = v[s]
-        w = tuple(field.sub(x, field.mul(c, y)) for x, y in zip(v, qhat))
-        out.append(w[:s] + w[s + 1:])
-    return out
-
-
-# ------------------------------------------------------- candidate engines
-
-def _t1_candidates(field, cols, qvec) -> Iterator[tuple]:
-    proj = _project_rows(field, cols, qvec)
-    for i, w in enumerate(proj):
-        if all(x == 0 for x in w):
-            yield (i,)
-
-
-def _dfs_candidates(field, cols, qvec, t) -> Iterator[tuple]:
-    """Lex-ordered subsets whose quotient images have rank t-1 with the
-    last point closing the dependency.  Superset of the witnesses; the
-    exact verifier rejects dependencies with missing support."""
-    proj = _project_rows(field, cols, qvec)
-    M = len(cols)
-    span = Echelon(field)  # quotient images of the chosen prefix
-
-    def rec(start, chosen):
-        if len(chosen) == t - 1:
-            for l in range(start, M):
-                if span.contains(proj[l]):
-                    yield chosen + (l,)
-            return
-        for i in range(start, M - (t - 1 - len(chosen))):
-            if not span.insert(proj[i]):
-                continue
-            yield from rec(i + 1, chosen + (i,))
-            span.pop()
-
-    yield from rec(0, ())
 
 
 # ----------------------------------------------------------------- results
@@ -282,32 +231,30 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
                   predicate: Optional[Callable] = None) -> SpanningSets:
     """Irredundant size-t decompositions of q from ground points, in
     ascending index order.  mode="exists" stops at the first witness;
-    `predicate` filters verified witnesses before they count."""
+    `predicate` filters verified witnesses before they count.
+    engine="auto" scans for columns parallel to q at t=1 and runs
+    `quotient.candidates` at every t >= 2; engine="naive" tries every
+    size-t subset.  Either way each candidate is verified exactly."""
     space = q.space
     if t < 1:
         raise InvalidInput("t must be >= 1")
     if mode not in ("all", "exists"):
         raise InvalidInput("mode must be 'all' or 'exists'")
-    if engine not in ("auto", "naive", "dfs"):
-        raise InvalidInput("engine must be auto, naive, or dfs")
+    if engine not in ("auto", "naive"):
+        raise InvalidInput("engine must be auto or naive")
     size = _search_size(space, within, t, budget)
     g = ground_set(space, within)
     field = space.field
-    if not _ground_span(g).contains(q.coords):
+    if not g.span.contains(q.coords):
         return SpanningSets(q, t, (), size, True)
     if engine == "naive":
         cand = itertools.combinations(range(g.size), t)
-    elif engine == "dfs" and t >= 2:
-        cand = _dfs_candidates(field, g.columns, q.coords, t)
-    elif t == 1:
-        cand = _t1_candidates(field, g.columns, q.coords)
-    elif t in (2, 3):
-        from . import quotient  # loaded with the ground set
-        engine_fn = (quotient._t2_candidates if t == 2
-                     else quotient._t3_candidates)
-        cand = engine_fn(field, g.residues, q.coords)
+    elif t == 1:  # q.coords is canonical; runs without residues too
+        cand = ((i,) for i, col in enumerate(g.columns)
+                if canonical_vector(field, col) == q.coords)
     else:
-        cand = _dfs_candidates(field, g.columns, q.coords, t)
+        from . import quotient  # loaded with the ground set
+        cand = quotient.candidates(field, g.residues, q.coords, t)
     witnesses = []
     complete = True
     for tup in cand:
@@ -334,9 +281,8 @@ def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
     space = q.space
     _search_size(space, within, 1, budget)
     g = ground_set(space, within)
-    span = _ground_span(g)
-    big = span.rank
-    if not span.contains(q.coords):
+    big = g.span.rank
+    if not g.span.contains(q.coords):
         raise TargetNotSpanned(
             "target lies outside the span of the %d ground points" % g.size)
     searched = 0
@@ -382,7 +328,7 @@ def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET,
     answer are fully enumerated and reported as non-concise-only."""
     space = q.space
     cert = brute_rank(q, budget=budget, engine=engine)
-    big = _ground_span(ground_set(space)).rank
+    big = ground_set(space).span.rank
 
     def full_env(d):
         return set_envelope(space, d.points).is_full

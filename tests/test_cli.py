@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
+from xrank import construct
 from xrank.cli import main
 from xrank.decomp import Decomposition, verify_irredundant
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
@@ -367,6 +368,27 @@ def test_verification_and_constructions_never_import_numpy(tmp_path):
     assert json.loads(proc.stdout) == {
         "import xrank": False, "import xrank.cli": False, "verify": False,
         "plus-one": False, "chain": False, "ground_set": True}
+
+
+def test_constructions_run_through_the_construct_module(tmp_path, capsys,
+                                                       monkeypatch):
+    # the subcommand and chain steps call construct.plus_one as it is
+    # bound when they run, so a rebinding by name (the benchmark's
+    # tracer) sees every call
+    real, calls = construct.plus_one, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "plus_one", spy)
+    path = _write(tmp_path, "d.json", _diag_doc())
+    assert _run(capsys, ["plus-one", "--in", path])[0] == 0
+    doc = {"decomposition": _diag_doc(),
+           "steps": [{"op": "plus-one"}, {"op": "plus_one"}]}
+    path = _write(tmp_path, "c.json", doc)
+    assert _run(capsys, ["chain", "--in", path])[0] == 0
+    assert len(calls) == 3
 
 
 def test_chain_rejects_unknown_and_non_string_ops(tmp_path, capsys):

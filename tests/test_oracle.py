@@ -22,7 +22,7 @@ from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
                             canonical_vector, count_points, embed)
 from xrank.oracle import (brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
-from xrank.quotient import _canonical, _t2_candidates, _t3_candidates
+from xrank.quotient import _canonical, candidates
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -38,6 +38,22 @@ def _is_witness(field, cols, qvec):
 def _witnesses_by_definition(field, cols, qvec, t):
     return [tup for tup in itertools.combinations(range(len(cols)), t)
             if _is_witness(field, [cols[i] for i in tup], qvec)]
+
+
+def _engine_against_the_definition(field, cols, qvec, t):
+    """The engine's candidates, checked against the definition: strictly
+    ascending, and their witnesses are exactly the definition's.  For
+    t <= 3 the engine's filters are exact, so its candidates are the
+    witnesses themselves."""
+    found = list(candidates(field, cols, qvec, t))
+    assert found == sorted(set(found))
+    want = _witnesses_by_definition(field, cols, qvec, t)
+    if t <= 3:
+        assert found == want
+    else:
+        assert [c for c in found
+                if _is_witness(field, [cols[i] for i in c], qvec)] == want
+    return want
 
 
 # --------------------------------------------------------------- ground set
@@ -187,11 +203,11 @@ def test_engines_agree_on_small_segre():
     S = segre((1, 1), gf(3))
     rng = random.Random(99)
     for q in _random_targets(S, rng, 12):
-        certs = {e: brute_rank(q, engine=e) for e in ("auto", "naive", "dfs")}
+        certs = {e: brute_rank(q, engine=e) for e in ("auto", "naive")}
         ranks = {e: c.rank for e, c in certs.items()}
         assert len(set(ranks.values())) == 1, ranks
         wit = {e: set(c.minimal_decompositions) for e, c in certs.items()}
-        assert wit["auto"] == wit["naive"] == wit["dfs"]
+        assert wit["auto"] == wit["naive"]
 
 
 def test_engines_agree_inside_a_subspace():
@@ -214,6 +230,29 @@ def test_engines_agree_at_fixed_cardinality():
             counts = {e: spanning_sets(q, t, engine=e).count
                       for e in ("auto", "naive")}
             assert counts["auto"] == counts["naive"], (q.coords, t, counts)
+
+
+@pytest.mark.parametrize("t", [4, 5])
+def test_engines_agree_above_t3_on_p1xp2_over_gf2(t):
+    S = segre((1, 2), gf(2))  # 21 points
+    rng = random.Random(40 + t)
+    for q in _random_targets(S, rng, 3):
+        auto, naive = (spanning_sets(q, t, engine=e) for e in ("auto",
+                                                               "naive"))
+        assert [w.points for w in auto.witnesses] == \
+            [w.points for w in naive.witnesses], q.coords
+
+
+def test_engines_agree_on_the_quartic_over_gf11_above_t3():
+    q = _rnc_target(11)
+    counts = []
+    for t in (4, 5, 6):
+        auto, naive = (spanning_sets(q, t, engine=e) for e in ("auto",
+                                                               "naive"))
+        assert [w.points for w in auto.witnesses] == \
+            [w.points for w in naive.witnesses], t
+        counts.append(auto.count)
+    assert counts == [20, 512, 0]
 
 
 def _e(*idx):
@@ -257,16 +296,44 @@ def test_t3_witnesses_frozen_over_gf11(coords, count, digest):
     assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
 
+def test_t4_witnesses_frozen_over_gf3():
+    # W; recorded with the depth-first t>=4 engine that the prefix walk
+    # replaced, so they check the walk independently
+    res = spanning_sets(Tensor.of(segre((1, 1, 1), gf(3)), _e(1, 2, 4)), 4,
+                        budget=10 ** 9)
+    quads = sorted(tuple(w.provenance["indices"]) for w in res.witnesses)
+    assert len(quads) == 1428
+    assert hashlib.sha256(repr(quads).encode()).hexdigest() == \
+        "458767bde3c358442f379c712290cdc2a9c50c495ce3cf030d94dad3d5d322d1"
+
+
+def _first_prefix_node(found):
+    """The candidates of the first prefix node of a t=4 search."""
+    first = next(found)
+    return [first] + list(itertools.takewhile(lambda c: c[0] == first[0],
+                                              found))
+
+
+def _peak_memory(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_t3_engine_peak_memory_stays_small():
     S = segre((1, 1, 1), gf(11))
     cols = ground_set(S).columns  # 1728 points, C(1728, 2) ~ 1.5M pairs
-    tracemalloc.start()
-    try:
-        found = _t3_candidates(S.field, cols, (0, 1, 1, 0, 1, 0, 0, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    q = (0, 1, 1, 0, 1, 0, 0, 2)
+    found, peak = _peak_memory(lambda: list(candidates(S.field, cols, q, 3)))
     assert len(found) == 2640
+    assert peak < 16 * 2 ** 20
+    # t=4: one whole prefix node, an anchor search on the 1727 later rows
+    found, peak = _peak_memory(
+        lambda: _first_prefix_node(candidates(S.field, cols, q, 4)))
+    assert found and all(c[0] == found[0][0] for c in found)
     assert peak < 16 * 2 ** 20
 
 
@@ -274,9 +341,14 @@ def test_numpy_engines_at_the_largest_modulus_they_take():
     # (p-1)^2 < 2^63 still holds; ray keys need two int64 words here
     F = FieldSpec(3037000493)
     cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-    assert _t3_candidates(F, cols, (1, 2, 3)) == \
+    assert list(candidates(F, cols, (1, 2, 3), 3)) == \
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    assert _t2_candidates(F, cols, (1, 1, 0)) == [(0, 1), (2, 3)]
+    assert list(candidates(F, cols, (1, 1, 0), 2)) == [(0, 1), (2, 3)]
+    # every 4 of the 5 columns is a witness of (1, 2, 3, 4)
+    cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (1, 1, 1, 1)]
+    assert _engine_against_the_definition(F, cols, (1, 2, 3, 4), 4) == \
+        list(itertools.combinations(range(5), 4))
 
 
 def test_numpy_engines_on_64_coordinates_over_gf2():
@@ -296,10 +368,8 @@ def test_numpy_engines_on_64_coordinates_over_gf2():
             or p.coords == ((1, 1),) * 6]
     cols = [g.columns[i] for i in near]
     assert len(cols) == 34
-    for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
-        found = engine(S.field, cols, q.coords)
-        assert found == _witnesses_by_definition(S.field, cols, q.coords, t)
-        assert found
+    for t in (2, 3, 4):
+        assert _engine_against_the_definition(S.field, cols, q.coords, t)
 
 
 def _clustered_columns(p, n, seed):
@@ -343,10 +413,14 @@ def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
         return bucket(keys)
 
     monkeypatch.setattr(quotient, "_bucket_pairs", spy)
-    found = _t3_candidates(F, cols, q)
+    found = _engine_against_the_definition(F, cols, q, 3)
     assert shapes == [key_shape]  # the columns fit in one block
-    assert found == _witnesses_by_definition(F, cols, q, 3)
     assert len(found) >= 20
+    # t=4 runs one anchor search per prefix node; a node left with three
+    # rows has one anchor, whose key folds whatever n is
+    shapes.clear()
+    assert len(_engine_against_the_definition(F, cols, q, 4)) >= 20
+    assert key_shape in shapes
 
 
 def _residue_dtype(p):
@@ -366,10 +440,8 @@ def test_numpy_engines_at_the_residue_dtype_edges(p, dtype):
     F, cols, q = _clustered_columns(p, 5, seed=p)
     emb, img = quotient._quotient(F, cols, q)
     assert emb.dtype == img.dtype == dtype
-    for t, engine in ((2, _t2_candidates), (3, _t3_candidates)):
-        found = engine(F, cols, q)
-        assert found == _witnesses_by_definition(F, cols, q, t)
-        assert found
+    for t in (2, 3, 4):
+        assert _engine_against_the_definition(F, cols, q, t)
 
 
 _ROWS = st.sampled_from([2, 3, 11, 13, 181, 191, 46337, 46349,
@@ -404,29 +476,34 @@ def test_ground_set_residues_are_its_columns_in_the_engine_dtype(p):
     assert not g.residues.flags.writeable
 
 
-@pytest.mark.parametrize("t, coords", [(2, _e(0, 7)), (3, _e(1, 2, 4))],
-                         ids=["t2", "t3"])
+@pytest.mark.parametrize("t, p, coords", [(2, 5, _e(0, 7)),
+                                           (3, 5, _e(1, 2, 4)),
+                                           (4, 3, _e(1, 2, 4))],
+                         ids=["t2", "t3", "t4"])
 def test_spanning_sets_runs_the_engines_on_the_ground_residues(
-        monkeypatch, t, coords):
-    S = segre((1, 1, 1), gf(5))
+        monkeypatch, t, p, coords):
+    S = segre((1, 1, 1), gf(p))
     g = ground_set(S)
-    engine = getattr(quotient, "_t%d_candidates" % t)
     seen = []
 
-    def spy(field, cols, qvec):
-        seen.append(cols)
-        return engine(field, cols, qvec)
+    def spy(field, cols, qvec, tt):
+        seen.append((cols, tt))
+        return candidates(field, cols, qvec, tt)
 
-    monkeypatch.setattr(quotient, engine.__name__, spy)
+    monkeypatch.setattr(quotient, "candidates", spy)
     res = spanning_sets(Tensor.of(S, coords), t)
-    assert len(seen) == 1 and seen[0] is g.residues
+    assert len(seen) == 1 and seen[0][0] is g.residues and seen[0][1] == t
     found = [tuple(w.provenance["indices"]) for w in res.witnesses]
-    assert found == engine(S.field, list(g.columns), coords)
+    assert found == [c for c in candidates(S.field, list(g.columns), coords,
+                                           t)
+                     if _is_witness(S.field, [g.columns[i] for i in c],
+                                    coords)]
     assert found
 
 
 def test_ground_sets_build_over_a_modulus_the_engines_refuse():
-    # no residue dtype holds (p-1)^2 + p: t=1 still answers, t=2 refuses
+    # no residue dtype holds (p-1)^2 + p: t=1 still answers, t=2 and
+    # t=4 refuse
     S = segre((1, 1), FieldSpec(2 ** 61 - 1))
     y = SubspaceSpec.of(S, [(E0,), (E0,)])
     q = Tensor.of(S, (1, 0, 0, 0))
@@ -434,6 +511,8 @@ def test_ground_sets_build_over_a_modulus_the_engines_refuse():
     assert brute_rank(q, within=y).rank == 1
     with pytest.raises(ModulusTooLarge):
         spanning_sets(q, 2, within=y)
+    with pytest.raises(ModulusTooLarge):
+        spanning_sets(q, 4, within=y)
 
 
 @pytest.mark.parametrize("space, coords, t", [
@@ -556,13 +635,13 @@ def test_gap_profile_json_shape():
 def test_t3_engine_refuses_moduli_that_overflow_int64():
     # (p-1)^2 >= 2^63 would wrap in the int64 residue products
     big = FieldSpec(2 ** 61 - 1)
-    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-    with pytest.raises(ModulusTooLarge):
-        _t3_candidates(big, cols, (1, 1, 0))
     # 3037000507 is the first prime with (p-1)^2 >= 2^63 (the prime
     # before it is 3037000493)
     edge = FieldSpec(3037000507)
     assert (3037000493 - 1) ** 2 < 2 ** 63 <= (edge.modulus - 1) ** 2
-    with pytest.raises(ModulusTooLarge):
-        _t3_candidates(edge, cols, (1, 1, 0))
-    assert _t3_candidates(FieldSpec(101), cols, (1, 1, 0)) == []
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    for t in (3, 4):
+        for field in (big, edge):
+            with pytest.raises(ModulusTooLarge):
+                list(candidates(field, cols, (1, 1, 0), t))
+        assert list(candidates(FieldSpec(101), cols, (1, 1, 0), t)) == []
