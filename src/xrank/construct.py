@@ -1,17 +1,20 @@
 """Randomize-and-verify constructions that grow irredundant decompositions.
 
 Each operation draws random data under explicit non-degeneracy constraints,
-builds a candidate, runs the exact verifier, and retries with fresh
-randomness up to max_retries.  Outputs therefore never rely on genericity
-arguments alone; every returned decomposition has been checked.  All draws
-come from one seeded stream, so identical (input, seed, config) give
-identical outputs.
+builds a candidate, checks it exactly, and retries with fresh randomness
+up to max_retries.  The check is the exact verifier, except in `plus_one`,
+which proves its candidate's report from the input's report, one exact
+two-column solve and one span test (see its docstring).  Outputs
+therefore never rely on genericity arguments alone; every returned
+decomposition carries an exact report.  All draws come from one seeded
+stream, so identical (input, seed, config) give identical outputs.
 """
 
 import random
 from dataclasses import dataclass
 
-from .decomp import Decomposition, set_envelope, verify_irredundant
+from .decomp import (Decomposition, IrredundancyReport, set_envelope,
+                     verify_irredundant)
 from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      InvalidInput, MinimalityNotCertified, NoEscapingFiber,
                      NotConcise, NotContainedInY, NotIrredundantInput,
@@ -37,11 +40,21 @@ class ConstructionConfig:
 
 
 def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
-    """Random nonzero vector outside the row span (rejection sampling)."""
-    span = Echelon(field, span_rows)
+    """Random nonzero vector outside the row span of the nonzero rows
+    (rejection sampling).  A one-row span <r> needs no elimination: v
+    lies on it iff v r[s] = v[s] r at an entry s with r[s] != 0."""
+    if len(span_rows) == 1:
+        r = span_rows[0]
+        s = next(j for j, x in enumerate(r) if x)
+        mul = field.mul
+
+        def on_span(v):
+            return all(mul(x, r[s]) == mul(v[s], y) for x, y in zip(v, r))
+    else:
+        on_span = Echelon(field, span_rows).contains
     for _ in range(tries):
         v = tuple(field.random_element(rng, box) for _ in range(length))
-        if any(x != 0 for x in v) and not span.contains(v):
+        if any(x != 0 for x in v) and not on_span(v):
             return v
     raise GenericityExhausted("no direction off the span after %d draws"
                               % tries)
@@ -50,9 +63,10 @@ def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
 def _line_point_at(field, a_vec, w_vec, k):
     """Point k of the p points other than a on the line through a and w
     over GF(p): a + (k+1) w for k < p-1, and w itself for k = p-1."""
-    if k == field.modulus - 1:
+    p = field.modulus
+    if k == p - 1:
         return tuple(w_vec)
-    return line_point(field, a_vec, w_vec, k + 1)
+    return tuple((x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec))
 
 
 def _line_positions(p, a_vec, w_vec, vecs):
@@ -135,6 +149,13 @@ def _usable_line_pair(field, rng, box, a_vec, w_vec, excluded):
     return usable[:2] if len(usable) >= 2 else None
 
 
+def _with_factor(point, i, vec):
+    """`point` with factor i replaced by the canonical vector vec, which,
+    unlike in `replace_factor`, is not canonicalised again."""
+    coords = point.coords
+    return MppPoint(point.space, coords[:i] + (vec,) + coords[i + 1:])
+
+
 def _escaping_fibers(space, points, u_span):
     """(point index, factor) pairs, in order, whose fiber through the point
     has a coordinate direction embedding outside U."""
@@ -187,16 +208,30 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     span not inside U = span of the embedded input; the replacement points
     sit on a random line through the chosen point inside that fiber, differ
     from all remaining points in the chosen factor, and embed outside U.
-    The result is verified irredundant with cardinality #A + 1.  Over
-    GF(p) the line is sampled by index: the positions of the remaining
+    Over GF(p) the line is sampled by index: the positions of the remaining
     points on it are found by an exact test, two of the other positions
     are drawn, and only those two points are built, so an attempt costs
     O(r·n) for r points in factor coordinates of length n, whatever p is.
     FieldTooSmall is raised at the first retry when every viable
     fiber is a P^1 with fewer than two usable points.  The input is
     checked by `verify_irredundant`, which reuses a report the input
-    already carries (an oracle witness has one) instead of solving again;
-    each candidate is solved on its own.
+    already carries (an oracle witness has one) instead of solving again.
+
+    The output's report is proved, not solved again.  The input gives
+    q = sum_j c_j x_j, the x_j independent and every c_j nonzero.  A
+    candidate that replaces x_a by x_u and x_v is accepted when
+    1. the two-column solve x_a = alpha x_u + beta x_v succeeds with x_u
+       and x_v independent and alpha, beta both nonzero, and
+    2. x_u is not in U.
+    By 1, x_v = (x_a - alpha x_u) / beta, so the candidate's r + 1
+    columns span U + <x_u>, which has dimension r + 1 by 2: they are
+    independent.  So q = sum_{j != a} c_j x_j + c_a alpha x_u
+    + c_a beta x_v is the unique expansion, every coefficient is nonzero,
+    and the candidate is irredundant.  (x_v is not in U either, or
+    x_u = (x_a - beta x_v) / alpha would be.)  On a Segre space 1 holds
+    for any two points u != v of a line through a, both other than a,
+    so the accepted candidates are those that an exact re-verification
+    accepts.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -211,7 +246,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         _certify_minimal_via_oracle(d)
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.embedded_columns)
+    cols = d.embedded_columns
+    u_span = Echelon(field, cols)
 
     # (point, factor) pairs whose fiber escapes U, scanned as attempts need
     # them: the first attempt takes the first, a retry needs them all
@@ -245,14 +281,15 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                                  excluded)
         if pair is None:
             continue
-        u_vec, v_vec = pair
-        u = a.replace_factor(i, u_vec)
-        v = a.replace_factor(i, v_vec)
+        u = _with_factor(a, i, pair[0])
         u_col = embed(space, u).coords
         if u_span.contains(u_col):
             continue
+        v = _with_factor(a, i, pair[1])
         v_col = embed(space, v).coords
-        if u_span.contains(v_col):
+        sol = solve_columns(field, [u_col, v_col], cols[ai])
+        if not (sol.independent and sol.coefficients is not None
+                and all(sol.coefficients)):
             continue
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)
@@ -262,10 +299,13 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
             cand = Decomposition(space, others + [u, v], d.target, prov)
         except InvalidInput:
             continue
-        cand._with_columns([c for idx, c in enumerate(d.embedded_columns)
-                            if idx != ai] + [u_col, v_col])
-        if verify_irredundant(cand).irredundant:
-            return cand
+        c_a = report.values[ai]
+        values = (tuple(c for idx, c in enumerate(report.values) if idx != ai)
+                  + tuple(field.mul(c_a, c) for c in sol.coefficients))
+        cand._with_columns([c for idx, c in enumerate(cols) if idx != ai]
+                           + [u_col, v_col])
+        return cand._with_report(IrredundancyReport(True, True, field,
+                                                    values, True))
     raise GenericityExhausted("plus_one failed after %d retries"
                               % cfg.max_retries)
 
@@ -454,14 +494,17 @@ def _extend_one_factor(d, factor, cfg, deg, construction, extra_prov):
             continue
         gvecs = _line_candidates(field, rng, cfg.coord_box,
                                  a.coords[factor], w, deg + 1)
-        new_pts = others + [a.replace_factor(factor, g) for g in gvecs]
+        line_pts = [a.replace_factor(factor, g) for g in gvecs]
         prov = dict(extra_prov)
         prov["steps"] = steps + [{"replaced_point": ai, "factor": factor,
                                   "retries_used": attempt}]
         try:
-            cand = Decomposition(space, new_pts, cur.target, prov)
+            cand = Decomposition(space, others + line_pts, cur.target, prov)
         except InvalidInput:
             continue
+        cand._with_columns([c for idx, c in enumerate(cur.embedded_columns)
+                            if idx != ai]
+                           + [embed(space, g).coords for g in line_pts])
         if not verify_irredundant(cand).irredundant:
             continue
         if set_envelope(space, cand.points).dims[factor] != prev_dim + 1:
@@ -501,7 +544,8 @@ def veronese_extend(d: Decomposition, target_n: int,
             % (deg + 1, space.field.modulus, space.field.modulus))
     prov = {"construction": "veronese_extend", "seed": cfg.rng_seed,
             "target_n": target_n, "steps": []}
-    cur = Decomposition(space, d.points, d.target, prov)
+    cur = Decomposition(space, d.points, d.target,
+                        prov)._with_columns(d.embedded_columns)
     for step in range(target_n - m_cur):
         step_cfg = ConstructionConfig(rng_seed=cfg.rng_seed + 7919 * step,
                                       max_retries=cfg.max_retries,
@@ -556,7 +600,8 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
             "seed": cfg.rng_seed,
             "assert_minimal": bool(assert_minimal),
             "certified_minimal": bool(certify_minimal), "steps": []}
-    cur = Decomposition(space, d.points, d.target, prov)
+    cur = Decomposition(space, d.points, d.target,
+                        prov)._with_columns(d.embedded_columns)
     for step in range(m):
         step_cfg = ConstructionConfig(rng_seed=cfg.rng_seed + 7919 * step,
                                       max_retries=cfg.max_retries,

@@ -127,6 +127,12 @@ class Decomposition:
         self._columns = list(cols)
         return self
 
+    def _with_report(self, report) -> "Decomposition":
+        """Take the verification report from a caller that has proved it;
+        returns self."""
+        self._report = report
+        return self
+
     def to_json(self) -> dict:
         d = {"space": self.space.to_json(),
              "points": [p.to_json() for p in self.points],

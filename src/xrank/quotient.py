@@ -58,12 +58,15 @@ def _inverses(vals, p):
     return out
 
 
-def _canonical(rows, p):
+def _canonical(rows, p, out=None):
     """Each nonzero row divided by its lead entry, and the lead indices.
-    A zero row stays zero (its lead index is 0)."""
+    A zero row stays zero (its lead index is 0).  `out=rows` works in
+    place."""
     lead = np.argmax(rows != 0, axis=1)
     vals = rows[np.arange(len(rows)), lead][:, None]
-    return rows * _inverses(vals, p) % p, lead
+    out = np.multiply(rows, _inverses(vals, p), out=out)
+    out %= p
+    return out, lead
 
 
 def _project(rows, hat, lead, p):
@@ -180,16 +183,21 @@ def _anchor_triples(p, emb, img):
     V/<q, P, a>: one int64 array per block of anchors, in anchor order.
 
     Each row a is an anchor in turn; the later rows are projected into
-    V/<q, P, a> and bucketed by ray, in blocks of anchors of at most
-    _T3_BLOCK_ROWS rows, so memory is O(M) rather than O(M^2).  An
-    (anchor a, row) pair sorts on one int64 word, (a - a0) * p**L + its
-    ray key, for a block from anchor a0 on rows of L coordinates, when
-    the ray key is one word and the block's anchors fit below 2^63
-    (checked in Python ints); otherwise the anchor and the key words are
-    lexsorted.  For a witness P + {a, b, c}, its dependency maps to
-    x a' + y b' + z c' = 0 in V/<q, P>, with x, y, z nonzero, so b and c
-    are on one ray modulo a'.  Two kinds of bucket pairs are dropped,
-    and neither can be a witness:
+    V/<q, P, a> and bucketed by ray.  A block takes the anchors
+    [a0, a1) and the contiguous tail of rows after a0, and projects the
+    whole tail against every anchor of the block at once by
+    broadcasting: an (a1 - a0, M - 1 - a0, L) array for rows of L
+    coordinates, reduced and canonicalised in place.  The block holds at
+    most _T3_BLOCK_ROWS (anchor, row) pairs, or one anchor's tail when
+    that is longer, so memory is O(M) rather than O(M^2).  The pairs
+    with b <= a, at most a triangle of the block, are dropped before the
+    bucketing.  An (anchor a, row) pair sorts on one int64 word,
+    (a - a0) * p**L + its ray key, when the ray key is one word and the
+    block's anchors fit below 2^63 (checked in Python ints); otherwise
+    the anchor and the key words are lexsorted.  For a witness
+    P + {a, b, c}, its dependency maps to x a' + y b' + z c' = 0 in
+    V/<q, P>, with x, y, z nonzero, so b and c are on one ray modulo a'.
+    Two kinds of bucket pairs are dropped, and neither can be a witness:
     - b' and c' parallel in V/<q, P>: a dependency y b' + z c' = 0 gives
       one of P + {b, c} in V/<q> that leaves a out.  This also drops the
       pairs of rows whose images are parallel to a', which all share
@@ -197,25 +205,41 @@ def _anchor_triples(p, emb, img):
     - b and c on one ray of V/<P, a>: P + {a, b, c} is dependent in V.
     For t=3 (no prefix) what is left is exactly the witnesses, but every
     candidate still goes through the exact verifier."""
-    M = len(img)
+    M, L = img.shape
     hat, lead = _canonical(img, p)
     qkeys = _pack_digits(hat, p)
     ehat, elead = _canonical(emb, p)
-    base = p ** img.shape[1]  # bounds every one-word ray key
+    base = p ** L  # bounds every one-word ray key
     found = []
     a0 = 0
     while a0 < M - 2:
-        a1 = min(M - 2, a0 + max(1, _T3_BLOCK_ROWS // (M - 1 - a0)))
-        ai, bi = np.nonzero(np.arange(a0 + 1, M)
-                            > np.arange(a0, a1)[:, None])
-        ai, bi = ai + a0, bi + a0 + 1
-        keys = _ray_keys(_project(img[bi], hat[ai], lead[ai], p), p)
-        if keys.shape[1] == 1 and (a1 - a0) * base < _INT64_LIMIT:
-            keys = (ai - a0) * base + keys[:, 0]
+        R = M - 1 - a0
+        a1 = min(M - 2, a0 + max(1, _T3_BLOCK_ROWS // R))
+        A = a1 - a0
+        tail = img[a0 + 1:]
+        # rows[k, j]: row a0 + 1 + j minus its lead-column entry times
+        # the canonical anchor a0 + k, the row's image in V/<q, P, a>
+        rows = hat[a0:a1, None, :] * tail[:, lead[a0:a1]].T[:, :, None]
+        np.subtract(tail, rows, out=rows)
+        rows %= p
+        rows = rows.reshape(A * R, L)
+        _canonical(rows, p, out=rows)
+        keys = _pack_digits(rows, p)
+        if keys.shape[1] == 1 and A * base < _INT64_LIMIT:
+            keys = keys.reshape(A, R)
+            keys += (np.arange(A, dtype=np.int64) * base)[:, None]
+            keys = keys.reshape(A * R)
         else:
-            keys = np.column_stack([ai, keys])
-        u, v = _bucket_pairs(keys)
-        a, b, c = ai[u], bi[u], bi[v]
+            keys = np.column_stack([np.arange(A * R) // R, keys])
+        # entry k * R + j pairs anchor a0 + k with row a0 + 1 + j; only
+        # the pairs with b > a are bucketed, and a, b, c are worked out
+        # for the bucket pairs alone (for every pair they cost ~0.3 MB
+        # more peak RSS in growth)
+        later = np.flatnonzero(
+            (np.arange(R) >= np.arange(A)[:, None]).reshape(A * R))
+        u, v = _bucket_pairs(keys[later])
+        u, v = later[u], later[v]
+        a, b, c = a0 + u // R, a0 + 1 + u % R, a0 + 1 + v % R
         keep = (qkeys[b] != qkeys[c]).any(axis=1)
         a, b, c = a[keep], b[keep], c[keep]
         keep = (_ray_keys(_project(emb[b], ehat[a], elead[a], p), p)

@@ -110,9 +110,13 @@ def growth_bank():
             out = plus_one(w, ConstructionConfig(rng_seed=seed),
                            assert_minimal=True)
             n_outputs += 1
+            # plus_one proves its output's report; a fresh copy is
+            # solved again, so this checks the proof too
+            fresh = Decomposition(out.space, out.points, out.target)
             ok = (len(out.points) == cert.rank + 1
                   and out.provenance["retries_used"] <= 64
-                  and verify_irredundant(out).irredundant)
+                  and verify_irredundant(fresh) == verify_irredundant(out)
+                  and verify_irredundant(fresh).irredundant)
             if not ok:
                 failures.append((q.coords, w.to_json()))
             if not fiber_condition(out).holds:

@@ -82,6 +82,46 @@ def test_plus_one_columns_match_fresh_embeddings():
                                         for p in out.points]
 
 
+def _assert_report_is_a_fresh_solve(out):
+    """plus_one proves its output's report; it must equal, field by
+    field, the report of a fresh exact solve of the same points."""
+    fresh = verify_irredundant(Decomposition(out.space, out.points,
+                                             out.target))
+    assert fresh.irredundant
+    assert verify_irredundant(out) == fresh
+
+
+@pytest.mark.parametrize("coords, count", [
+    ((0, 1, 1, 0, 1, 0, 0, 2), 2640),  # non-square hyperdeterminant
+    ((0, 1, 1, 0, 1, 0, 0, 0), 3751),  # W
+], ids=["nonsquare", "W"])
+def test_plus_one_proved_reports_on_every_rank_3_witness_over_gf11(coords,
+                                                                   count):
+    S = segre((1, 1, 1), gf(11))
+    wits = brute_rank(Tensor.of(S, coords), budget=10 ** 9).witnesses
+    assert len(wits) == count
+    for seed, w in enumerate(wits):
+        _assert_report_is_a_fresh_solve(
+            plus_one(w, ConstructionConfig(rng_seed=seed)))
+
+
+def test_plus_one_redraws_a_line_that_lies_in_the_input_span():
+    # a and b share the fiber P^2 x {e0} through a, so U meets its span
+    # in a plane, and a line through a drawn in that plane lies in U.
+    # There the two-column solve still succeeds, but the candidate is
+    # dependent: only the test x_u not in U sends plus_one to redraw.
+    S = segre((2, 1), gf(3))
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    A = [pt(S, e[0], E0), pt(S, e[1], E0), pt(S, e[2], E1)]
+    d = Decomposition(S, A, lin_comb(S, A))
+    retried = 0
+    for seed in range(20):
+        out = plus_one(d, ConstructionConfig(rng_seed=seed))
+        _assert_report_is_a_fresh_solve(out)
+        retried += out.provenance["retries_used"] > 0
+    assert retried
+
+
 def test_plus_one_fails_fast_when_every_p1_fiber_is_starved():
     """Over GF(3) a P^1 has 4 points.  Three minimal decompositions of W
     take 3 of them in every factor, so every viable fiber line (all of
@@ -399,24 +439,25 @@ def test_config_validation():
 
 
 def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
-    # the witness carries the oracle's report, so only the candidate is
-    # solved; a fresh copy of the same witness is solved twice
+    # the witness carries the oracle's report, so it is never solved
+    # again; the candidate costs one two-column solve, which proves its
+    # report, and a fresh copy of the witness one more, for its input
     S = segre((1, 1), gf(11))
     w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
     calls = []
-    solve = decomp.solve_columns
 
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
+    for module in (construct, decomp):
+        def counting(*args, solve=module.solve_columns, name=module.__name__):
+            calls.append((name, len(args[1])))
+            return solve(*args)
 
-    monkeypatch.setattr(decomp, "solve_columns", counting)
+        monkeypatch.setattr(module, "solve_columns", counting)
     out = plus_one(w)
     assert out.provenance["retries_used"] == 0
-    assert len(calls) == 1
+    assert calls == [("xrank.construct", 2)]
     calls.clear()
     again = plus_one(Decomposition(S, w.points, w.target))
-    assert len(calls) == 2
+    assert calls == [("xrank.decomp", 2), ("xrank.construct", 2)]
     assert again.points == out.points
     assert verify_irredundant(out).irredundant
 
@@ -567,6 +608,8 @@ def test_plus_one_frozen_outputs_gf11():
         outs.append(plus_one(d, ConstructionConfig(rng_seed=made)))
         made += 1
     assert len(outs) == 26
+    for out in outs:
+        _assert_report_is_a_fresh_solve(out)
     assert _digest(outs) == (
         "3e6eb4722310279f60eb9524d027cf95c8636adf641814b28721f660023cc648")
 
@@ -587,5 +630,7 @@ def test_plus_one_frozen_outputs_rationals():
             outs.append(plus_one(d, ConstructionConfig(rng_seed=made)))
             made += 1
     assert len(outs) == 12
+    for out in outs:
+        _assert_report_is_a_fresh_solve(out)
     assert _digest(outs) == (
         "a4dfaf091bd8b62fc9aaa543f72aff24b28574db5a6f9ae92107b321be4801b4")

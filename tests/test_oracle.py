@@ -423,6 +423,16 @@ def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
     assert key_shape in shapes
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_anchor_search_at_small_block_sizes(monkeypatch, block_rows):
+    # at 1 and 2 every block holds one anchor; at 7 the blocks near the
+    # end hold several, and the last one is cut short at anchor M - 2
+    monkeypatch.setattr(quotient, "_T3_BLOCK_ROWS", block_rows)
+    F, cols, q = _clustered_columns(11, 5, seed=block_rows)
+    assert len(_engine_against_the_definition(F, cols, q, 3)) >= 20
+    assert len(_engine_against_the_definition(F, cols, q, 4)) >= 20
+
+
 def _residue_dtype(p):
     """The dtype `_quotient` holds GF(p) residues in."""
     return quotient._quotient(FieldSpec(p), [(1,)], (1,))[0].dtype
