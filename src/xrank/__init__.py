@@ -13,7 +13,7 @@ from .decomp import (Decomposition, Envelope, FiberReport,
                      fiber_condition, restrict_to_envelope, set_envelope,
                      tensor_envelope, verify_irredundant,
                      verify_irredundant_exhaustive)
-from .exactlin import Echelon, FieldSpec, Scalar
+from .exactlin import Echelon, FieldSpec
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
                        ambient_dim, embed, enumerate_points)
 from .oracle import (DEFAULT_BUDGET, ConciseResult, GapProfile, GroundSet,
@@ -29,7 +29,7 @@ __all__ = [
     "extend_from_envelope", "fiber_condition", "restrict_to_envelope",
     "set_envelope", "tensor_envelope", "verify_irredundant",
     "verify_irredundant_exhaustive",
-    "Echelon", "FieldSpec", "Scalar",
+    "Echelon", "FieldSpec",
     "MppPoint", "MultiProjectiveSpace", "SubspaceSpec", "Tensor",
     "ambient_dim", "embed", "enumerate_points",
     "DEFAULT_BUDGET", "ConciseResult", "GapProfile", "GroundSet",

@@ -11,7 +11,7 @@ stream, so identical (input, seed, config) give identical outputs.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
                      verify_irredundant)
@@ -21,8 +21,8 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
 from .exactlin import Echelon, in_span, rank_rows, solve_columns
-from .geometry import (MppPoint, SubspaceSpec, canonical_vector, embed,
-                       line_point)
+from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
+                       canonical_vector, embed, line_point)
 from .oracle import brute_rank
 
 
@@ -30,16 +30,13 @@ from .oracle import brute_rank
 class ConstructionConfig:
     rng_seed: int = 0
     max_retries: int = 64
-    coord_box: int = 50
 
     def __post_init__(self):
         if self.max_retries < 1:
             raise InvalidInput("max_retries must be >= 1")
-        if self.coord_box < 2:
-            raise InvalidInput("coord_box must be >= 2")
 
 
-def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
+def _draw_vector_off_span(field, rng, length, span_rows, tries=128):
     """Random nonzero vector outside the row span of the nonzero rows
     (rejection sampling).  A one-row span <r> needs no elimination: v
     lies on it iff v r[s] = v[s] r at an entry s with r[s] != 0."""
@@ -53,7 +50,8 @@ def _draw_vector_off_span(field, rng, box, length, span_rows, tries=128):
     else:
         on_span = Echelon(field, span_rows).contains
     for _ in range(tries):
-        v = tuple(field.random_element(rng, box) for _ in range(length))
+        v = tuple(field.random_element(rng, DEFAULT_COORD_BOX)
+                  for _ in range(length))
         if any(x != 0 for x in v) and not on_span(v):
             return v
     raise GenericityExhausted("no direction off the span after %d draws"
@@ -103,7 +101,7 @@ def _skip_positions(j, taken):
     return j
 
 
-def _line_candidates(field, rng, box, a_vec, w_vec, count):
+def _line_candidates(field, rng, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
     from a.  Over GF(p) the line carries p such points, and `count`
     distinct positions among them are drawn by index; over Q distinct
@@ -116,12 +114,13 @@ def _line_candidates(field, rng, box, a_vec, w_vec, count):
                 "GF(%d) offers %d" % (count, p, p))
         return [_line_point_at(field, a_vec, w_vec, k)
                 for k in rng.sample(range(p), count)]
+    box = DEFAULT_COORD_BOX
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
     return [line_point(field, a_vec, w_vec, t) for t in ts]
 
 
-def _usable_line_pair(field, rng, box, a_vec, w_vec, excluded):
+def _usable_line_pair(field, rng, a_vec, w_vec, excluded):
     """Two distinct canonical points of the line through a and w, neither
     a nor in `excluded`, or None when the draw leaves fewer than two.
 
@@ -142,7 +141,7 @@ def _usable_line_pair(field, rng, box, a_vec, w_vec, excluded):
                     field, a_vec, w_vec, _skip_positions(j, taken)))
                 for j in rng.sample(range(n_usable), 2)]
     usable = []
-    for vvec in _line_candidates(field, rng, box, a_vec, w_vec, 4):
+    for vvec in _line_candidates(field, rng, a_vec, w_vec, 4):
         cv = canonical_vector(field, vvec)
         if cv not in excluded and cv != a_vec:
             usable.append(cv)
@@ -192,6 +191,31 @@ def _certify_minimal_via_oracle(d, within=None):
             % (cert.rank, len(d.points)))
 
 
+def _irredundant_input(d):
+    """The input's report; NotIrredundantInput unless it is irredundant."""
+    report = verify_irredundant(d)
+    if not report.irredundant:
+        raise NotIrredundantInput("input decomposition is not irredundant")
+    return report
+
+
+def _last_factor_slice(d):
+    """(o, Y' x {o}): o is the last-factor point that every input point
+    shares, Y' the full retained factors.  The target must lie in the span
+    of the slice's image."""
+    space = d.space
+    last = space.k - 1
+    o = d.points[0].coords[last]
+    if any(p.coords[last] != o for p in d.points):
+        raise InvalidInput("input points do not share one last-factor point")
+    full = SubspaceSpec.full(space)
+    ysub = SubspaceSpec.of(space, list(full.factor_bases[:last]) + [(o,)])
+    if solve_columns(space.field, ysub.span_columns(),
+                     d.target.coords).coefficients is None:
+        raise NotContainedInY("target outside the span of Y' x {o}")
+    return o, ysub
+
+
 def _base_provenance(name, cfg, assert_minimal, certified):
     return {"construction": name, "seed": cfg.rng_seed,
             "assert_minimal": bool(assert_minimal),
@@ -239,9 +263,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         raise UnsupportedDegree("plus_one needs a Segre space")
     if not all(n >= 1 for n in space.factor_dims):
         raise DegenerateSpace("plus_one needs positive factor dims")
-    report = verify_irredundant(d)
-    if not report.irredundant:
-        raise NotIrredundantInput("input decomposition is not irredundant")
+    report = _irredundant_input(d)
     if certify_minimal:
         _certify_minimal_via_oracle(d)
     field = space.field
@@ -272,13 +294,11 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         others = [p for idx, p in enumerate(d.points) if idx != ai]
         excluded = {p.coords[i] for p in others}
         try:
-            w = _draw_vector_off_span(field, rng, cfg.coord_box,
-                                      space.factor_dims[i] + 1,
+            w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
                                       [a.coords[i]])
         except GenericityExhausted:
             continue
-        pair = _usable_line_pair(field, rng, cfg.coord_box, a.coords[i], w,
-                                 excluded)
+        pair = _usable_line_pair(field, rng, a.coords[i], w, excluded)
         if pair is None:
             continue
         u = _with_factor(a, i, pair[0])
@@ -328,9 +348,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise SpaceMismatch("subspace spec is for a different space")
     if ysub.dims == space.factor_dims:
         raise YEqualsW("Y equals the ambient space")
-    report = verify_irredundant(d)
-    if not report.irredundant:
-        raise NotIrredundantInput("input decomposition is not irredundant")
+    _irredundant_input(d)
     for p in d.points:
         if not ysub.contains_point(p):
             raise NotContainedInY("input point outside Y")
@@ -354,12 +372,11 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         a = d.points[ai]
         others = [p for idx, p in enumerate(d.points) if idx != ai]
         try:
-            w = _draw_vector_off_span(field, rng, cfg.coord_box,
+            w = _draw_vector_off_span(field, rng,
                                       space.factor_dims[istar] + 1, h_rows)
         except GenericityExhausted:
             continue
-        cands = _line_candidates(field, rng, cfg.coord_box,
-                                 a.coords[istar], w, 2)
+        cands = _line_candidates(field, rng, a.coords[istar], w, 2)
         u = a.replace_factor(istar, cands[0])
         v = a.replace_factor(istar, cands[1])
         prov = _base_provenance("escape", cfg, assert_minimal,
@@ -402,19 +419,8 @@ def concise_plus_m(d: Decomposition, m: int,
     last = space.k - 1
     if m < 2 or space.factor_dims[last] != m:
         raise BadM("m must be >= 2 and equal the last factor dimension")
-    report = verify_irredundant(d)
-    if not report.irredundant:
-        raise NotIrredundantInput("input decomposition is not irredundant")
-    o = d.points[0].coords[last]
-    if any(p.coords[last] != o for p in d.points):
-        raise InvalidInput("input points do not share one last-factor point")
-    field = space.field
-    full = SubspaceSpec.full(space)
-    ybases = list(full.factor_bases[:last]) + [(o,)]
-    ysub = SubspaceSpec.of(space, ybases)
-    if solve_columns(field, ysub.span_columns(),
-                     d.target.coords).coefficients is None:
-        raise NotContainedInY("target outside the span of Y' x {o}")
+    _irredundant_input(d)
+    o, ysub = _last_factor_slice(d)
     env = set_envelope(space, d.points)
     if env.dims[:last] != space.factor_dims[:last]:
         raise NotConcise(
@@ -422,6 +428,7 @@ def concise_plus_m(d: Decomposition, m: int,
             % (env.dims,))
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
+    field = space.field
     rng = random.Random(cfg.rng_seed)
 
     for attempt in range(cfg.max_retries):
@@ -432,7 +439,7 @@ def concise_plus_m(d: Decomposition, m: int,
         ok = True
         for _ in range(m + 1):
             for _try in range(64):
-                v = tuple(field.random_element(rng, cfg.coord_box)
+                v = tuple(field.random_element(rng, DEFAULT_COORD_BOX)
                           for _ in range(m + 1))
                 if any(x != 0 for x in v):
                     break
@@ -470,39 +477,38 @@ def concise_plus_m(d: Decomposition, m: int,
                               % cfg.max_retries)
 
 
-def _extend_one_factor(d, factor, cfg, deg, construction, extra_prov):
-    """Shared single-step line extension in one degree-d factor: replace a
-    point by deg+1 distinct points of a line meeting the current factor
-    span only at it; the factor envelope must grow by one and the result
-    must verify.  Returns the new decomposition."""
+def _extend_one_factor(d, factor, cfg):
+    """One line step in a factor of degree e: replace a point by e+1
+    distinct points of a line meeting the current factor span only at it;
+    the factor envelope must grow by one and the result must verify.  The
+    step is appended to the provenance's "steps"."""
     space = d.space
     field = space.field
+    deg = space.multidegree[factor]
     rng = random.Random(cfg.rng_seed)
-    steps = extra_prov.get("steps", [])
-    cur = d
-    prev_dim = set_envelope(space, cur.points).dims[factor]
+    prev_dim = set_envelope(space, d.points).dims[factor]
     for attempt in range(cfg.max_retries):
-        ai = attempt % len(cur.points)
-        a = cur.points[ai]
-        others = [p for idx, p in enumerate(cur.points) if idx != ai]
-        span_rows = [p.coords[factor] for p in cur.points]
+        ai = attempt % len(d.points)
+        a = d.points[ai]
+        others = [p for idx, p in enumerate(d.points) if idx != ai]
+        span_rows = [p.coords[factor] for p in d.points]
         try:
-            w = _draw_vector_off_span(field, rng, cfg.coord_box,
+            w = _draw_vector_off_span(field, rng,
                                       space.factor_dims[factor] + 1,
                                       span_rows)
         except GenericityExhausted:
             continue
-        gvecs = _line_candidates(field, rng, cfg.coord_box,
-                                 a.coords[factor], w, deg + 1)
+        gvecs = _line_candidates(field, rng, a.coords[factor], w, deg + 1)
         line_pts = [a.replace_factor(factor, g) for g in gvecs]
-        prov = dict(extra_prov)
-        prov["steps"] = steps + [{"replaced_point": ai, "factor": factor,
-                                  "retries_used": attempt}]
+        prov = dict(d.provenance)
+        prov["steps"] = prov["steps"] + [{"replaced_point": ai,
+                                          "factor": factor,
+                                          "retries_used": attempt}]
         try:
-            cand = Decomposition(space, others + line_pts, cur.target, prov)
+            cand = Decomposition(space, others + line_pts, d.target, prov)
         except InvalidInput:
             continue
-        cand._with_columns([c for idx, c in enumerate(cur.embedded_columns)
+        cand._with_columns([c for idx, c in enumerate(d.embedded_columns)
                             if idx != ai]
                            + [embed(space, g).coords for g in line_pts])
         if not verify_irredundant(cand).irredundant:
@@ -511,7 +517,28 @@ def _extend_one_factor(d, factor, cfg, deg, construction, extra_prov):
             continue
         return cand
     raise GenericityExhausted("%s step failed after %d retries"
-                              % (construction, cfg.max_retries))
+                              % (d.provenance["construction"],
+                                 cfg.max_retries))
+
+
+def _line_steps(d, factor, steps, cfg, prov):
+    """Run `steps` line steps in one factor of degree e, step s seeded
+    with rng_seed + 7919 s; prov starts the output's provenance.
+    FieldTooSmall when a line over GF(p) has fewer than e+1 points off
+    its base point."""
+    space = d.space
+    deg = space.multidegree[factor]
+    p = space.field.modulus
+    if p is not None and p < deg + 1:
+        raise FieldTooSmall("need %d distinct line points; GF(%d) offers %d"
+                            % (deg + 1, p, p))
+    prov["steps"] = []
+    cur = Decomposition(space, d.points, d.target,
+                        prov)._with_columns(d.embedded_columns)
+    for step in range(steps):
+        cur = _extend_one_factor(
+            cur, factor, replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
+    return cur
 
 
 def veronese_extend(d: Decomposition, target_n: int,
@@ -528,31 +555,16 @@ def veronese_extend(d: Decomposition, target_n: int,
     space = d.space
     if space.k != 1:
         raise NotVeronese("veronese_extend needs a single-factor space")
-    deg = space.multidegree[0]
     n = space.factor_dims[0]
-    report = verify_irredundant(d)
-    if not report.irredundant:
-        raise NotIrredundantInput("input decomposition is not irredundant")
+    _irredundant_input(d)
     m_cur = set_envelope(space, d.points).dims[0]
     if not (m_cur <= target_n <= n):
         raise TargetTooSmall(
             "target_n=%d outside [current span %d, ambient %d]"
             % (target_n, m_cur, n))
-    if space.field.is_finite and space.field.modulus < deg + 1:
-        raise FieldTooSmall(
-            "need %d distinct line points; GF(%d) offers %d"
-            % (deg + 1, space.field.modulus, space.field.modulus))
-    prov = {"construction": "veronese_extend", "seed": cfg.rng_seed,
-            "target_n": target_n, "steps": []}
-    cur = Decomposition(space, d.points, d.target,
-                        prov)._with_columns(d.embedded_columns)
-    for step in range(target_n - m_cur):
-        step_cfg = ConstructionConfig(rng_seed=cfg.rng_seed + 7919 * step,
-                                      max_retries=cfg.max_retries,
-                                      coord_box=cfg.coord_box)
-        cur = _extend_one_factor(cur, 0, step_cfg, deg, "veronese_extend",
-                                 cur.provenance or prov)
-    return cur
+    return _line_steps(d, 0, target_n - m_cur, cfg,
+                       {"construction": "veronese_extend",
+                        "seed": cfg.rng_seed, "target_n": target_n})
 
 
 def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
@@ -563,49 +575,24 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
 
     Last-factor degree 1 delegates to escape (cardinality +1); degree
     e > 1 runs m line-extension steps in the last factor (cardinality
-    + e*m, full last-factor envelope).
+    + e*m, full last-factor envelope).  Either way the provenance records
+    the certification that this call ran.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
     if space.k < 2:
         raise InvalidInput("need at least two factors")
     last = space.k - 1
-    e = space.multidegree[last]
-    m = space.factor_dims[last]
-    report = verify_irredundant(d)
-    if not report.irredundant:
-        raise NotIrredundantInput("input decomposition is not irredundant")
-    o = d.points[0].coords[last]
-    if any(p.coords[last] != o for p in d.points):
-        raise InvalidInput("input points do not share one last-factor point")
-    field = space.field
-    full = SubspaceSpec.full(space)
-    ysub = SubspaceSpec.of(space,
-                           list(full.factor_bases[:last]) + [(o,)])
-    if solve_columns(field, ysub.span_columns(),
-                     d.target.coords).coefficients is None:
-        raise NotContainedInY("target outside the span of Y x {o}")
+    _irredundant_input(d)
+    _, ysub = _last_factor_slice(d)
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
-    if e == 1:
+    if space.multidegree[last] == 1:
         out = escape(d, ysub, cfg, assert_minimal=assert_minimal)
-        prov = dict(out.provenance or {})
-        prov["construction"] = "sv_extend"
-        prov["route"] = "escape"
+        prov = dict(out.provenance, construction="sv_extend",
+                    route="escape", certified_minimal=bool(certify_minimal))
         return Decomposition(space, out.points, out.target, prov)
-    if field.is_finite and field.modulus < e + 1:
-        raise FieldTooSmall("need %d distinct line points; GF(%d) offers %d"
-                            % (e + 1, field.modulus, field.modulus))
-    prov = {"construction": "sv_extend", "route": "line_steps",
-            "seed": cfg.rng_seed,
-            "assert_minimal": bool(assert_minimal),
-            "certified_minimal": bool(certify_minimal), "steps": []}
-    cur = Decomposition(space, d.points, d.target,
-                        prov)._with_columns(d.embedded_columns)
-    for step in range(m):
-        step_cfg = ConstructionConfig(rng_seed=cfg.rng_seed + 7919 * step,
-                                      max_retries=cfg.max_retries,
-                                      coord_box=cfg.coord_box)
-        cur = _extend_one_factor(cur, last, step_cfg, e, "sv_extend",
-                                 cur.provenance or prov)
-    return cur
+    prov = _base_provenance("sv_extend", cfg, assert_minimal,
+                            certify_minimal)
+    prov["route"] = "line_steps"
+    return _line_steps(d, last, space.factor_dims[last], cfg, prov)

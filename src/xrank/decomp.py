@@ -11,32 +11,23 @@ the cross-testing fallback.
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (DimensionMismatch, EmptySet, InvalidInput, NotContained,
                      SpaceMismatch, UnsupportedDegree)
-from .exactlin import FieldSpec, Scalar, solve_columns
+from .exactlin import FieldSpec, solve_columns
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
                        canonical_basis_rows, embed)
 
 
 @dataclass(frozen=True)
 class IrredundancyReport:
-    """Verification result.  `values` holds the raw coefficients (None
-    when the target is off the span); `coefficients` wraps them as
-    Scalars of `field` on first read, so a report nobody reads them from
-    never builds them."""
+    """Verification result.  `values` holds the coefficients as raw
+    field elements of `field` (None when the target is off the span)."""
     independent: bool
     in_span: bool
     field: FieldSpec
     values: tuple | None
     irredundant: bool
-
-    @cached_property
-    def coefficients(self) -> tuple | None:
-        if self.values is None:
-            return None
-        return tuple(Scalar(self.field, c) for c in self.values)
 
     def to_json(self) -> dict:
         return {
@@ -92,9 +83,9 @@ class Decomposition:
                  provenance: dict | None = None):
         points = tuple(points)
         for p in points:
-            if p.space != space:
+            if p.space is not space and p.space != space:
                 raise SpaceMismatch("point on a different space")
-        if target.space != space:
+        if target.space is not space and target.space != space:
             raise SpaceMismatch("target on a different space")
         if len(set(p.coords for p in points)) != len(points):
             raise InvalidInput("points are not pairwise distinct")

@@ -11,12 +11,6 @@ class XrankError(Exception):
     code = "DomainError"
 
 
-class MixedFields(XrankError):
-    """Operands belong to different coefficient fields."""
-
-    code = "MixedFields"
-
-
 class DivisionByZero(XrankError, ZeroDivisionError):
     code = "DivisionByZero"
 

@@ -1,9 +1,9 @@
-"""Exact scalars and dense linear algebra over Q and GF(p).
+"""Exact field elements and dense linear algebra over Q and GF(p).
 
-Raw scalar values are `fractions.Fraction` over the rationals and plain
-ints in [0, p) over a prime field; `FieldSpec` owns the raw arithmetic.
-`Scalar` wraps a raw value with its field for the public surface and for
-serialization ("a/b" or "a" over Q, a decimal residue over GF(p)).
+Field elements are `fractions.Fraction` over the rationals and plain
+ints in [0, p) over a prime field; `FieldSpec` owns their arithmetic and
+their text form (`parse_scalar` and `format_scalar`: "a/b" or "a" over
+Q, a decimal residue over GF(p)).
 
 `Echelon` is the incremental elimination kernel: an echelon basis of a
 row span that grows one row at a time (`insert`),
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, DivisionByZero, MixedFields
+from .errors import DimensionMismatch, DivisionByZero
 
 # Deterministic Miller-Rabin with these bases is exact below 3.18e23
 # (Sorenson and Webster), which covers every modulus below MODULUS_BOUND.
@@ -82,14 +82,6 @@ class FieldSpec:
             raise ValueError("modulus %r is not prime" % (self.modulus,))
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         if text == "QQ":
             return cls(None)
@@ -127,24 +119,8 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.modulus if self.modulus else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.modulus if self.modulus else a - b
-
     def mul(self, a, b):
         return (a * b) % self.modulus if self.modulus else a * b
-
-    def neg(self, a):
-        return (-a) % self.modulus if self.modulus else -a
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero in %s" % self)
-        return pow(a, -1, self.modulus) if self.modulus else 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by zero in %s" % self)
-        return a * pow(b, -1, self.modulus) % self.modulus if self.modulus else a / b
 
     def parse_scalar(self, text: str):
         """Parse "a" or "a/b" (decimal residue over GF(p)); ValueError
@@ -160,64 +136,11 @@ class FieldSpec:
     def format_scalar(self, value) -> str:
         return str(value)
 
-    def random_element(self, rng, box: int = 50, nonzero: bool = False):
+    def random_element(self, rng, box: int = 50):
         """Uniform raw element; over Q an integer from [-box, box]."""
-        while True:
-            if self.modulus is not None:
-                v = rng.randrange(self.modulus)
-            else:
-                v = Fraction(rng.randint(-box, box))
-            if v != 0 or not nonzero:
-                return v
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field."""
-
-    field: FieldSpec
-    value: Fraction | int
-
-    @classmethod
-    def of(cls, field: FieldSpec, value) -> "Scalar":
-        return cls(field, field.coerce(value))
-
-    @classmethod
-    def parse(cls, field: FieldSpec, text: str) -> "Scalar":
-        return cls(field, field.parse_scalar(text))
-
-    def _check(self, other: "Scalar"):
-        if self.field != other.field:
-            raise MixedFields("%s vs %s" % (self.field, other.field))
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __str__(self):
-        return self.field.format_scalar(self.value)
+        if self.modulus is not None:
+            return rng.randrange(self.modulus)
+        return Fraction(rng.randint(-box, box))
 
 
 # -- elimination kernels on raw rows ------------------------------------
@@ -398,7 +321,9 @@ def solve_columns(field: FieldSpec, columns, target) -> CoordinateSolution:
     return CoordinateSolution(coeffs, independent)
 
 
-# -- small vector helpers used across modules ---------------------------
+# -- small vector helpers -----------------------------------------------
+# vec_add and vec_scale have no caller in src/: perfbench/workloads.py is
+# their only user outside the tests until ROADMAP item 1 retires them.
 
 
 def vec_add(field, a, b):

@@ -67,10 +67,6 @@ class MultiProjectiveSpace:
     def is_segre(self) -> bool:
         return all(d == 1 for d in self.multidegree)
 
-    @property
-    def is_veronese(self) -> bool:
-        return self.k == 1
-
     def factor_monomial_counts(self) -> tuple:
         return tuple(math.comb(n + d, n)
                      for n, d in zip(self.factor_dims, self.multidegree))
@@ -228,7 +224,7 @@ def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
     """Segre-Veronese embedding of a point, scaled by the image's own
     first nonzero entry, so canonical however the factors are scaled.
     Clearing a factor's denominators over Q is a projective rescaling."""
-    if point.space != space:
+    if point.space is not space and point.space != space:
         raise SpaceMismatch("point does not live on the given space")
     p = space.field.modulus
     coords = [1]
@@ -254,7 +250,7 @@ def line_point(field: FieldSpec, a, w, t):
     """The vector a + t*w, unnormalized; a and w must have equal length."""
     if len(a) != len(w):
         raise DimensionMismatch("vector lengths %d vs %d" % (len(a), len(w)))
-    tv = field.coerce(t.value if hasattr(t, "value") else t)
+    tv = field.coerce(t)
     p = field.modulus
     if p is None:
         return tuple(x + tv * y for x, y in zip(a, w))

@@ -131,10 +131,6 @@ class SpanningSets:
     def count(self) -> int:
         return len(self.witnesses)
 
-    @property
-    def nonempty(self) -> bool:
-        return bool(self.witnesses)
-
     def to_json(self):
         return {"t": self.t, "count": self.count,
                 "complete": self.complete,
@@ -183,12 +179,6 @@ class GapProfile:
     def gaps(self) -> tuple:
         return tuple(t for t, c, _ in self.entries
                      if c == 0 and self.rank < t < self.max_t)
-
-    def nonempty_at(self, t: int) -> bool:
-        for tt, c, _ in self.entries:
-            if tt == t:
-                return c > 0
-        raise InvalidInput("t=%d outside the profiled range" % t)
 
     def to_json(self):
         return {"rank": self.rank, "max_t": self.max_t,
@@ -297,11 +287,10 @@ def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
 
 
 def gap_profile(q: Tensor, *, within: Optional[SubspaceSpec] = None,
-                budget: int = DEFAULT_BUDGET,
-                engine: str = "auto") -> GapProfile:
+                budget: int = DEFAULT_BUDGET) -> GapProfile:
     """Full witness landscape for t from the rank up to N+1, N the
     projective dimension of the searched span."""
-    cert = brute_rank(q, within=within, budget=budget, engine=engine)
+    cert = brute_rank(q, within=within, budget=budget)
     if within is None:
         N = ambient_dim(q.space)
     else:
@@ -313,21 +302,19 @@ def gap_profile(q: Tensor, *, within: Optional[SubspaceSpec] = None,
             wits = cert.witnesses
             entries.append((t, len(wits), wits[0]))
             continue
-        ss = spanning_sets(q, t, "all", within=within, budget=budget,
-                           engine=engine)
+        ss = spanning_sets(q, t, "all", within=within, budget=budget)
         searched += ss.search_space_size
         entries.append((t, ss.count,
                         ss.witnesses[0] if ss.witnesses else None))
     return GapProfile(q, cert.rank, N + 1, tuple(entries), searched)
 
 
-def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET,
-                  engine: str = "auto") -> ConciseResult:
+def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET) -> ConciseResult:
     """Smallest t admitting an irredundant size-t decomposition whose set
     envelope is the whole space, with a witness.  Cardinalities below the
     answer are fully enumerated and reported as non-concise-only."""
     space = q.space
-    cert = brute_rank(q, budget=budget, engine=engine)
+    cert = brute_rank(q, budget=budget)
     big = ground_set(space).span.rank
 
     def full_env(d):
@@ -336,7 +323,7 @@ def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET,
     searched = cert.search_space_size
     non_concise = []
     for t in range(cert.rank, big + 1):
-        ss = spanning_sets(q, t, "exists", budget=budget, engine=engine,
+        ss = spanning_sets(q, t, "exists", budget=budget,
                            predicate=full_env)
         searched += ss.search_space_size
         if ss.witnesses:

@@ -212,7 +212,6 @@ def test_criterion_4_quartic_gap_at_three():
         cert = brute_rank(q)
         assert cert.rank == 2
         prof = gap_profile(q)
-        assert not prof.nonempty_at(3)
         assert 3 in prof.gaps
         assert [(t, c) for t, c, _ in prof.entries] == counts
     elapsed = time.time() - start
@@ -391,7 +390,7 @@ def test_criterion_9_sampled_spanning_sets_never_empty():
         q = lin_comb(S, pts, coeffs)
         for t in range(size + 1, 5):
             res = spanning_sets(q, t, mode="exists")
-            if not res.nonempty:
+            if not res.witnesses:
                 failures.append({"support": [p.to_json() for p in pts],
                                  "coefficients": coeffs,
                                  "target": q.to_json(), "t": t})

@@ -20,8 +20,7 @@ from conftest import QQ, gf, lin_comb, pt, segre, veronese
 from xrank import construct
 from xrank.cli import main
 from xrank.decomp import Decomposition, verify_irredundant
-from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
-                            Tensor, embed)
+from xrank.geometry import MultiProjectiveSpace, SubspaceSpec, Tensor, embed
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -629,6 +628,15 @@ def _readme_files_and_commands(block):
         elif current is not None:
             current.append(line)
     return {k: "\n".join(v) for k, v in files.items()}, commands
+
+
+def test_star_import_resolves_every_exported_name():
+    import xrank
+    namespace = {}
+    exec("from xrank import *", namespace)
+    assert xrank.__all__ and set(xrank.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(xrank, name)
+               for name in xrank.__all__)
 
 
 def test_readme_library_example():

@@ -413,6 +413,20 @@ def test_sv_extend_with_a_non_coordinate_base_point(field):
     assert set_envelope(SV, out.points).dims[-1] == 2
 
 
+def test_sv_extend_escape_route_records_its_certification():
+    # the escape route runs escape without the flag; the provenance must
+    # still record the oracle's certification of the input
+    S = segre((1, 1, 1), gf(3))
+    A = [pt(S, E0, E0, E0), pt(S, E1, E1, E0)]
+    d = Decomposition(S, A, lin_comb(S, A))
+    out = sv_extend(d, certify_minimal=True)
+    assert out.provenance["route"] == "escape"
+    assert out.provenance["certified_minimal"] is True
+    plain = sv_extend(d)
+    assert plain.provenance["certified_minimal"] is False
+    assert plain.points == out.points
+
+
 def test_sv_extend_rejects_spread_out_input():
     # points off a common last-factor slice cannot define Y x {o}; the
     # shape check fires before any containment question can arise
@@ -523,13 +537,12 @@ def test_line_draws_by_index_match_the_listed_draws(p):
             seen["on" if rank_rows(F, [a, w, e]) == 2 else "off"] += 1
         old, new = random.Random(seed), random.Random(seed)
         want = _listed_pair(F, old, a, w, excluded)
-        assert construct._usable_line_pair(F, new, 50, a, w,
-                                           excluded) == want
+        assert construct._usable_line_pair(F, new, a, w, excluded) == want
         assert new.getstate() == old.getstate()
         seen["starved"] += want is None
         count = 1 + seed % min(p, 3)
         want = old.sample(_listed_line(F, a, w), count)
-        assert construct._line_candidates(F, new, 50, a, w, count) == want
+        assert construct._line_candidates(F, new, a, w, count) == want
         assert new.getstate() == old.getstate()
     assert seen["on"] and seen["off"]
     assert seen["starved"] or p > 5  # GF(11) never loses 10 points
@@ -634,3 +647,91 @@ def test_plus_one_frozen_outputs_rationals():
         _assert_report_is_a_fresh_solve(out)
     assert _digest(outs) == (
         "a4dfaf091bd8b62fc9aaa543f72aff24b28574db5a6f9ae92107b321be4801b4")
+
+
+def _sliced_sum(space, rng, r, o, coeff):
+    """A random r-point irredundant decomposition on Y' x {o}: every point
+    carries the last-factor vector o (None when the draw fails)."""
+    last = space.k - 1
+    return _irredundant_sum(
+        space, rng, r,
+        lambda: random_point(space, rng, 5).replace_factor(last, o), coeff)
+
+
+def _frozen_cases(field):
+    """Seeded outputs of escape, concise_plus_m, veronese_extend and both
+    sv_extend routes over one field, in a fixed order."""
+    p = field.modulus
+    rng = random.Random(9090 + (p or 0))
+
+    def coeff():
+        return rng.randrange(1, p) if p else rng.randint(1, 5)
+
+    def made(build, count):
+        outs = []
+        while len(outs) < count:
+            d = build()
+            if d is not None:
+                outs.append(d)
+        return outs
+
+    outs = []
+    # escape: from inside Y = P1 x {o} and Y = <b0, b1> x P1
+    S = segre((1, 1), field)
+    y = SubspaceSpec.of(S, [(E0, E1), ((1, 1),)])
+    for i, d in enumerate(made(lambda: _sliced_sum(
+            S, rng, rng.randint(1, 2), (1, 1), coeff), 2)):
+        outs.append(escape(d, y, ConstructionConfig(rng_seed=i)))
+    S = segre((2, 1), field)
+    y = SubspaceSpec.of(S, [((1, 0, 1), (0, 1, 2)), (E0, E1)])
+    red = y.reduced_space()
+    for i, d in enumerate(made(lambda: _irredundant_sum(
+            S, rng, 2, lambda: y.lift_point(random_point(red, rng, 5)),
+            coeff), 3)):
+        outs.append(escape(d, y, ConstructionConfig(rng_seed=i),
+                           assert_minimal=i == 1))
+    # concise_plus_m: Y' x {o} with Y' = P1 and Y' = P2, m = 2
+    for dims, r in (((1, 2), 2), ((2, 2), 3)):
+        W = segre(dims, field)
+        for i, d in enumerate(made(lambda: _sliced_sum(
+                W, rng, r, (1, 0, 1), coeff), 2)):
+            if set_envelope(W, d.points).dims[:-1] != dims[:-1]:
+                continue
+            outs.append(concise_plus_m(d, 2, ConstructionConfig(rng_seed=i)))
+    # veronese_extend: a point or a line of P2 up to P2, degrees 2 and 3
+    for deg, r in ((2, 1), (2, 2), (3, 2)):
+        V = veronese(2, deg, field)
+        for i, d in enumerate(made(lambda: _irredundant_sum(
+                V, rng, r, lambda: random_point(V, rng, 5), coeff), 2)):
+            if set_envelope(V, d.points).dims[0] != r - 1:
+                continue
+            outs.append(veronese_extend(d, 2, ConstructionConfig(rng_seed=i)))
+    # sv_extend: the escape route (last degree 1) and the line steps
+    for space in (segre((1, 1), field), segre((2, 1), field),
+                  MultiProjectiveSpace((1, 1), (1, 2), field),
+                  MultiProjectiveSpace((1, 2), (1, 2), field)):
+        o = (1,) + (0,) * space.factor_dims[-1]
+        for i, d in enumerate(made(lambda: _sliced_sum(
+                space, rng, 2, o, coeff), 2)):
+            outs.append(sv_extend(d, ConstructionConfig(rng_seed=i),
+                                  assert_minimal=i == 0))
+    return outs
+
+
+@pytest.mark.parametrize("field, count, digest", [
+    (QQ, 23,
+     "872209acd95dfb7537d3a3861c2fa6c2f90c895e99d9313abf5543d27e9296c3"),
+    (gf(11), 23,
+     "7e2d2fa52cb1bdaaccd55970f6ebd0a522f45627d5992018fb3df284facf42d6"),
+], ids=["QQ", "GF(11)"])
+def test_other_constructions_frozen_outputs(field, count, digest):
+    """Seeded outputs of the four constructions other than plus_one,
+    points, target and provenance; recorded before their input checks
+    and line-step loops were shared between them."""
+    outs = _frozen_cases(field)
+    routes = {o.provenance.get("route") for o in outs
+              if o.provenance.get("construction") == "sv_extend"}
+    assert routes == {"escape", "line_steps"}
+    for out in outs:
+        assert verify_irredundant(out).irredundant
+    assert (len(outs), _digest(outs)) == (count, digest)

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import gf, lin_comb, pt, segre, veronese
 
-from xrank import oracle, quotient
+from xrank import quotient
 from xrank.decomp import Decomposition, set_envelope, verify_irredundant
 from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                           ModulusTooLarge, TargetNotSpanned)
 from xrank.exactlin import FieldSpec, solve_columns
-from xrank.geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
-                            canonical_vector, count_points, embed)
+from xrank.geometry import (SubspaceSpec, Tensor, canonical_vector,
+                            count_points, embed)
 from xrank.oracle import (brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
 from xrank.quotient import _canonical, candidates
@@ -136,9 +136,9 @@ def test_spanning_sets_exists_mode_short_circuits():
     S = segre((1, 1), gf(3))
     q = Tensor.of(S, (1, 0, 0, 1))
     hit = spanning_sets(q, 2, mode="exists")
-    assert hit.nonempty and not hit.complete and hit.count == 1
+    assert hit.witnesses and not hit.complete and hit.count == 1
     empty = spanning_sets(q, 1, mode="exists")
-    assert not empty.nonempty and empty.complete
+    assert not empty.witnesses and empty.complete
 
 
 def test_spanning_sets_input_validation():
@@ -542,8 +542,8 @@ def test_witness_report_matches_a_fresh_solve(space, coords, t):
         assert (rep.independent, rep.in_span, rep.irredundant) == \
             (fresh.independent, fresh.in_span, fresh.irredundant) == \
             (True, True, True)
-        assert rep.coefficients == fresh.coefficients
-        assert len(rep.coefficients) == t
+        assert rep.values == fresh.values
+        assert len(rep.values) == t
 
 
 # -------------------------------------------------------------- gap profile
@@ -556,13 +556,10 @@ def _rnc_target(p):
 def test_gap_profile_quartic_over_gf5():
     prof = gap_profile(_rnc_target(5))
     assert prof.rank == 2
+    # the top cardinality N+1 is empty here: small fields can starve it
     assert [(t, c) for t, c, _ in prof.entries] == \
         [(2, 1), (3, 0), (4, 1), (5, 0)]
     assert prof.gaps == (3,)
-    assert not prof.nonempty_at(3)
-    assert prof.nonempty_at(4)
-    # the top cardinality N+1 is empty here: small fields can starve it
-    assert not prof.nonempty_at(5)
 
 
 def test_gap_profile_quartic_over_gf7():
@@ -587,12 +584,6 @@ def test_gap_profile_witnesses_verify():
         if c:
             assert w is not None and len(w.points) == t
             assert verify_irredundant(w).irredundant
-
-
-def test_gap_profile_out_of_range_query():
-    prof = gap_profile(_rnc_target(5))
-    with pytest.raises(InvalidInput):
-        prof.nonempty_at(1)
 
 
 # ------------------------------------------------------------ min concise t
