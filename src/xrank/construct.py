@@ -352,13 +352,19 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     for p in d.points:
         if not ysub.contains_point(p):
             raise NotContainedInY("input point outside Y")
-    field = space.field
-    span_cols = ysub.span_columns()
-    if solve_columns(field, span_cols, d.target.coords).coefficients is None:
+    if solve_columns(space.field, ysub.span_columns(),
+                     d.target.coords).coefficients is None:
         raise NotContainedInY("target outside the span of Y's image")
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
+    return _escape(d, ysub, cfg, assert_minimal, certify_minimal)
 
+
+def _escape(d, ysub, cfg, assert_minimal, certify_minimal):
+    """`escape` once its input checks have passed: Y is proper and holds
+    the irredundant input's points and its target."""
+    space = d.space
+    field = space.field
     istar = next(i for i in range(space.k)
                  if ysub.dims[i] < space.factor_dims[i])
     if space.multidegree[istar] != 1:
@@ -588,9 +594,13 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
     if space.multidegree[last] == 1:
-        out = escape(d, ysub, cfg, assert_minimal=assert_minimal)
+        # _irredundant_input and _last_factor_slice have run escape's
+        # other checks: Y holds the irredundant input and its target
+        if ysub.dims == space.factor_dims:
+            raise YEqualsW("Y equals the ambient space")
+        out = _escape(d, ysub, cfg, assert_minimal, certify_minimal)
         prov = dict(out.provenance, construction="sv_extend",
-                    route="escape", certified_minimal=bool(certify_minimal))
+                    route="escape")
         return Decomposition(space, out.points, out.target, prov)
     prov = _base_provenance("sv_extend", cfg, assert_minimal,
                             certify_minimal)

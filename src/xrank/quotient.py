@@ -11,9 +11,14 @@ empty prefix.
 Residues are held in the narrowest of int8, int16, int32 and int64 that
 holds (p-1)^2 + p, so a product of two residues fits: int8 up to GF(11),
 int16 up to GF(181), int32 up to GF(46337), int64 up to GF(3037000493).
-Ray keys are packed into int64 words.  The oracle imports this module,
-and with it numpy, only when it builds its first GF(p) ground set
-(`residue_matrix`); verification and the constructions never load it.
+Residues are reduced by floor division, x - (x // p) p (`_mod`), never
+by numpy's integer `%`: numpy divides an array by one invariant integer
+on a vectorised path that `%` does not take, and on 64K int8 or int16
+entries the reduction ran 30-40 times faster.  `_mod` argues why it is
+exact in these dtypes.  Ray keys are packed into int64 words.  The oracle
+imports this module, and with it numpy, only when it builds its first
+GF(p) ground set (`residue_matrix`); verification and the constructions
+never load it.
 """
 
 import math
@@ -24,8 +29,10 @@ from .errors import ModulusTooLarge
 
 _INT64_LIMIT = 2 ** 63
 _RESIDUE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
-# (anchor, point) rows the anchor search projects at once: bounds its memory
-# and keeps a block's arrays in cache (2^13 ran ~25% faster than 2^15)
+# (anchor, point) rows the anchor search projects at once, and the bucket
+# pairs it filters at once: bounds its memory.  Larger blocks buy no clear
+# time: 2^14 and 2^15 ran growth's t=3 searches within 10% of 2^13 either
+# way, and raised growth's peak RSS by about 2.4 and 5 MB
 _T3_BLOCK_ROWS = 2 ** 13
 
 
@@ -46,16 +53,35 @@ def residue_matrix(p, cols):
     return emb
 
 
+def _mod(x, p, out=None):
+    """x mod p, in [0, p) and in x's dtype, as x - (x // p) p.  `out=x`
+    works in place; either way the one scratch array is x // p.
+
+    Floor division by p > 0 rounds x / p towards -inf for either sign of
+    x, so x - (x // p) p lies in [0, p): it is Python's x % p, provided
+    no step overflows.  The engine reduces products of two residues, in
+    [0, (p-1)^2], and differences r - h s of residues, in
+    [-(p-1)^2, p-1]: every x lies in [-(p-1)^2, (p-1)^2 + p].  As
+    (x // p) p lies in [x - (p-1), x], it lies in
+    [-p(p-1), (p-1)^2 + p], and p(p-1) < (p-1)^2 + p, the bound that
+    `_residue_dtype` picks the dtype to hold."""
+    q = np.floor_divide(x, p)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
+
+
 def _inverses(vals, p):
-    """Inverses of nonzero residues mod p by vectorised exponentiation."""
-    out = np.ones_like(vals)
+    """Inverses of nonzero residues mod p by vectorised exponentiation,
+    vals^(p-2), with no product by the initial one or final square."""
+    out = None
     e = p - 2
     while e:
         if e & 1:
-            out = out * vals % p
-        vals = vals * vals % p
+            out = vals if out is None else _mod(out * vals, p)
         e >>= 1
-    return out
+        if e:
+            vals = _mod(vals * vals, p)
+    return np.ones_like(vals) if out is None else out
 
 
 def _canonical(rows, p, out=None):
@@ -65,14 +91,14 @@ def _canonical(rows, p, out=None):
     lead = np.argmax(rows != 0, axis=1)
     vals = rows[np.arange(len(rows)), lead][:, None]
     out = np.multiply(rows, _inverses(vals, p), out=out)
-    out %= p
-    return out, lead
+    return _mod(out, p, out=out), lead
 
 
 def _project(rows, hat, lead, p):
     """Images of the rows in V/<h>, h canonical (one, or one per row):
     row - row[lead] h.  The lead column becomes zero and is kept."""
-    return (rows - hat * rows[np.arange(len(rows)), lead][:, None]) % p
+    x = rows - hat * rows[np.arange(len(rows)), lead][:, None]
+    return _mod(x, p, out=x)
 
 
 def _pack_digits(digits, p):
@@ -162,7 +188,7 @@ def _prefix_walk(p, idx, emb, img, depth, prefix):
     (emb) and V/<q, P> (img), all nonzero in V/<q, P>.  A node's anchor
     search runs whole before its first triple is yielded: interleaving
     its blocks with the caller's verification made growth's t=3 targets
-    about 10% slower; the triples become tuples one block at a time."""
+    about 10% slower; the triples become tuples one filter batch at a time."""
     if depth == 0:
         for block in _anchor_triples(p, emb, img):
             for triple in sorted(map(tuple, idx[block].tolist())):
@@ -180,7 +206,7 @@ def _prefix_walk(p, idx, emb, img, depth, prefix):
 
 def _anchor_triples(p, emb, img):
     """Row triples (a, b, c), a < b < c, with b and c on one ray of
-    V/<q, P, a>: one int64 array per block of anchors, in anchor order.
+    V/<q, P, a>: one int64 array per filter batch, in anchor order.
 
     Each row a is an anchor in turn; the later rows are projected into
     V/<q, P, a> and bucketed by ray.  A block takes the anchors
@@ -197,7 +223,9 @@ def _anchor_triples(p, emb, img):
     the anchor and the key words are lexsorted.  For a witness
     P + {a, b, c}, its dependency maps to x a' + y b' + z c' = 0 in
     V/<q, P>, with x, y, z nonzero, so b and c are on one ray modulo a'.
-    Two kinds of bucket pairs are dropped, and neither can be a witness:
+    The bucket pairs of consecutive blocks are gathered into a batch of
+    at least _T3_BLOCK_ROWS triples, or what the last blocks leave, and
+    two kinds are dropped from it; neither can be a witness:
     - b' and c' parallel in V/<q, P>: a dependency y b' + z c' = 0 gives
       one of P + {b, c} in V/<q> that leaves a out.  This also drops the
       pairs of rows whose images are parallel to a', which all share
@@ -210,7 +238,7 @@ def _anchor_triples(p, emb, img):
     qkeys = _pack_digits(hat, p)
     ehat, elead = _canonical(emb, p)
     base = p ** L  # bounds every one-word ray key
-    found = []
+    found, batch, held = [], [], 0
     a0 = 0
     while a0 < M - 2:
         R = M - 1 - a0
@@ -221,7 +249,7 @@ def _anchor_triples(p, emb, img):
         # the canonical anchor a0 + k, the row's image in V/<q, P, a>
         rows = hat[a0:a1, None, :] * tail[:, lead[a0:a1]].T[:, :, None]
         np.subtract(tail, rows, out=rows)
-        rows %= p
+        _mod(rows, p, out=rows)
         rows = rows.reshape(A * R, L)
         _canonical(rows, p, out=rows)
         keys = _pack_digits(rows, p)
@@ -239,12 +267,16 @@ def _anchor_triples(p, emb, img):
             (np.arange(R) >= np.arange(A)[:, None]).reshape(A * R))
         u, v = _bucket_pairs(keys[later])
         u, v = later[u], later[v]
-        a, b, c = a0 + u // R, a0 + 1 + u % R, a0 + 1 + v % R
-        keep = (qkeys[b] != qkeys[c]).any(axis=1)
-        a, b, c = a[keep], b[keep], c[keep]
-        keep = (_ray_keys(_project(emb[b], ehat[a], elead[a], p), p)
-                != _ray_keys(_project(emb[c], ehat[a], elead[a], p), p)
-                ).any(axis=1)
-        found.append(np.column_stack([a[keep], b[keep], c[keep]]))
+        batch.append((a0 + u // R, a0 + 1 + _mod(u, R), a0 + 1 + _mod(v, R)))
+        held += len(u)
         a0 = a1
+        if held >= _T3_BLOCK_ROWS or a0 >= M - 2:
+            a, b, c = (np.concatenate(col) for col in zip(*batch))
+            batch, held = [], 0
+            keep = (qkeys[b] != qkeys[c]).any(axis=1)
+            a, b, c = a[keep], b[keep], c[keep]
+            ha, la = ehat[a], elead[a]
+            keep = (_ray_keys(_project(emb[b], ha, la, p), p)
+                    != _ray_keys(_project(emb[c], ha, la, p), p)).any(axis=1)
+            found.append(np.column_stack([a[keep], b[keep], c[keep]]))
     return found

@@ -389,6 +389,28 @@ def test_sv_extend_degree_one_delegates_to_escape():
     assert out.provenance["route"] == "escape"
 
 
+def test_sv_extend_escape_route_solves_the_slice_once(monkeypatch):
+    # the input's report, the target in Y' x {o} (4 columns), and the
+    # candidate's report: escape's own checks are not run again
+    S = segre((1, 1, 1))
+    A = [pt(S, E0, E0, E0), pt(S, E1, E1, E0)]
+    d = Decomposition(S, A, lin_comb(S, A))
+    calls = _count_solves(monkeypatch)
+    out = sv_extend(d, ConstructionConfig(rng_seed=2))
+    assert out.provenance["route"] == "escape"
+    assert out.provenance["retries_used"] == 0
+    assert calls == [("xrank.decomp", 2), ("xrank.construct", 4),
+                     ("xrank.decomp", 3)]
+
+
+def test_sv_extend_rejects_a_point_last_factor():
+    # on P1 x P0 the slice Y' x {o} is the whole space
+    S = segre((1, 0))
+    A = [pt(S, E0, (1,)), pt(S, E1, (1,))]
+    with pytest.raises(YEqualsW):
+        sv_extend(Decomposition(S, A, lin_comb(S, A)))
+
+
 def test_sv_extend_degree_two_line_steps():
     SV = MultiProjectiveSpace((1, 1), (1, 2), QQ)
     o = E0
@@ -452,20 +474,26 @@ def test_config_validation():
         ConstructionConfig(max_retries=0)
 
 
-def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
-    # the witness carries the oracle's report, so it is never solved
-    # again; the candidate costs one two-column solve, which proves its
-    # report, and a fresh copy of the witness one more, for its input
-    S = segre((1, 1), gf(11))
-    w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
+def _count_solves(monkeypatch):
+    """A list that records (module, number of columns) for every
+    `solve_columns` call that construct and decomp make."""
     calls = []
-
     for module in (construct, decomp):
         def counting(*args, solve=module.solve_columns, name=module.__name__):
             calls.append((name, len(args[1])))
             return solve(*args)
 
         monkeypatch.setattr(module, "solve_columns", counting)
+    return calls
+
+
+def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
+    # the witness carries the oracle's report, so it is never solved
+    # again; the candidate costs one two-column solve, which proves its
+    # report, and a fresh copy of the witness one more, for its input
+    S = segre((1, 1), gf(11))
+    w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
+    calls = _count_solves(monkeypatch)
     out = plus_one(w)
     assert out.provenance["retries_used"] == 0
     assert calls == [("xrank.construct", 2)]

@@ -307,6 +307,18 @@ def test_t4_witnesses_frozen_over_gf3():
         "458767bde3c358442f379c712290cdc2a9c50c495ce3cf030d94dad3d5d322d1"
 
 
+def test_t5_candidates_frozen_over_gf3():
+    # W; recorded while the engine still reduced with numpy's `%` and
+    # filtered every anchor block alone.  The t=3 and t=4 digests reach
+    # prefix depths 0 and 1; this one walks depth 2
+    S = segre((1, 1, 1), gf(3))
+    W = Tensor.of(S, _e(1, 2, 4))
+    found = list(candidates(S.field, ground_set(S).residues, W.coords, 5))
+    assert len(found) == 70955
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == \
+        "629a531ff6c1242ab7c99a5fd8cbd08a26241d0c69f6c13be617e9fed3910f23"
+
+
 def _first_prefix_node(found):
     """The candidates of the first prefix node of a t=4 search."""
     first = next(found)
@@ -423,14 +435,70 @@ def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
     assert key_shape in shapes
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def _filter_batches(monkeypatch):
+    """A list that gets, for each filter batch of the anchor search, the
+    bucket-pair counts of the blocks it gathered."""
+    batches, blocks = [], []
+    bucket, ray_keys = quotient._bucket_pairs, quotient._ray_keys
+
+    def bucket_spy(keys):
+        u, v = bucket(keys)
+        blocks.append(len(u))
+        return u, v
+
+    def ray_keys_spy(rows, p):  # twice per batch, in the second filter
+        if blocks:
+            batches.append(blocks[:])
+            blocks.clear()
+        return ray_keys(rows, p)
+
+    monkeypatch.setattr(quotient, "_bucket_pairs", bucket_spy)
+    monkeypatch.setattr(quotient, "_ray_keys", ray_keys_spy)
+    return batches
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 32])
 def test_anchor_search_at_small_block_sizes(monkeypatch, block_rows):
-    # at 1 and 2 every block holds one anchor; at 7 the blocks near the
-    # end hold several, and the last one is cut short at anchor M - 2
+    # at 1 and 2 every block holds one anchor and fills a filter batch;
+    # at 7 and 32 the blocks near the end hold several anchors, a batch
+    # gathers the pairs of several blocks, and the last block, cut short
+    # at anchor M - 2, ends a partial batch
     monkeypatch.setattr(quotient, "_T3_BLOCK_ROWS", block_rows)
     F, cols, q = _clustered_columns(11, 5, seed=block_rows)
+    batches = _filter_batches(monkeypatch)
     assert len(_engine_against_the_definition(F, cols, q, 3)) >= 20
+    # a batch is filtered at the first block that fills it
+    assert all(sum(b[:-1]) < block_rows <= sum(b) for b in batches[:-1])
+    assert sum(batches[-1][:-1]) < block_rows
+    if block_rows > 2:
+        assert any(len(b) > 1 for b in batches)
+        assert sum(batches[-1]) < block_rows
     assert len(_engine_against_the_definition(F, cols, q, 4)) >= 20
+
+
+@pytest.mark.parametrize("p, dtype, exhaustive", [
+    (11, np.int8, True),      # the last prime of each dtype
+    (181, np.int16, True),
+    (46337, np.int32, False),
+    (3037000493, np.int64, False),
+])
+def test_mod_matches_python_over_the_operand_range(p, dtype, exhaustive):
+    # the engine reduces x in [-(p-1)^2, (p-1)^2 + p]: products and
+    # differences of residues
+    lo, hi = -(p - 1) ** 2, (p - 1) ** 2 + p
+    if exhaustive:
+        xs = list(range(lo, hi + 1))
+    else:
+        rng = random.Random(p)
+        xs = ([lo, lo + 1, hi - 1, hi, 0, 1, -1, p, -p, p - 1, 1 - p]
+              + [rng.randint(lo, hi) for _ in range(20000)])
+    want = [x % p for x in xs]
+    x = np.array(xs, dtype=dtype)
+    got = quotient._mod(x, p)
+    assert got.dtype == dtype and got.tolist() == want
+    assert x.tolist() == xs
+    assert quotient._mod(x, p, out=x) is x
+    assert x.dtype == dtype and x.tolist() == want
 
 
 def _residue_dtype(p):
