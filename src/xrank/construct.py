@@ -4,14 +4,16 @@ Each operation draws random data under explicit non-degeneracy constraints,
 builds a candidate, checks it exactly, and retries with fresh randomness
 up to max_retries.  The check is the exact verifier, except in `plus_one`,
 which proves its candidate's report from the input's report, one exact
-two-column solve and one span test (see its docstring).  Outputs
-therefore never rely on genericity arguments alone; every returned
-decomposition carries an exact report.  All draws come from one seeded
-stream, so identical (input, seed, config) give identical outputs.
+two-column solve on the changed factor's vectors (length n_i + 1, not
+N + 1) and one span test (see its docstring).  Outputs therefore never
+rely on genericity arguments alone; every returned decomposition carries
+an exact report.  All draws come from one seeded stream, so identical
+(input, seed, config) give identical outputs.
 """
 
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
                      verify_irredundant)
@@ -20,7 +22,8 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotConcise, NotContainedInY, NotIrredundantInput,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
-from .exactlin import Echelon, in_span, rank_rows, solve_columns
+from .exactlin import (Echelon, _integer_row, in_span, rank_rows,
+                       solve_columns)
 from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
                        canonical_vector, embed, line_point)
 from .oracle import brute_rank
@@ -155,19 +158,58 @@ def _with_factor(point, i, vec):
     return MppPoint(point.space, coords[:i] + (vec,) + coords[i + 1:])
 
 
+def _fiber_map(space, point, i):
+    """The map y -> L(y), the Segre embedding of `point` with factor i
+    replaced by y: the product of point's other factors with y, nested
+    left to right.  L is linear and injective in y.  For a canonical y it
+    equals `embed(space, point.replace_factor(i, y)).coords` exactly: a
+    product of vectors with leading entry 1 has leading entry 1.  As in
+    `embed`, over Q each factor is cleared to ints first, and the product
+    is divided once by the product of the denominators cleared, which is
+    its lead for a canonical y."""
+    p = space.field.modulus
+    left, right = [1], [1]
+    den = 1
+    for t, vec in enumerate(point.coords):
+        if t == i:
+            continue
+        if p is None:
+            vec, d = _integer_row(vec)
+            den *= d
+        if t < i:
+            left = [c * x for c in left for x in vec]
+        else:
+            right = [c * x for c in right for x in vec]
+    if p is None:
+        def fiber(y):
+            ints, d = _integer_row(y)
+            d *= den
+            return tuple([Fraction(c * x * r, d)
+                          for c in left for x in ints for r in right])
+    else:
+        left = [c % p for c in left]
+        right = [c % p for c in right]
+
+        def fiber(y):
+            return tuple([c * x * r % p
+                          for c in left for x in y for r in right])
+    return fiber
+
+
 def _escaping_fibers(space, points, u_span):
-    """(point index, factor) pairs, in order, whose fiber through the point
-    has a coordinate direction embedding outside U."""
+    """(point index, factor, fiber map) triples, in order, whose fiber
+    through the point has a coordinate direction embedding outside U; the
+    map is `_fiber_map` of that point and factor."""
     field = space.field
     for ai, a in enumerate(points):
         for i in range(space.k):
+            fiber = _fiber_map(space, a, i)
             n = space.factor_dims[i]
             for j in range(n + 1):
                 e = tuple(field.one() if t == j else field.zero()
                           for t in range(n + 1))
-                if not u_span.contains(
-                        embed(space, a.replace_factor(i, e)).coords):
-                    yield ai, i
+                if not u_span.contains(fiber(e)):
+                    yield ai, i, fiber
                     break
 
 
@@ -179,7 +221,7 @@ def _starved_p1_fibers(space, points, viable):
     p = space.field.modulus
     return all(space.factor_dims[i] == 1
                and p + 1 - len({q.coords[i] for q in points}) < 2
-               for _, i in viable)
+               for _, i, _ in viable)
 
 
 def _certify_minimal_via_oracle(d, within=None):
@@ -240,15 +282,27 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     fiber is a P^1 with fewer than two usable points.  The input is
     checked by `verify_irredundant`, which reuses a report the input
     already carries (an oracle witness has one) instead of solving again.
+    No point is embedded: the scan's unit directions and the two new
+    columns are images under the fiber map L of `_fiber_map`, whose
+    product of the point's other factors is built once per (point,
+    factor).
 
     The output's report is proved, not solved again.  The input gives
     q = sum_j c_j x_j, the x_j independent and every c_j nonzero.  A
-    candidate that replaces x_a by x_u and x_v is accepted when
-    1. the two-column solve x_a = alpha x_u + beta x_v succeeds with x_u
-       and x_v independent and alpha, beta both nonzero, and
+    candidate replaces a = (.., a_i, ..) by u and v, equal to a off
+    factor i, so x_a = L(a_i), x_u = L(u_i) and x_v = L(v_i) for the
+    fiber map L of a and i, which is linear and injective.  It is
+    accepted when
+    1. the two-column solve a_i = alpha u_i + beta v_i, on factor
+       vectors of length n_i + 1, succeeds with u_i and v_i independent
+       and alpha, beta both nonzero, and
     2. x_u is not in U.
-    By 1, x_v = (x_a - alpha x_u) / beta, so the candidate's r + 1
-    columns span U + <x_u>, which has dimension r + 1 by 2: they are
+    Applying L, 1 holds exactly when x_a = alpha x_u + beta x_v with x_u
+    and x_v independent: L carries the relation over, and its
+    injectivity carries it and the independence back.  The coefficients
+    are unique, so they are those of the full-length solve.  By 1,
+    x_v = (x_a - alpha x_u) / beta, so the candidate's r + 1 columns
+    span U + <x_u>, which has dimension r + 1 by 2: they are
     independent.  So q = sum_{j != a} c_j x_j + c_a alpha x_u
     + c_a beta x_v is the unique expansion, every coefficient is nonzero,
     and the candidate is irredundant.  (x_v is not in U either, or
@@ -289,7 +343,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                     "every viable fiber is a P^1 factor with fewer than "
                     "two GF(%d) points off the input's coordinates there"
                     % field.modulus)
-        ai, i = viable[attempt % len(viable)]
+        ai, i, fiber = viable[attempt % len(viable)]
         a = d.points[ai]
         others = [p for idx, p in enumerate(d.points) if idx != ai]
         excluded = {p.coords[i] for p in others}
@@ -301,16 +355,15 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         pair = _usable_line_pair(field, rng, a.coords[i], w, excluded)
         if pair is None:
             continue
-        u = _with_factor(a, i, pair[0])
-        u_col = embed(space, u).coords
+        u_col = fiber(pair[0])
         if u_span.contains(u_col):
             continue
-        v = _with_factor(a, i, pair[1])
-        v_col = embed(space, v).coords
-        sol = solve_columns(field, [u_col, v_col], cols[ai])
+        sol = solve_columns(field, pair, a.coords[i])
         if not (sol.independent and sol.coefficients is not None
                 and all(sol.coefficients)):
             continue
+        u = _with_factor(a, i, pair[0])
+        v = _with_factor(a, i, pair[1])
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)
         prov.update({"replaced_point": ai, "factor": i,
@@ -323,7 +376,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         values = (tuple(c for idx, c in enumerate(report.values) if idx != ai)
                   + tuple(field.mul(c_a, c) for c in sol.coefficients))
         cand._with_columns([c for idx, c in enumerate(cols) if idx != ai]
-                           + [u_col, v_col])
+                           + [u_col, fiber(pair[1])])
         return cand._with_report(IrredundancyReport(True, True, field,
                                                     values, True))
     raise GenericityExhausted("plus_one failed after %d retries"

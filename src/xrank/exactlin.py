@@ -240,7 +240,7 @@ class Echelon:
             row = tuple(x // g for x in v) if g != 1 else tuple(v)
         else:
             inv = pow(v[lead], -1, p)
-            row = tuple(x * inv % p for x in v)
+            row = tuple([x * inv % p for x in v])
         self._rows.append((lead, row))
         return True
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +121,55 @@ def test_plus_one_redraws_a_line_that_lies_in_the_input_span():
         _assert_report_is_a_fresh_solve(out)
         retried += out.provenance["retries_used"] > 0
     assert retried
+
+
+def _random_canonical(field, rng, length):
+    """A random canonical vector; over Q its entries are non-integer
+    fractions more often than not."""
+    while True:
+        if field.is_finite:
+            v = [rng.randrange(field.modulus) for _ in range(length)]
+        else:
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                 for _ in range(length)]
+        if any(v):
+            return canonical_vector(field, v)
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(11), gf(2 ** 61 - 1), QQ],
+                         ids=["GF2", "GF11", "GF61bit", "QQ"])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1), (1, 2, 1), (2,)],
+                         ids=["P1P1P1", "P2P1", "P1P2P1", "P2"])
+def test_fiber_map_equals_embed_of_the_replaced_point(field, dims):
+    # (2,) has no factor left or right of the one replaced
+    S = segre(dims, field)
+    rng = random.Random("%s %s" % (dims, field))
+    for _ in range(6):
+        point = MppPoint.of(S, [_random_canonical(field, rng, n + 1)
+                                for n in dims])
+        for i, n in enumerate(dims):
+            fiber = construct._fiber_map(S, point, i)
+            for _ in range(4):
+                y = _random_canonical(field, rng, n + 1)
+                assert fiber(y) == embed(S, point.replace_factor(i,
+                                                                 y)).coords
+
+
+@pytest.mark.parametrize("field", [QQ, gf(5)], ids=["QQ", "GF5"])
+def test_plus_one_on_a_middle_factor_fiber(field):
+    # the fiber at point 0, factor 0, is spanned by the two input points,
+    # so the first escaping fiber is (point 0, factor 1): the fiber map
+    # has a factor on either side of the one replaced
+    S = segre((1, 1, 1), field)
+    A = [pt(S, E0, E0, E0), pt(S, E1, E0, E0)]
+    d = Decomposition(S, A, lin_comb(S, A))
+    for seed in range(10):
+        out = plus_one(d, ConstructionConfig(rng_seed=seed))
+        assert (out.provenance["replaced_point"],
+                out.provenance["factor"]) == (0, 1)
+        assert out.embedded_columns == [embed(S, p).coords
+                                        for p in out.points]
+        _assert_report_is_a_fresh_solve(out)
 
 
 def test_plus_one_fails_fast_when_every_p1_fiber_is_starved():
@@ -399,8 +449,8 @@ def test_sv_extend_escape_route_solves_the_slice_once(monkeypatch):
     out = sv_extend(d, ConstructionConfig(rng_seed=2))
     assert out.provenance["route"] == "escape"
     assert out.provenance["retries_used"] == 0
-    assert calls == [("xrank.decomp", 2), ("xrank.construct", 4),
-                     ("xrank.decomp", 3)]
+    assert calls == [("xrank.decomp", 2, 8), ("xrank.construct", 4, 8),
+                     ("xrank.decomp", 3, 8)]
 
 
 def test_sv_extend_rejects_a_point_last_factor():
@@ -475,12 +525,12 @@ def test_config_validation():
 
 
 def _count_solves(monkeypatch):
-    """A list that records (module, number of columns) for every
-    `solve_columns` call that construct and decomp make."""
+    """A list that records (module, number of columns, target length) for
+    every `solve_columns` call that construct and decomp make."""
     calls = []
     for module in (construct, decomp):
         def counting(*args, solve=module.solve_columns, name=module.__name__):
-            calls.append((name, len(args[1])))
+            calls.append((name, len(args[1]), len(args[2])))
             return solve(*args)
 
         monkeypatch.setattr(module, "solve_columns", counting)
@@ -489,19 +539,39 @@ def _count_solves(monkeypatch):
 
 def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
     # the witness carries the oracle's report, so it is never solved
-    # again; the candidate costs one two-column solve, which proves its
-    # report, and a fresh copy of the witness one more, for its input
+    # again; the candidate costs one two-column solve in the replaced
+    # factor's coordinates (length 2, not the 4 of a tensor), which
+    # proves its report, and a fresh copy of the witness one more, for
+    # its input
     S = segre((1, 1), gf(11))
     w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
     calls = _count_solves(monkeypatch)
     out = plus_one(w)
     assert out.provenance["retries_used"] == 0
-    assert calls == [("xrank.construct", 2)]
+    assert calls == [("xrank.construct", 2, 2)]
     calls.clear()
     again = plus_one(Decomposition(S, w.points, w.target))
-    assert calls == [("xrank.decomp", 2), ("xrank.construct", 2)]
+    assert calls == [("xrank.decomp", 2, 4), ("xrank.construct", 2, 2)]
     assert again.points == out.points
     assert verify_irredundant(out).irredundant
+
+
+def test_plus_one_embeds_nothing(monkeypatch):
+    # the escape scan and the two new columns go through the fiber map
+    S = segre((1, 1, 1), gf(11))
+    wits = brute_rank(Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 2)),
+                      budget=10 ** 9).witnesses
+    embeds = []
+
+    def spy(*args):
+        embeds.append(args)
+        return embed(*args)
+
+    monkeypatch.setattr(construct, "embed", spy)
+    for seed, w in enumerate(wits[:20]):
+        out = plus_one(w, ConstructionConfig(rng_seed=seed))
+        assert len(out.points) == 4
+    assert embeds == []
 
 
 def test_json_round_trip_keeps_provenance():
