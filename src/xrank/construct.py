@@ -1,11 +1,13 @@
-"""Randomize-and-verify constructions that grow irredundant decompositions.
+"""Randomize-and-prove constructions that grow irredundant decompositions.
 
 Each operation draws random data under explicit non-degeneracy constraints,
-builds a candidate, checks it exactly, and retries with fresh randomness
-up to max_retries.  The check is the exact verifier, except in `plus_one`,
-which proves its candidate's report from the input's report, one exact
-two-column solve on the changed factor's vectors (length n_i + 1, not
-N + 1) and one span test (see its docstring).  Outputs therefore never
+builds a candidate, proves it, and retries with fresh randomness up to
+max_retries.  All five make one move: a point a is replaced by k points
+that equal a off one factor.  `_proved_move` proves such a candidate's
+report from the input's report, with one exact solve on the replaced
+factor's Veronese images (not the N + 1 tensor coordinates) and one
+independence test modulo the input's span (see its docstring); no
+candidate point is embedded or verified again.  Outputs therefore never
 rely on genericity arguments alone; every returned decomposition carries
 an exact report.  All draws come from one seeded stream, so identical
 (input, seed, config) give identical outputs.
@@ -25,7 +27,7 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
 from .exactlin import (Echelon, _integer_row, in_span, rank_rows,
                        solve_columns)
 from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
-                       canonical_vector, embed, line_point)
+                       _evaluate_monomials, canonical_vector, line_point)
 from .oracle import brute_rank
 
 
@@ -158,41 +160,53 @@ def _with_factor(point, i, vec):
     return MppPoint(point.space, coords[:i] + (vec,) + coords[i + 1:])
 
 
+def _factor_image(field, y, deg):
+    """(v, s): v = s v_deg(y) as plain ints, for v_deg the degree-deg
+    Veronese map in embedding order.  Over Q, s = d^deg clears the least
+    common denominator d of y; over GF(p), s = 1 and v holds ints
+    congruent to v_deg(y), reduced by whoever uses them."""
+    if field.modulus is None:
+        ints, d = _integer_row(y)
+        return _evaluate_monomials(ints, deg), d ** deg
+    return _evaluate_monomials(y, deg), 1
+
+
 def _fiber_map(space, point, i):
-    """The map y -> L(y), the Segre embedding of `point` with factor i
-    replaced by y: the product of point's other factors with y, nested
-    left to right.  L is linear and injective in y.  For a canonical y it
-    equals `embed(space, point.replace_factor(i, y)).coords` exactly: a
-    product of vectors with leading entry 1 has leading entry 1.  As in
-    `embed`, over Q each factor is cleared to ints first, and the product
-    is divided once by the product of the denominators cleared, which is
-    its lead for a canonical y."""
-    p = space.field.modulus
+    """The map (v, s) -> L(v / s), where L(v_e(y)) is the Segre-Veronese
+    embedding of `point` with factor i replaced by y: the product of the
+    Veronese images of point's other factors with v_e(y), nested left to
+    right.  L is linear and injective.  Called on `_factor_image` of a
+    canonical y, it equals `embed(space, point.replace_factor(i, y)).coords`
+    exactly: the image of a canonical vector has leading entry 1, and so
+    has a product of such images.  As in `embed`, over Q each factor is
+    cleared to ints first, and the product is divided once by s times the
+    product of the scales cleared, which is its lead for a canonical y."""
+    field = space.field
+    p = field.modulus
     left, right = [1], [1]
     den = 1
-    for t, vec in enumerate(point.coords):
+    for t, (vec, deg) in enumerate(zip(point.coords, space.multidegree)):
         if t == i:
             continue
-        if p is None:
-            vec, d = _integer_row(vec)
-            den *= d
+        vals, s = _factor_image(field, vec, deg)
+        den *= s
         if t < i:
-            left = [c * x for c in left for x in vec]
+            left = [c * x for c in left for x in vals]
         else:
-            right = [c * x for c in right for x in vec]
+            right = [c * x for c in right for x in vals]
     if p is None:
-        def fiber(y):
-            ints, d = _integer_row(y)
-            d *= den
+        def fiber(image):
+            v, s = image
+            d = s * den
             return tuple([Fraction(c * x * r, d)
-                          for c in left for x in ints for r in right])
+                          for c in left for x in v for r in right])
     else:
         left = [c % p for c in left]
         right = [c % p for c in right]
 
-        def fiber(y):
+        def fiber(image):
             return tuple([c * x * r % p
-                          for c in left for x in y for r in right])
+                          for c in left for x in image[0] for r in right])
     return fiber
 
 
@@ -200,15 +214,13 @@ def _escaping_fibers(space, points, u_span):
     """(point index, factor, fiber map) triples, in order, whose fiber
     through the point has a coordinate direction embedding outside U; the
     map is `_fiber_map` of that point and factor."""
-    field = space.field
     for ai, a in enumerate(points):
         for i in range(space.k):
             fiber = _fiber_map(space, a, i)
             n = space.factor_dims[i]
             for j in range(n + 1):
-                e = tuple(field.one() if t == j else field.zero()
-                          for t in range(n + 1))
-                if not u_span.contains(fiber(e)):
+                e = [int(t == j) for t in range(n + 1)]
+                if not u_span.contains(fiber((e, 1))):
                     yield ai, i, fiber
                     break
 
@@ -222,6 +234,85 @@ def _starved_p1_fibers(space, points, viable):
     return all(space.factor_dims[i] == 1
                and p + 1 - len({q.coords[i] for q in points}) < 2
                for _, i, _ in viable)
+
+
+def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
+    """Replace point ai of d by the k >= 2 points that equal it off
+    factor i and carry there the nonzero vectors `vecs`: the candidate,
+    with its columns and a proved report, or None when the proof fails.
+    `report` is d's report (irredundant), `u_span` an `Echelon` of d's
+    columns, `fiber` the `_fiber_map` of point ai and factor i, and
+    `prov` the candidate's provenance.  No point is embedded and nothing
+    is solved at tensor length.
+
+    The proof.  The input gives q = sum_j c_j x_j, its r columns x_j
+    independent and every c_j nonzero; U is their span.  Write a for
+    point ai, e for the degree of factor i, v_e for its Veronese map and
+    g_1..g_k for the new points.  Then x_a = L(v_e(a_i)) and
+    x_gt = L(v_e(g_t)) for the fiber map L, which is linear and
+    injective.  The candidate is accepted when
+    1. the factor-length solve v_e(a_i) = sum_t gamma_t v_e(g_t) has
+       independent columns and every gamma_t nonzero, and
+    2. x_g1 .. x_g(k-1) are independent modulo U.
+    Applying L to 1 gives x_a = sum_t gamma_t x_gt, so
+    x_gk = (x_a - sum_{t<k} gamma_t x_gt) / gamma_k lies in
+    U + <x_g1 .. x_g(k-1)>, which has dimension r + k - 1 by 2.  The
+    candidate's r - 1 + k columns span that space, since they span x_a:
+    they are independent, and its points pairwise distinct.  So
+    q = sum_{j != a} c_j x_j + sum_t c_a gamma_t x_gt is the unique
+    expansion, every coefficient is nonzero, and the candidate is
+    irredundant.
+
+    Conversely, suppose an exact re-verification accepts the candidate
+    and v_e(a_i) lies in the span of the v_e(g_t).  Its expansion of q
+    is then the one above, so every gamma_t is nonzero, and
+    U + <x_g1 .. x_g(k-1)> is the span of its r - 1 + k independent
+    columns: 1 and 2 hold.  Every move made here meets that condition.
+    In `plus_one` and `escape`, u and v are two points of a line through
+    a_i in a degree-one factor.  In `concise_plus_m` the c_t span the
+    factor.  A line step puts e + 1 distinct points on the degree-e
+    rational normal curve that v_e maps the line to, and any e + 1
+    distinct points of that curve are independent and span its P^e, which
+    holds v_e(a_i) (Landsberg, Tensors: Geometry and Applications, AMS
+    GSM 128, 2012).  So this accepts exactly the candidates that an
+    exact re-verification accepts.
+
+    Over Q the images are s_t v_e(g_t) and s_a v_e(a_i)
+    (`_factor_image`), so the solve's coefficients are rescaled by
+    s_t / s_a.
+    """
+    field = d.space.field
+    deg = d.space.multidegree[i]
+    a = d.points[ai]
+    vecs = [canonical_vector(field, g) for g in vecs]
+    images = [_factor_image(field, g, deg) for g in vecs]
+    cols = [fiber(im) for im in images[:-1]]
+    # 2: insert x_g1 .. x_g(k-2) into a copy of U, then test x_g(k-1)
+    span = u_span
+    if len(cols) > 1:
+        span = u_span.copy()
+        if not all(span.insert(c) for c in cols[:-1]):
+            return None
+    if span.contains(cols[-1]):
+        return None
+    target, s_a = _factor_image(field, a.coords[i], deg)
+    sol = solve_columns(field, [v for v, _ in images], target)
+    gamma = sol.coefficients
+    if not (sol.independent and gamma is not None and all(gamma)):
+        return None
+    if field.modulus is None:
+        gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
+    keep = [j for j in range(len(d.points)) if j != ai]
+    cand = Decomposition(d.space, [d.points[j] for j in keep]
+                         + [_with_factor(a, i, g) for g in vecs],
+                         d.target, prov)
+    cand._with_columns([d.embedded_columns[j] for j in keep] + cols
+                       + [fiber(images[-1])])
+    c_a = report.values[ai]
+    values = (tuple(report.values[j] for j in keep)
+              + tuple(field.mul(c_a, g) for g in gamma))
+    return cand._with_report(IrredundancyReport(True, True, field, values,
+                                                True))
 
 
 def _certify_minimal_via_oracle(d, within=None):
@@ -285,31 +376,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     No point is embedded: the scan's unit directions and the two new
     columns are images under the fiber map L of `_fiber_map`, whose
     product of the point's other factors is built once per (point,
-    factor).
-
-    The output's report is proved, not solved again.  The input gives
-    q = sum_j c_j x_j, the x_j independent and every c_j nonzero.  A
-    candidate replaces a = (.., a_i, ..) by u and v, equal to a off
-    factor i, so x_a = L(a_i), x_u = L(u_i) and x_v = L(v_i) for the
-    fiber map L of a and i, which is linear and injective.  It is
-    accepted when
-    1. the two-column solve a_i = alpha u_i + beta v_i, on factor
-       vectors of length n_i + 1, succeeds with u_i and v_i independent
-       and alpha, beta both nonzero, and
-    2. x_u is not in U.
-    Applying L, 1 holds exactly when x_a = alpha x_u + beta x_v with x_u
-    and x_v independent: L carries the relation over, and its
-    injectivity carries it and the independence back.  The coefficients
-    are unique, so they are those of the full-length solve.  By 1,
-    x_v = (x_a - alpha x_u) / beta, so the candidate's r + 1 columns
-    span U + <x_u>, which has dimension r + 1 by 2: they are
-    independent.  So q = sum_{j != a} c_j x_j + c_a alpha x_u
-    + c_a beta x_v is the unique expansion, every coefficient is nonzero,
-    and the candidate is irredundant.  (x_v is not in U either, or
-    x_u = (x_a - beta x_v) / alpha would be.)  On a Segre space 1 holds
-    for any two points u != v of a line through a, both other than a,
-    so the accepted candidates are those that an exact re-verification
-    accepts.
+    factor).  `_proved_move` proves the candidate's report from the
+    input's.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -322,8 +390,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         _certify_minimal_via_oracle(d)
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    cols = d.embedded_columns
-    u_span = Echelon(field, cols)
+    u_span = Echelon(field, d.embedded_columns)
 
     # (point, factor) pairs whose fiber escapes U, scanned as attempts need
     # them: the first attempt takes the first, a retry needs them all
@@ -345,8 +412,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                     % field.modulus)
         ai, i, fiber = viable[attempt % len(viable)]
         a = d.points[ai]
-        others = [p for idx, p in enumerate(d.points) if idx != ai]
-        excluded = {p.coords[i] for p in others}
+        excluded = {p.coords[i] for idx, p in enumerate(d.points)
+                    if idx != ai}
         try:
             w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
                                       [a.coords[i]])
@@ -355,30 +422,13 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         pair = _usable_line_pair(field, rng, a.coords[i], w, excluded)
         if pair is None:
             continue
-        u_col = fiber(pair[0])
-        if u_span.contains(u_col):
-            continue
-        sol = solve_columns(field, pair, a.coords[i])
-        if not (sol.independent and sol.coefficients is not None
-                and all(sol.coefficients)):
-            continue
-        u = _with_factor(a, i, pair[0])
-        v = _with_factor(a, i, pair[1])
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)
         prov.update({"replaced_point": ai, "factor": i,
                      "retries_used": attempt})
-        try:
-            cand = Decomposition(space, others + [u, v], d.target, prov)
-        except InvalidInput:
-            continue
-        c_a = report.values[ai]
-        values = (tuple(c for idx, c in enumerate(report.values) if idx != ai)
-                  + tuple(field.mul(c_a, c) for c in sol.coefficients))
-        cand._with_columns([c for idx, c in enumerate(cols) if idx != ai]
-                           + [u_col, fiber(pair[1])])
-        return cand._with_report(IrredundancyReport(True, True, field,
-                                                    values, True))
+        cand = _proved_move(d, report, u_span, ai, i, fiber, pair, prov)
+        if cand is not None:
+            return cand
     raise GenericityExhausted("plus_one failed after %d retries"
                               % cfg.max_retries)
 
@@ -401,7 +451,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise SpaceMismatch("subspace spec is for a different space")
     if ysub.dims == space.factor_dims:
         raise YEqualsW("Y equals the ambient space")
-    _irredundant_input(d)
+    report = _irredundant_input(d)
     for p in d.points:
         if not ysub.contains_point(p):
             raise NotContainedInY("input point outside Y")
@@ -410,12 +460,14 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise NotContainedInY("target outside the span of Y's image")
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
-    return _escape(d, ysub, cfg, assert_minimal, certify_minimal)
+    return _escape(d, report, ysub, cfg, assert_minimal,
+                   certify_minimal)
 
 
-def _escape(d, ysub, cfg, assert_minimal, certify_minimal):
+def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
     """`escape` once its input checks have passed: Y is proper and holds
-    the irredundant input's points and its target."""
+    the irredundant input's points and its target; report is the
+    input's."""
     space = d.space
     field = space.field
     istar = next(i for i in range(space.k)
@@ -425,28 +477,24 @@ def _escape(d, ysub, cfg, assert_minimal, certify_minimal):
             "the deficient factor must have degree one")
     h_rows = [list(b) for b in ysub.factor_bases[istar]]
     rng = random.Random(cfg.rng_seed)
+    u_span = Echelon(field, d.embedded_columns)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
         a = d.points[ai]
-        others = [p for idx, p in enumerate(d.points) if idx != ai]
         try:
             w = _draw_vector_off_span(field, rng,
                                       space.factor_dims[istar] + 1, h_rows)
         except GenericityExhausted:
             continue
         cands = _line_candidates(field, rng, a.coords[istar], w, 2)
-        u = a.replace_factor(istar, cands[0])
-        v = a.replace_factor(istar, cands[1])
         prov = _base_provenance("escape", cfg, assert_minimal,
                                 certify_minimal)
         prov.update({"replaced_point": ai, "factor": istar,
                      "retries_used": attempt})
-        try:
-            cand = Decomposition(space, others + [u, v], d.target, prov)
-        except InvalidInput:
-            continue
-        if not verify_irredundant(cand).irredundant:
+        cand = _proved_move(d, report, u_span, ai, istar,
+                            _fiber_map(space, a, istar), cands, prov)
+        if cand is None:
             continue
         if all(ysub.contains_point(pt) for pt in cand.points):
             continue
@@ -478,7 +526,7 @@ def concise_plus_m(d: Decomposition, m: int,
     last = space.k - 1
     if m < 2 or space.factor_dims[last] != m:
         raise BadM("m must be >= 2 and equal the last factor dimension")
-    _irredundant_input(d)
+    report = _irredundant_input(d)
     o, ysub = _last_factor_slice(d)
     env = set_envelope(space, d.points)
     if env.dims[:last] != space.factor_dims[:last]:
@@ -489,11 +537,11 @@ def concise_plus_m(d: Decomposition, m: int,
         _certify_minimal_via_oracle(d, within=ysub)
     field = space.field
     rng = random.Random(cfg.rng_seed)
+    u_span = Echelon(field, d.embedded_columns)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
         a = d.points[ai]
-        others = [p for idx, p in enumerate(d.points) if idx != ai]
         cs = []
         ok = True
         for _ in range(m + 1):
@@ -508,6 +556,10 @@ def concise_plus_m(d: Decomposition, m: int,
             cs.append(canonical_vector(field, v))
         if not ok or len(set(cs)) != m + 1:
             continue
+        # _proved_move's condition 1 implies this filter (o = sum_t
+        # gamma_t c_t, the c_t independent and every gamma_t nonzero); it
+        # stays while perfbench/tests/test_tracer.py checks that this
+        # module imports in_span (ROADMAP item 10)
         if rank_rows(field, cs) != m + 1:
             continue
         bad = False
@@ -518,16 +570,13 @@ def concise_plus_m(d: Decomposition, m: int,
                 break
         if bad:
             continue
-        new_pts = [a.replace_factor(last, c) for c in cs]
         prov = _base_provenance("concise_plus_m", cfg, assert_minimal,
                                 certify_minimal)
         prov.update({"replaced_point": ai, "factor": last,
                      "retries_used": attempt})
-        try:
-            cand = Decomposition(space, others + new_pts, d.target, prov)
-        except InvalidInput:
-            continue
-        if not verify_irredundant(cand).irredundant:
+        cand = _proved_move(d, report, u_span, ai, last,
+                            _fiber_map(space, a, last), cs, prov)
+        if cand is None:
             continue
         if not set_envelope(space, cand.points).is_full:
             continue
@@ -539,18 +588,20 @@ def concise_plus_m(d: Decomposition, m: int,
 def _extend_one_factor(d, factor, cfg):
     """One line step in a factor of degree e: replace a point by e+1
     distinct points of a line meeting the current factor span only at it;
-    the factor envelope must grow by one and the result must verify.  The
-    step is appended to the provenance's "steps"."""
+    the factor envelope must grow by one and the result must be proved
+    from d's report, which the step before proved.  The step is appended
+    to the provenance's "steps"."""
     space = d.space
     field = space.field
     deg = space.multidegree[factor]
     rng = random.Random(cfg.rng_seed)
+    report = verify_irredundant(d)
+    u_span = Echelon(field, d.embedded_columns)
+    span_rows = [p.coords[factor] for p in d.points]
     prev_dim = set_envelope(space, d.points).dims[factor]
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
         a = d.points[ai]
-        others = [p for idx, p in enumerate(d.points) if idx != ai]
-        span_rows = [p.coords[factor] for p in d.points]
         try:
             w = _draw_vector_off_span(field, rng,
                                       space.factor_dims[factor] + 1,
@@ -558,19 +609,13 @@ def _extend_one_factor(d, factor, cfg):
         except GenericityExhausted:
             continue
         gvecs = _line_candidates(field, rng, a.coords[factor], w, deg + 1)
-        line_pts = [a.replace_factor(factor, g) for g in gvecs]
         prov = dict(d.provenance)
         prov["steps"] = prov["steps"] + [{"replaced_point": ai,
                                           "factor": factor,
                                           "retries_used": attempt}]
-        try:
-            cand = Decomposition(space, others + line_pts, d.target, prov)
-        except InvalidInput:
-            continue
-        cand._with_columns([c for idx, c in enumerate(d.embedded_columns)
-                            if idx != ai]
-                           + [embed(space, g).coords for g in line_pts])
-        if not verify_irredundant(cand).irredundant:
+        cand = _proved_move(d, report, u_span, ai, factor,
+                            _fiber_map(space, a, factor), gvecs, prov)
+        if cand is None:
             continue
         if set_envelope(space, cand.points).dims[factor] != prev_dim + 1:
             continue
@@ -580,9 +625,10 @@ def _extend_one_factor(d, factor, cfg):
                                  cfg.max_retries))
 
 
-def _line_steps(d, factor, steps, cfg, prov):
+def _line_steps(d, report, factor, steps, cfg, prov):
     """Run `steps` line steps in one factor of degree e, step s seeded
-    with rng_seed + 7919 s; prov starts the output's provenance.
+    with rng_seed + 7919 s; report is d's, and prov starts the output's
+    provenance.
     FieldTooSmall when a line over GF(p) has fewer than e+1 points off
     its base point."""
     space = d.space
@@ -592,8 +638,8 @@ def _line_steps(d, factor, steps, cfg, prov):
         raise FieldTooSmall("need %d distinct line points; GF(%d) offers %d"
                             % (deg + 1, p, p))
     prov["steps"] = []
-    cur = Decomposition(space, d.points, d.target,
-                        prov)._with_columns(d.embedded_columns)
+    cur = Decomposition(space, d.points, d.target, prov)
+    cur._with_columns(d.embedded_columns)._with_report(report)
     for step in range(steps):
         cur = _extend_one_factor(
             cur, factor, replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
@@ -615,13 +661,13 @@ def veronese_extend(d: Decomposition, target_n: int,
     if space.k != 1:
         raise NotVeronese("veronese_extend needs a single-factor space")
     n = space.factor_dims[0]
-    _irredundant_input(d)
+    report = _irredundant_input(d)
     m_cur = set_envelope(space, d.points).dims[0]
     if not (m_cur <= target_n <= n):
         raise TargetTooSmall(
             "target_n=%d outside [current span %d, ambient %d]"
             % (target_n, m_cur, n))
-    return _line_steps(d, 0, target_n - m_cur, cfg,
+    return _line_steps(d, report, 0, target_n - m_cur, cfg,
                        {"construction": "veronese_extend",
                         "seed": cfg.rng_seed, "target_n": target_n})
 
@@ -642,7 +688,7 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     if space.k < 2:
         raise InvalidInput("need at least two factors")
     last = space.k - 1
-    _irredundant_input(d)
+    report = _irredundant_input(d)
     _, ysub = _last_factor_slice(d)
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
@@ -651,11 +697,12 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         # other checks: Y holds the irredundant input and its target
         if ysub.dims == space.factor_dims:
             raise YEqualsW("Y equals the ambient space")
-        out = _escape(d, ysub, cfg, assert_minimal, certify_minimal)
-        prov = dict(out.provenance, construction="sv_extend",
-                    route="escape")
-        return Decomposition(space, out.points, out.target, prov)
+        out = _escape(d, report, ysub, cfg, assert_minimal,
+                      certify_minimal)
+        out.provenance = dict(out.provenance, construction="sv_extend",
+                              route="escape")
+        return out
     prov = _base_provenance("sv_extend", cfg, assert_minimal,
                             certify_minimal)
     prov["route"] = "line_steps"
-    return _line_steps(d, last, space.factor_dims[last], cfg, prov)
+    return _line_steps(d, report, last, space.factor_dims[last], cfg, prov)

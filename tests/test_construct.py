@@ -9,7 +9,7 @@ import pytest
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
-from xrank import construct, decomp
+from xrank import construct, decomp, geometry
 from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
                              plus_one, sv_extend, veronese_extend)
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
@@ -138,21 +138,24 @@ def _random_canonical(field, rng, length):
 
 @pytest.mark.parametrize("field", [gf(2), gf(11), gf(2 ** 61 - 1), QQ],
                          ids=["GF2", "GF11", "GF61bit", "QQ"])
-@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1), (1, 2, 1), (2,)],
-                         ids=["P1P1P1", "P2P1", "P1P2P1", "P2"])
-def test_fiber_map_equals_embed_of_the_replaced_point(field, dims):
+@pytest.mark.parametrize("dims, degrees", [
+    ((1, 1, 1), (1, 1, 1)), ((2, 1), (1, 1)), ((1, 2, 1), (1, 1, 1)),
+    ((2,), (1,)), ((2,), (3,)), ((1, 2), (2, 1)), ((1, 1, 2), (1, 3, 2)),
+], ids=["P1P1P1", "P2P1", "P1P2P1", "P2", "V3P2", "P1P2_21", "P1P1P2_132"])
+def test_fiber_map_equals_embed_of_the_replaced_point(field, dims, degrees):
     # (2,) has no factor left or right of the one replaced
-    S = segre(dims, field)
-    rng = random.Random("%s %s" % (dims, field))
+    S = MultiProjectiveSpace(dims, degrees, field)
+    rng = random.Random("%s %s %s" % (dims, degrees, field))
     for _ in range(6):
         point = MppPoint.of(S, [_random_canonical(field, rng, n + 1)
                                 for n in dims])
-        for i, n in enumerate(dims):
+        for i, (n, deg) in enumerate(zip(dims, degrees)):
             fiber = construct._fiber_map(S, point, i)
             for _ in range(4):
                 y = _random_canonical(field, rng, n + 1)
-                assert fiber(y) == embed(S, point.replace_factor(i,
-                                                                 y)).coords
+                image = construct._factor_image(field, y, deg)
+                assert fiber(image) == embed(
+                    S, point.replace_factor(i, y)).coords
 
 
 @pytest.mark.parametrize("field", [QQ, gf(5)], ids=["QQ", "GF5"])
@@ -441,7 +444,8 @@ def test_sv_extend_degree_one_delegates_to_escape():
 
 def test_sv_extend_escape_route_solves_the_slice_once(monkeypatch):
     # the input's report, the target in Y' x {o} (4 columns), and the
-    # candidate's report: escape's own checks are not run again
+    # candidate's proof in the replaced factor (2 columns of length 2):
+    # escape's own checks are not run again
     S = segre((1, 1, 1))
     A = [pt(S, E0, E0, E0), pt(S, E1, E1, E0)]
     d = Decomposition(S, A, lin_comb(S, A))
@@ -450,7 +454,36 @@ def test_sv_extend_escape_route_solves_the_slice_once(monkeypatch):
     assert out.provenance["route"] == "escape"
     assert out.provenance["retries_used"] == 0
     assert calls == [("xrank.decomp", 2, 8), ("xrank.construct", 4, 8),
-                     ("xrank.decomp", 3, 8)]
+                     ("xrank.construct", 2, 2)]
+
+
+_V22 = veronese(2, 2)
+_SV12 = MultiProjectiveSpace((1, 1), (1, 2), QQ)
+_S111 = segre((1, 1, 1))
+
+
+@pytest.mark.parametrize("space, A, run", [
+    (_V22, [pt(_V22, (1, 0, 0)), pt(_V22, (0, 1, 0))],
+     lambda d: veronese_extend(d, 2, ConstructionConfig(rng_seed=11))),
+    (_SV12, [pt(_SV12, E0, E0), pt(_SV12, E1, E0)],
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2))),
+    (_S111, [pt(_S111, E0, E0, E0), pt(_S111, E1, E1, E0)],
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2))),
+], ids=["veronese_extend", "sv_line_steps", "sv_escape"])
+def test_wrappers_keep_the_proved_reports(monkeypatch, space, A, run):
+    # each line step proves its report from the one before, and the
+    # sv_extend routes return the proved output itself: the only solve of
+    # a decomposition's report is the input's, and the output's report
+    # needs no solve
+    d = Decomposition(space, A, lin_comb(space, A))
+    calls = _count_solves(monkeypatch)
+    out = run(d)
+    assert [c for c in calls if c[0] == "xrank.decomp"] == [
+        ("xrank.decomp", len(A), len(d.target.coords))]
+    calls.clear()
+    assert verify_irredundant(out).irredundant
+    assert calls == []
+    _assert_report_is_a_fresh_solve(out)
 
 
 def test_sv_extend_rejects_a_point_last_factor():
@@ -567,7 +600,8 @@ def test_plus_one_embeds_nothing(monkeypatch):
         embeds.append(args)
         return embed(*args)
 
-    monkeypatch.setattr(construct, "embed", spy)
+    monkeypatch.setattr(geometry, "embed", spy)
+    monkeypatch.setattr(decomp, "embed", spy)
     for seed, w in enumerate(wits[:20]):
         out = plus_one(w, ConstructionConfig(rng_seed=seed))
         assert len(out.points) == 4
@@ -833,3 +867,10 @@ def test_other_constructions_frozen_outputs(field, count, digest):
     for out in outs:
         assert verify_irredundant(out).irredundant
     assert (len(outs), _digest(outs)) == (count, digest)
+
+
+@pytest.mark.parametrize("field", [QQ, gf(11)], ids=["QQ", "GF(11)"])
+def test_other_constructions_prove_their_reports(field):
+    # plus_one's banks check the same in their frozen-output tests
+    for out in _frozen_cases(field):
+        _assert_report_is_a_fresh_solve(out)
