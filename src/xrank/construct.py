@@ -72,40 +72,6 @@ def _line_point_at(field, a_vec, w_vec, k):
     return tuple((x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec))
 
 
-def _line_positions(p, a_vec, w_vec, vecs):
-    """Positions k, as in `_line_point_at`, of the vectors that lie on the
-    line through the independent a and w over GF(p), a's own class left
-    out.  Each vector e is tested for e = x a + y w, y != 0, exactly in
-    Python ints at O(n) cost; it sits at k = p-1 when x = 0 (e ~ w), and
-    at t = y/x, k = t-1, otherwise."""
-    s = next(j for j, x in enumerate(a_vec) if x)
-    a_inv = pow(a_vec[s], -1, p)
-    # w' = w - (w_s / a_s) a is zero at s, so e = g a + y w' reads g off e_s
-    w_s = w_vec[s] * a_inv % p
-    w_red = [(y - w_s * x) % p for x, y in zip(a_vec, w_vec)]
-    r = next(j for j, x in enumerate(w_red) if x)
-    w_inv = pow(w_red[r], -1, p)
-    out = set()
-    for e in vecs:
-        g = e[s] * a_inv % p
-        y = (e[r] - g * a_vec[r]) * w_inv % p
-        if y == 0 or any((g * ai + y * wi - ei) % p
-                         for ai, wi, ei in zip(a_vec, w_red, e)):
-            continue  # e ~ a, or e off the line
-        x = (g - y * w_s) % p
-        out.add(p - 1 if x == 0 else y * pow(x, -1, p) % p - 1)
-    return out
-
-
-def _skip_positions(j, taken):
-    """The j-th position (from 0) of the ones not in the sorted `taken`."""
-    for k in taken:
-        if k > j:
-            break
-        j += 1
-    return j
-
-
 def _line_candidates(field, rng, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
     from a.  Over GF(p) the line carries p such points, and `count`
@@ -123,34 +89,6 @@ def _line_candidates(field, rng, a_vec, w_vec, count):
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
     return [line_point(field, a_vec, w_vec, t) for t in ts]
-
-
-def _usable_line_pair(field, rng, a_vec, w_vec, excluded):
-    """Two distinct canonical points of the line through a and w, neither
-    a nor in `excluded`, or None when the draw leaves fewer than two.
-
-    Over GF(p) the excluded points' positions on the line are found by
-    `_line_positions`, and `rng.sample(range(n_usable), 2)` picks two of
-    the n_usable other positions, in line order.  That is the draw of
-    two from the list of usable points, since `random.sample` draws
-    indices from the population's length alone, but p never enters the
-    cost and only the two chosen points are built.  Over Q the first two
-    usable points of four sampled ones are taken."""
-    if field.is_finite:
-        taken = sorted(_line_positions(field.modulus, a_vec, w_vec,
-                                       excluded))
-        n_usable = field.modulus - len(taken)
-        if n_usable < 2:
-            return None
-        return [canonical_vector(field, _line_point_at(
-                    field, a_vec, w_vec, _skip_positions(j, taken)))
-                for j in rng.sample(range(n_usable), 2)]
-    usable = []
-    for vvec in _line_candidates(field, rng, a_vec, w_vec, 4):
-        cv = canonical_vector(field, vvec)
-        if cv not in excluded and cv != a_vec:
-            usable.append(cv)
-    return usable[:2] if len(usable) >= 2 else None
 
 
 def _with_factor(point, i, vec):
@@ -223,17 +161,6 @@ def _escaping_fibers(space, points, u_span):
                 if not u_span.contains(fiber((e, 1))):
                     yield ai, i, fiber
                     break
-
-
-def _starved_p1_fibers(space, points, viable):
-    """Whether every viable fiber lies on a P^1 factor and leaves fewer than
-    two points off the point's and the other points' coordinates there.
-    The fiber line in a P^1 factor is all of P^1, so no redraw of the line
-    can change its usable points."""
-    p = space.field.modulus
-    return all(space.factor_dims[i] == 1
-               and p + 1 - len({q.coords[i] for q in points}) < 2
-               for _, i, _ in viable)
 
 
 def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
@@ -363,16 +290,11 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
 
     Scans (point, factor) pairs in deterministic order for a fiber with
     span not inside U = span of the embedded input; the replacement points
-    sit on a random line through the chosen point inside that fiber, differ
-    from all remaining points in the chosen factor, and embed outside U.
-    Over GF(p) the line is sampled by index: the positions of the remaining
-    points on it are found by an exact test, two of the other positions
-    are drawn, and only those two points are built, so an attempt costs
-    O(r·n) for r points in factor coordinates of length n, whatever p is.
-    FieldTooSmall is raised at the first retry when every viable
-    fiber is a P^1 with fewer than two usable points.  The input is
-    checked by `verify_irredundant`, which reuses a report the input
-    already carries (an oracle witness has one) instead of solving again.
+    are two random points of a line through the chosen point inside that
+    fiber, and `_proved_move`'s test that the first embeds outside U keeps
+    both off every input point.  The input is checked by
+    `verify_irredundant`, which reuses a report the input already carries
+    (an oracle witness has one) instead of solving again.
     No point is embedded: the scan's unit directions and the two new
     columns are images under the fiber map L of `_fiber_map`, whose
     product of the point's other factors is built once per (point,
@@ -404,24 +326,14 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     for attempt in range(cfg.max_retries):
         if attempt == 1:
             viable.extend(escaping)
-            if field.is_finite and _starved_p1_fibers(space, d.points,
-                                                      viable):
-                raise FieldTooSmall(
-                    "every viable fiber is a P^1 factor with fewer than "
-                    "two GF(%d) points off the input's coordinates there"
-                    % field.modulus)
         ai, i, fiber = viable[attempt % len(viable)]
         a = d.points[ai]
-        excluded = {p.coords[i] for idx, p in enumerate(d.points)
-                    if idx != ai}
         try:
             w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
                                       [a.coords[i]])
         except GenericityExhausted:
             continue
-        pair = _usable_line_pair(field, rng, a.coords[i], w, excluded)
-        if pair is None:
-            continue
+        pair = _line_candidates(field, rng, a.coords[i], w, 2)
         prov = _base_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal)
         prov.update({"replaced_point": ai, "factor": i,

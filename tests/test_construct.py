@@ -1,5 +1,6 @@
 """The four constructive procedures: contracts, determinism, error paths."""
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -18,7 +19,6 @@ from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
                           NotConcise, NotContainedInY, NotIrredundantInput,
                           NotVeronese, TargetTooSmall, UnsupportedDegree,
                           YEqualsW)
-from xrank.exactlin import rank_rows
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, canonical_vector, embed, line_point,
                             random_point)
@@ -175,27 +175,44 @@ def test_plus_one_on_a_middle_factor_fiber(field):
         _assert_report_is_a_fresh_solve(out)
 
 
-def test_plus_one_fails_fast_when_every_p1_fiber_is_starved():
+def _assert_proved_and_distinct(out):
+    _assert_report_is_a_fresh_solve(out)
+    assert len(set(p.coords for p in out.points)) == len(out.points)
+
+
+def test_plus_one_on_every_minimal_decomposition_over_gf2():
+    # every nonzero 2x2x2 tensor over GF(2) is its own class; each of its
+    # minimal decompositions grows, though a P^1 over GF(2) has 3 points
+    S = segre((1, 1, 1), gf(2))
+    classes = grown = 0
+    for coords in itertools.product((0, 1), repeat=8):
+        if not any(coords):
+            continue
+        classes += 1
+        for seed, w in enumerate(brute_rank(Tensor.of(S, coords)).witnesses):
+            _assert_proved_and_distinct(
+                plus_one(w, ConstructionConfig(rng_seed=seed)))
+            grown += 1
+    assert (classes, grown) == (255, 873)
+
+
+def test_plus_one_on_every_minimal_decomposition_of_w_over_gf3():
     """Over GF(3) a P^1 has 4 points.  Three minimal decompositions of W
-    take 3 of them in every factor, so every viable fiber line (all of
-    P^1) leaves one usable point: no redraw helps, and plus_one says so
-    instead of spending every retry.  The other 36 still grow."""
+    take 3 of them in every factor, so a fiber line (all of P^1) through
+    one of their points meets the other two; plus_one still grows them,
+    as it grows the other 36."""
     S = segre((1, 1, 1), gf(3))
     q = Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 0))
     wits = brute_rank(q).witnesses
     assert len(wits) == 39
-    starved = [w for w in wits
+    crowded = [w for w in wits
                if all(len({p.coords[i] for p in w.points}) == 3
                       for i in range(3))]
-    assert len(starved) == 3
+    assert len(crowded) == 3
     for w in wits:
         for seed in range(5):
-            cfg = ConstructionConfig(rng_seed=seed)
-            if w in starved:
-                with pytest.raises(FieldTooSmall):
-                    plus_one(w, cfg)
-            else:
-                assert verify_irredundant(plus_one(w, cfg)).irredundant
+            _assert_proved_and_distinct(
+                plus_one(w, ConstructionConfig(rng_seed=seed)))
 
 
 def test_plus_one_rejects_redundant_input():
@@ -622,62 +639,21 @@ def _listed_line(field, a_vec, w_vec):
              for t in range(1, field.modulus)] + [tuple(w_vec)])
 
 
-def _listed_pair(field, rng, a_vec, w_vec, excluded):
-    """plus_one's draw as it was before index sampling: list the line,
-    keep the usable canonical points, sample two of them."""
-    usable = [cv for cv in (canonical_vector(field, v)
-                            for v in _listed_line(field, a_vec, w_vec))
-              if cv not in excluded and cv != a_vec]
-    return rng.sample(usable, 2) if len(usable) >= 2 else None
-
-
-def _line_case(field, rng):
-    """A canonical a, a w off <a>, and excluded canonical vectors: some
-    of the line's points, at times a itself, and random vectors, which
-    are off the line unless the vectors have two coordinates."""
-    p = field.modulus
-    n = rng.randint(2, 4)
-
-    def draw():
-        while True:
-            v = [rng.randrange(p) for _ in range(n)]
-            if any(v):
-                return v
-
-    a = canonical_vector(field, draw())
-    w = draw()
-    while rank_rows(field, [a, w]) < 2:
-        w = draw()
-    line = [canonical_vector(field, v) for v in _listed_line(field, a, w)]
-    excluded = set(rng.sample(line, rng.randint(0, min(p, 4))))
-    if rng.random() < 0.3:
-        excluded.add(a)
-    excluded.update(canonical_vector(field, draw())
-                    for _ in range(rng.randint(0, 3)))
-    return a, w, excluded
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 11])
 def test_line_draws_by_index_match_the_listed_draws(p):
     # the index draws return the listed draws' points and leave the
     # stream in the same state, so every seeded output stays the same
     F = gf(p)
-    seen = {"on": 0, "off": 0, "starved": 0}
     for seed in range(200):
-        a, w, excluded = _line_case(F, random.Random(seed))
-        for e in excluded:
-            seen["on" if rank_rows(F, [a, w, e]) == 2 else "off"] += 1
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        a = _random_canonical(F, rng, n)
+        w = construct._draw_vector_off_span(F, rng, n, [a])
         old, new = random.Random(seed), random.Random(seed)
-        want = _listed_pair(F, old, a, w, excluded)
-        assert construct._usable_line_pair(F, new, a, w, excluded) == want
-        assert new.getstate() == old.getstate()
-        seen["starved"] += want is None
         count = 1 + seed % min(p, 3)
         want = old.sample(_listed_line(F, a, w), count)
         assert construct._line_candidates(F, new, a, w, count) == want
         assert new.getstate() == old.getstate()
-    assert seen["on"] and seen["off"]
-    assert seen["starved"] or p > 5  # GF(11) never loses 10 points
 
 
 _P61 = 2 ** 61 - 1  # the Mersenne prime 2305843009213693951
@@ -731,8 +707,9 @@ def test_plus_one_frozen_outputs_gf11():
     """Seeded plus_one outputs (points, target and provenance) on oracle
     witnesses of P1xP1 targets and on random P1xP1xP1 decompositions over
     GF(11).  The digest pins the arithmetic and the order of random draws;
-    it was recorded before the echelon kernel replaced the two-rank span
-    test."""
+    it was re-recorded when plus_one stopped drawing its line points
+    around the input's points (16 of the 26 outputs changed, each with the
+    same replaced point and factor)."""
     f = gf(11)
     rng = random.Random(4242)
     outs = []
@@ -756,7 +733,7 @@ def test_plus_one_frozen_outputs_gf11():
     for out in outs:
         _assert_report_is_a_fresh_solve(out)
     assert _digest(outs) == (
-        "3e6eb4722310279f60eb9524d027cf95c8636adf641814b28721f660023cc648")
+        "2168553b287ff609b62af07ab8280bf696a0ee2e4050477cb2f5970794b861a1")
 
 
 def test_plus_one_frozen_outputs_rationals():
