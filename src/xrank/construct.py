@@ -26,8 +26,8 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      UnsupportedDegree, YEqualsW)
 from .exactlin import (Echelon, _integer_row, in_span, rank_rows,
                        solve_columns)
-from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
-                       _evaluate_monomials, canonical_vector, line_point)
+from .geometry import (DEFAULT_COORD_BOX, SubspaceSpec, _evaluate_monomials,
+                       canonical_vector, line_point)
 from .oracle import brute_rank
 
 
@@ -63,39 +63,25 @@ def _draw_vector_off_span(field, rng, length, span_rows, tries=128):
                               % tries)
 
 
-def _line_point_at(field, a_vec, w_vec, k):
-    """Point k of the p points other than a on the line through a and w
-    over GF(p): a + (k+1) w for k < p-1, and w itself for k = p-1."""
-    p = field.modulus
-    if k == p - 1:
-        return tuple(w_vec)
-    return tuple((x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec))
-
-
 def _line_candidates(field, rng, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
-    from a.  Over GF(p) the line carries p such points, and `count`
-    distinct positions among them are drawn by index; over Q distinct
-    nonzero parameters are sampled from the coordinate box."""
+    from a.  Over GF(p) the line carries p such points, a + t w for
+    t = 1 .. p-1 and w itself, and `count` distinct positions among them
+    are drawn by index; over Q distinct nonzero parameters t are sampled
+    from the coordinate box."""
     if field.is_finite:
         p = field.modulus
         if count > p:
             raise FieldTooSmall(
                 "need %d distinct points on a line off its base point; "
                 "GF(%d) offers %d" % (count, p, p))
-        return [_line_point_at(field, a_vec, w_vec, k)
+        return [tuple(w_vec) if k == p - 1
+                else line_point(field, a_vec, w_vec, k + 1)
                 for k in rng.sample(range(p), count)]
     box = DEFAULT_COORD_BOX
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
     return [line_point(field, a_vec, w_vec, t) for t in ts]
-
-
-def _with_factor(point, i, vec):
-    """`point` with factor i replaced by the canonical vector vec, which,
-    unlike in `replace_factor`, is not canonicalised again."""
-    coords = point.coords
-    return MppPoint(point.space, coords[:i] + (vec,) + coords[i + 1:])
 
 
 def _factor_image(field, y, deg):
@@ -151,7 +137,8 @@ def _fiber_map(space, point, i):
 def _escaping_fibers(space, points, u_span):
     """(point index, factor, fiber map) triples, in order, whose fiber
     through the point has a coordinate direction embedding outside U; the
-    map is `_fiber_map` of that point and factor."""
+    map is `_fiber_map` of that point and factor.  The factors have degree
+    one, so a unit vector is its own image."""
     for ai, a in enumerate(points):
         for i in range(space.k):
             fiber = _fiber_map(space, a, i)
@@ -165,54 +152,40 @@ def _escaping_fibers(space, points, u_span):
 
 def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
     """Replace point ai of d by the k >= 2 points that equal it off
-    factor i and carry there the nonzero vectors `vecs`: the candidate,
-    with its columns and a proved report, or None when the proof fails.
-    `report` is d's report (irredundant), `u_span` an `Echelon` of d's
-    columns, `fiber` the `_fiber_map` of point ai and factor i, and
-    `prov` the candidate's provenance.  No point is embedded and nothing
-    is solved at tensor length.
+    factor i and carry there the vectors `vecs`: the candidate, with its
+    columns and a proved report, or None.  `report` is d's, `u_span` an
+    `Echelon` of d's columns and `fiber` the `_fiber_map` of point ai and
+    factor i; no point is embedded and nothing is solved at tensor length.
 
-    The proof.  The input gives q = sum_j c_j x_j, its r columns x_j
-    independent and every c_j nonzero; U is their span.  Write a for
-    point ai, e for the degree of factor i, v_e for its Veronese map and
-    g_1..g_k for the new points.  Then x_a = L(v_e(a_i)) and
-    x_gt = L(v_e(g_t)) for the fiber map L, which is linear and
-    injective.  The candidate is accepted when
+    The proof.  q = sum_j c_j x_j, the r columns x_j independent and
+    every c_j nonzero; U is their span.  For a = point ai, v_e the
+    Veronese map of factor i and g_1..g_k the new points,
+    x_a = L(v_e(a_i)) and x_gt = L(v_e(g_t)) for the linear, injective
+    fiber map L.  The candidate is accepted when
     1. the factor-length solve v_e(a_i) = sum_t gamma_t v_e(g_t) has
        independent columns and every gamma_t nonzero, and
     2. x_g1 .. x_g(k-1) are independent modulo U.
-    Applying L to 1 gives x_a = sum_t gamma_t x_gt, so
-    x_gk = (x_a - sum_{t<k} gamma_t x_gt) / gamma_k lies in
-    U + <x_g1 .. x_g(k-1)>, which has dimension r + k - 1 by 2.  The
-    candidate's r - 1 + k columns span that space, since they span x_a:
-    they are independent, and its points pairwise distinct.  So
+    By 1 and L, x_a = sum_t gamma_t x_gt, so x_gk lies in
+    U + <x_g1 .. x_g(k-1)>, of dimension r + k - 1 by 2.  The
+    candidate's r - 1 + k columns span it, as they span x_a: they are
+    independent (so its points are distinct), and
     q = sum_{j != a} c_j x_j + sum_t c_a gamma_t x_gt is the unique
-    expansion, every coefficient is nonzero, and the candidate is
-    irredundant.
-
-    Conversely, suppose an exact re-verification accepts the candidate
-    and v_e(a_i) lies in the span of the v_e(g_t).  Its expansion of q
-    is then the one above, so every gamma_t is nonzero, and
-    U + <x_g1 .. x_g(k-1)> is the span of its r - 1 + k independent
-    columns: 1 and 2 hold.  Every move made here meets that condition.
-    In `plus_one` and `escape`, u and v are two points of a line through
-    a_i in a degree-one factor.  In `concise_plus_m` the c_t span the
-    factor.  A line step puts e + 1 distinct points on the degree-e
-    rational normal curve that v_e maps the line to, and any e + 1
-    distinct points of that curve are independent and span its P^e, which
-    holds v_e(a_i) (Landsberg, Tensors: Geometry and Applications, AMS
-    GSM 128, 2012).  So this accepts exactly the candidates that an
-    exact re-verification accepts.
-
-    Over Q the images are s_t v_e(g_t) and s_a v_e(a_i)
-    (`_factor_image`), so the solve's coefficients are rescaled by
-    s_t / s_a.
+    expansion, every coefficient nonzero.  Conversely, when an exact
+    re-verification accepts and v_e(a_i) lies in the span of the
+    v_e(g_t), that expansion is its own, so 1 and 2 hold.  Every move
+    here has v_e(a_i) there: two points of a line through a_i in a
+    degree-one factor (`plus_one`, `escape`), c_t spanning the factor
+    (`concise_plus_m`), or e + 1 distinct points of the degree-e rational
+    normal curve v_e(line), any e + 1 of which span its P^e (Landsberg,
+    Tensors: Geometry and Applications, 2012).  So this accepts exactly
+    what re-verification accepts.  Over Q the images are s_t v_e(g_t) and
+    s_a v_e(a_i) (`_factor_image`), so gamma is rescaled by s_t / s_a.
     """
     field = d.space.field
     deg = d.space.multidegree[i]
     a = d.points[ai]
-    vecs = [canonical_vector(field, g) for g in vecs]
-    images = [_factor_image(field, g, deg) for g in vecs]
+    new_pts = [a.replace_factor(i, g) for g in vecs]
+    images = [_factor_image(field, g.coords[i], deg) for g in new_pts]
     cols = [fiber(im) for im in images[:-1]]
     # 2: insert x_g1 .. x_g(k-2) into a copy of U, then test x_g(k-1)
     span = u_span
@@ -230,8 +203,7 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
     if field.modulus is None:
         gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
     keep = [j for j in range(len(d.points)) if j != ai]
-    cand = Decomposition(d.space, [d.points[j] for j in keep]
-                         + [_with_factor(a, i, g) for g in vecs],
+    cand = Decomposition(d.space, [d.points[j] for j in keep] + new_pts,
                          d.target, prov)
     cand._with_columns([d.embedded_columns[j] for j in keep] + cols
                        + [fiber(images[-1])])
@@ -291,15 +263,13 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     Scans (point, factor) pairs in deterministic order for a fiber with
     span not inside U = span of the embedded input; the replacement points
     are two random points of a line through the chosen point inside that
-    fiber, and `_proved_move`'s test that the first embeds outside U keeps
+    fiber, and `_proved_move` proves the candidate's report from the
+    input's.  Its test that the first new point embeds outside U keeps
     both off every input point.  The input is checked by
     `verify_irredundant`, which reuses a report the input already carries
-    (an oracle witness has one) instead of solving again.
-    No point is embedded: the scan's unit directions and the two new
-    columns are images under the fiber map L of `_fiber_map`, whose
-    product of the point's other factors is built once per (point,
-    factor).  `_proved_move` proves the candidate's report from the
-    input's.
+    (an oracle witness has one) instead of solving again.  No point is
+    embedded: the scan's unit directions go through the fiber map of
+    `_fiber_map`, built once per (point, factor).
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -355,7 +325,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     Works in the first factor where Y is deficient (that factor must have
     degree one): one point is replaced by two points off Y's factor
     subspace on a line through it, so their span recovers the dropped
-    point.  Output is verified irredundant and leaves Y by construction.
+    point.  Output is proved irredundant and leaves Y by construction.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -472,15 +442,9 @@ def concise_plus_m(d: Decomposition, m: int,
         # gamma_t c_t, the c_t independent and every gamma_t nonzero); it
         # stays while perfbench/tests/test_tracer.py checks that this
         # module imports in_span (ROADMAP item 10)
-        if rank_rows(field, cs) != m + 1:
-            continue
-        bad = False
-        for drop in range(m + 1):
-            sub = [cs[t] for t in range(m + 1) if t != drop]
-            if in_span(field, sub, o):
-                bad = True
-                break
-        if bad:
+        if rank_rows(field, cs) != m + 1 or any(
+                in_span(field, cs[:drop] + cs[drop + 1:], o)
+                for drop in range(m + 1)):
             continue
         prov = _base_provenance("concise_plus_m", cfg, assert_minimal,
                                 certify_minimal)
@@ -540,9 +504,8 @@ def _extend_one_factor(d, factor, cfg):
 def _line_steps(d, report, factor, steps, cfg, prov):
     """Run `steps` line steps in one factor of degree e, step s seeded
     with rng_seed + 7919 s; report is d's, and prov starts the output's
-    provenance.
-    FieldTooSmall when a line over GF(p) has fewer than e+1 points off
-    its base point."""
+    provenance.  FieldTooSmall when a line over GF(p) has fewer than e+1
+    points off its base point."""
     space = d.space
     deg = space.multidegree[factor]
     p = space.field.modulus

@@ -15,6 +15,7 @@ from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
                              plus_one, sv_extend, veronese_extend)
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
                           verify_irredundant)
+from xrank.exactlin import Echelon
 from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
                           NotConcise, NotContainedInY, NotIrredundantInput,
                           NotVeronese, TargetTooSmall, UnsupportedDegree,
@@ -156,6 +157,59 @@ def test_fiber_map_equals_embed_of_the_replaced_point(field, dims, degrees):
                 image = construct._factor_image(field, y, deg)
                 assert fiber(image) == embed(
                     S, point.replace_factor(i, y)).coords
+
+
+@pytest.mark.parametrize("field", [gf(3), gf(5), QQ], ids=str)
+def test_proved_move_accepts_exactly_what_verification_accepts(field):
+    # moves of a = point 0 in factor 0 of P3 x P1, where b = point 1
+    # shares a's fiber, so the fiber meets U in <x_a, x_b>.  The new
+    # vectors g_1 .. g_(k-1) are drawn among a_0, b_0, a_0 + c b_0 and
+    # random vectors, and g_k = a_0 - sum_t lam_t g_t with lam_t at times
+    # 0, so a_0 lies in the span of the g_t: the proof must accept a
+    # candidate exactly when a fresh verification does
+    S = segre((3, 1), field)
+    F = field
+    rng = random.Random(str(field))
+
+    def combo(x, c, y):
+        return tuple(F.add(s, F.mul(F.coerce(c), t)) for s, t in zip(x, y))
+
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        A = [pt(S, _random_canonical(F, rng, 4), E0) for _ in range(2)]
+        A.append(pt(S, _random_canonical(F, rng, 4), E1))
+        if len(set(A)) < 3:
+            continue  # distinct a_0, b_0: the x_j are independent
+        d = Decomposition(S, A, lin_comb(S, A, [rng.choice([1, 2])
+                                                for _ in A]))
+        report = verify_irredundant(d)
+        a0, b0 = A[0].coords[0], A[1].coords[0]
+
+        def draw():
+            return rng.choice([a0, b0, combo(a0, rng.randint(1, 4), b0),
+                               _random_canonical(F, rng, 4)])
+
+        gs = [draw() for _ in range(rng.randint(1, 3))]
+        last = a0
+        for g in gs:
+            last = combo(last, -rng.choice([0, 1, rng.randint(1, 4)]), g)
+        if not any(last):
+            continue
+        cand = construct._proved_move(
+            d, report, Echelon(F, d.embedded_columns), 0, 0,
+            construct._fiber_map(S, A[0], 0), gs + [last], {})
+        pts = A[1:] + [A[0].replace_factor(0, g) for g in gs + [last]]
+        fresh = None
+        if len(set(pts)) == len(pts):
+            fresh = verify_irredundant(Decomposition(S, pts, d.target))
+        accepted = fresh is not None and fresh.irredundant
+        assert (cand is not None) == accepted
+        if accepted:
+            assert list(cand.points) == pts
+            assert verify_irredundant(cand) == fresh
+            assert cand.embedded_columns == [embed(S, p).coords
+                                             for p in pts]
+        seen[accepted] += 1
 
 
 @pytest.mark.parametrize("field", [QQ, gf(5)], ids=["QQ", "GF5"])
