@@ -7,10 +7,15 @@ that equal a off one factor.  `_proved_move` proves such a candidate's
 report from the input's report, with one exact solve on the replaced
 factor's Veronese images (not the N + 1 tensor coordinates) and one
 independence test modulo the input's span (see its docstring); no
-candidate point is embedded or verified again.  Outputs therefore never
-rely on genericity arguments alone; every returned decomposition carries
-an exact report.  All draws come from one seeded stream, so identical
-(input, seed, config) give identical outputs.
+candidate point is embedded or verified again.  The line steps of
+`veronese_extend` and `sv_extend` eliminate that span once per call: each
+step hands the next the span of its output's columns and of the replaced
+factor's vectors.  What the draws prove of an output is not tested
+again: a line step grows its factor envelope by one, `concise_plus_m`'s
+envelope is full and `escape`'s output leaves Y.  Outputs therefore
+never rely on genericity arguments alone; every returned decomposition
+carries an exact report.  All draws come from one seeded stream, so
+identical (input, seed, config) give identical outputs.
 """
 
 import random
@@ -41,19 +46,10 @@ class ConstructionConfig:
             raise InvalidInput("max_retries must be >= 1")
 
 
-def _draw_vector_off_span(field, rng, length, span_rows, tries=128):
-    """Random nonzero vector outside the row span of the nonzero rows
-    (rejection sampling).  A one-row span <r> needs no elimination: v
-    lies on it iff v r[s] = v[s] r at an entry s with r[s] != 0."""
-    if len(span_rows) == 1:
-        r = span_rows[0]
-        s = next(j for j, x in enumerate(r) if x)
-        mul = field.mul
-
-        def on_span(v):
-            return all(mul(x, r[s]) == mul(v[s], y) for x, y in zip(v, r))
-    else:
-        on_span = Echelon(field, span_rows).contains
+def _draw_vector_off_span(field, rng, length, on_span, tries=128):
+    """Random nonzero vector v with on_span(v) False (rejection
+    sampling); on_span is the membership test of a span, such as an
+    `Echelon`'s `contains`."""
     for _ in range(tries):
         v = tuple(field.random_element(rng, DEFAULT_COORD_BOX)
                   for _ in range(length))
@@ -61,6 +57,15 @@ def _draw_vector_off_span(field, rng, length, span_rows, tries=128):
             return v
     raise GenericityExhausted("no direction off the span after %d draws"
                               % tries)
+
+
+def _on_ray(field, r):
+    """Membership test of the span <r> of one nonzero vector, with no
+    elimination: v lies on it iff v r[s] = v[s] r at an entry s with
+    r[s] != 0."""
+    s = next(j for j, x in enumerate(r) if x)
+    mul = field.mul
+    return lambda v: all(mul(x, r[s]) == mul(v[s], y) for x, y in zip(v, r))
 
 
 def _line_candidates(field, rng, a_vec, w_vec, count):
@@ -150,12 +155,15 @@ def _escaping_fibers(space, points, u_span):
                     break
 
 
-def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
+def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     """Replace point ai of d by the k >= 2 points that equal it off
     factor i and carry there the vectors `vecs`: the candidate, with its
     columns and a proved report, or None.  `report` is d's, `u_span` an
-    `Echelon` of d's columns and `fiber` the `_fiber_map` of point ai and
-    factor i; no point is embedded and nothing is solved at tensor length.
+    `Echelon` spanning d's columns (left as it is) and `fiber` the
+    `_fiber_map` of point ai and factor i; no point is embedded and
+    nothing is solved at tensor length.  With `carry` the result is
+    (candidate, span), span an `Echelon` of U and x_g1 .. x_g(k-1), which
+    spans the candidate's columns (below), for a next move to start from.
 
     The proof.  q = sum_j c_j x_j, the r columns x_j independent and
     every c_j nonzero; U is their span.  For a = point ai, v_e the
@@ -187,13 +195,14 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
     new_pts = [a.replace_factor(i, g) for g in vecs]
     images = [_factor_image(field, g.coords[i], deg) for g in new_pts]
     cols = [fiber(im) for im in images[:-1]]
-    # 2: insert x_g1 .. x_g(k-2) into a copy of U, then test x_g(k-1)
+    # 2: insert x_g1 .. x_g(k-1) into a copy of U, each growing it; a
+    # single column that nothing carries forward is tested against U
     span = u_span
-    if len(cols) > 1:
+    if carry or len(cols) > 1:
         span = u_span.copy()
-        if not all(span.insert(c) for c in cols[:-1]):
+        if not all(span.insert(c) for c in cols):
             return None
-    if span.contains(cols[-1]):
+    elif span.contains(cols[0]):
         return None
     target, s_a = _factor_image(field, a.coords[i], deg)
     sol = solve_columns(field, [v for v, _ in images], target)
@@ -210,8 +219,8 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov):
     c_a = report.values[ai]
     values = (tuple(report.values[j] for j in keep)
               + tuple(field.mul(c_a, g) for g in gamma))
-    return cand._with_report(IrredundancyReport(True, True, field, values,
-                                                True))
+    cand._with_report(IrredundancyReport(True, True, field, values, True))
+    return (cand, span) if carry else cand
 
 
 def _certify_minimal_via_oracle(d, within=None):
@@ -300,7 +309,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         a = d.points[ai]
         try:
             w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
-                                      [a.coords[i]])
+                                      _on_ray(field, a.coords[i]))
         except GenericityExhausted:
             continue
         pair = _line_candidates(field, rng, a.coords[i], w, 2)
@@ -325,7 +334,8 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     Works in the first factor where Y is deficient (that factor must have
     degree one): one point is replaced by two points off Y's factor
     subspace on a line through it, so their span recovers the dropped
-    point.  Output is proved irredundant and leaves Y by construction.
+    point.  Output is proved irredundant and leaves Y by construction
+    (see `_escape`).
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -349,7 +359,13 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
 def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
     """`escape` once its input checks have passed: Y is proper and holds
     the irredundant input's points and its target; report is the
-    input's."""
+    input's.
+
+    Every accepted candidate leaves Y.  Let H be Y's subspace in the
+    deficient factor i*.  The replaced point a lies in Y, so a_i* is in H,
+    and w is drawn off H.  The new points carry a_i* + t w (t != 0) or w
+    in factor i*; if a_i* + t w were in H, so would be w.  So no new point
+    lies in Y, and no candidate needs a test for it."""
     space = d.space
     field = space.field
     istar = next(i for i in range(space.k)
@@ -357,7 +373,7 @@ def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
     if space.multidegree[istar] != 1:
         raise UnsupportedDegree(
             "the deficient factor must have degree one")
-    h_rows = [list(b) for b in ysub.factor_bases[istar]]
+    on_h = Echelon(field, ysub.factor_bases[istar]).contains
     rng = random.Random(cfg.rng_seed)
     u_span = Echelon(field, d.embedded_columns)
 
@@ -366,7 +382,7 @@ def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
         a = d.points[ai]
         try:
             w = _draw_vector_off_span(field, rng,
-                                      space.factor_dims[istar] + 1, h_rows)
+                                      space.factor_dims[istar] + 1, on_h)
         except GenericityExhausted:
             continue
         cands = _line_candidates(field, rng, a.coords[istar], w, 2)
@@ -376,11 +392,8 @@ def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
                      "retries_used": attempt})
         cand = _proved_move(d, report, u_span, ai, istar,
                             _fiber_map(space, a, istar), cands, prov)
-        if cand is None:
-            continue
-        if all(ysub.contains_point(pt) for pt in cand.points):
-            continue
-        return cand
+        if cand is not None:
+            return cand
     raise GenericityExhausted("escape failed after %d retries"
                               % cfg.max_retries)
 
@@ -398,6 +411,12 @@ def concise_plus_m(d: Decomposition, m: int,
     every m of them; that keeps all coefficients nonzero.  The input's
     set envelope must already be full on the retained factors (tensor
     concision of the target for Y implies this).
+
+    So every accepted candidate's envelope is full, with no test: the new
+    points copy a's retained factors and the other input points stay, so
+    its retained envelope is the input's, and `_proved_move`'s condition 1
+    (independent columns c_0..c_m, the factor having degree one) makes
+    c_0..c_m a basis of the last factor.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -452,36 +471,35 @@ def concise_plus_m(d: Decomposition, m: int,
                      "retries_used": attempt})
         cand = _proved_move(d, report, u_span, ai, last,
                             _fiber_map(space, a, last), cs, prov)
-        if cand is None:
-            continue
-        if not set_envelope(space, cand.points).is_full:
-            continue
-        return cand
+        if cand is not None:
+            return cand
     raise GenericityExhausted("concise_plus_m failed after %d retries"
                               % cfg.max_retries)
 
 
-def _extend_one_factor(d, factor, cfg):
-    """One line step in a factor of degree e: replace a point by e+1
-    distinct points of a line meeting the current factor span only at it;
-    the factor envelope must grow by one and the result must be proved
-    from d's report, which the step before proved.  The step is appended
-    to the provenance's "steps"."""
+def _extend_one_factor(d, u_span, f_span, factor, cfg):
+    """One line step in a factor of degree e: replace a point a by e+1
+    distinct points of the line through a_f and a vector w drawn off the
+    factor span F, and prove the result from d's report, which the step
+    before proved.  u_span is an `Echelon` of d's columns, f_span one of
+    F; returns (output, an `Echelon` of its columns) and inserts w into
+    f_span.  The step is appended to the provenance's "steps".
+
+    The factor envelope grows by exactly one.  w is off F and a_f is in F,
+    so any two distinct points of the line span <a_f, w>; the e+1 >= 2 new
+    points take a's place, so the output's factor span is F + <w>."""
     space = d.space
     field = space.field
     deg = space.multidegree[factor]
     rng = random.Random(cfg.rng_seed)
     report = verify_irredundant(d)
-    u_span = Echelon(field, d.embedded_columns)
-    span_rows = [p.coords[factor] for p in d.points]
-    prev_dim = set_envelope(space, d.points).dims[factor]
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
         a = d.points[ai]
         try:
             w = _draw_vector_off_span(field, rng,
                                       space.factor_dims[factor] + 1,
-                                      span_rows)
+                                      f_span.contains)
         except GenericityExhausted:
             continue
         gvecs = _line_candidates(field, rng, a.coords[factor], w, deg + 1)
@@ -489,23 +507,24 @@ def _extend_one_factor(d, factor, cfg):
         prov["steps"] = prov["steps"] + [{"replaced_point": ai,
                                           "factor": factor,
                                           "retries_used": attempt}]
-        cand = _proved_move(d, report, u_span, ai, factor,
-                            _fiber_map(space, a, factor), gvecs, prov)
-        if cand is None:
-            continue
-        if set_envelope(space, cand.points).dims[factor] != prev_dim + 1:
-            continue
-        return cand
+        moved = _proved_move(d, report, u_span, ai, factor,
+                             _fiber_map(space, a, factor), gvecs, prov,
+                             carry=True)
+        if moved is not None:
+            f_span.insert(w)
+            return moved
     raise GenericityExhausted("%s step failed after %d retries"
                               % (d.provenance["construction"],
                                  cfg.max_retries))
 
 
-def _line_steps(d, report, factor, steps, cfg, prov):
+def _line_steps(d, report, f_span, factor, steps, cfg, prov):
     """Run `steps` line steps in one factor of degree e, step s seeded
-    with rng_seed + 7919 s; report is d's, and prov starts the output's
-    provenance.  FieldTooSmall when a line over GF(p) has fewer than e+1
-    points off its base point."""
+    with rng_seed + 7919 s; report is d's, f_span an `Echelon` of its
+    points' vectors in that factor, and prov starts the output's
+    provenance.  U, the span of d's columns, is eliminated once; each step
+    hands the next its output's span and f_span.  FieldTooSmall when a
+    line over GF(p) has fewer than e+1 points off its base point."""
     space = d.space
     deg = space.multidegree[factor]
     p = space.field.modulus
@@ -515,9 +534,11 @@ def _line_steps(d, report, factor, steps, cfg, prov):
     prov["steps"] = []
     cur = Decomposition(space, d.points, d.target, prov)
     cur._with_columns(d.embedded_columns)._with_report(report)
+    u_span = Echelon(space.field, d.embedded_columns)
     for step in range(steps):
-        cur = _extend_one_factor(
-            cur, factor, replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
+        cur, u_span = _extend_one_factor(
+            cur, u_span, f_span, factor,
+            replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
     return cur
 
 
@@ -537,12 +558,13 @@ def veronese_extend(d: Decomposition, target_n: int,
         raise NotVeronese("veronese_extend needs a single-factor space")
     n = space.factor_dims[0]
     report = _irredundant_input(d)
-    m_cur = set_envelope(space, d.points).dims[0]
+    f_span = Echelon(space.field, [p.coords[0] for p in d.points])
+    m_cur = f_span.rank - 1
     if not (m_cur <= target_n <= n):
         raise TargetTooSmall(
             "target_n=%d outside [current span %d, ambient %d]"
             % (target_n, m_cur, n))
-    return _line_steps(d, report, 0, target_n - m_cur, cfg,
+    return _line_steps(d, report, f_span, 0, target_n - m_cur, cfg,
                        {"construction": "veronese_extend",
                         "seed": cfg.rng_seed, "target_n": target_n})
 
@@ -564,7 +586,7 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         raise InvalidInput("need at least two factors")
     last = space.k - 1
     report = _irredundant_input(d)
-    _, ysub = _last_factor_slice(d)
+    o, ysub = _last_factor_slice(d)
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
     if space.multidegree[last] == 1:
@@ -580,4 +602,6 @@ def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     prov = _base_provenance("sv_extend", cfg, assert_minimal,
                             certify_minimal)
     prov["route"] = "line_steps"
-    return _line_steps(d, report, last, space.factor_dims[last], cfg, prov)
+    # every input point has o in the last factor, so <o> is its span
+    return _line_steps(d, report, Echelon(space.field, [o]), last,
+                       space.factor_dims[last], cfg, prov)

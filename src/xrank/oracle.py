@@ -31,8 +31,7 @@ from .errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                      NoConciseWitness, SpaceMismatch, TargetNotSpanned)
 from .exactlin import Echelon
 from .geometry import (MultiProjectiveSpace, SubspaceSpec, Tensor,
-                       ambient_dim, canonical_vector, count_points, embed,
-                       enumerate_points)
+                       ambient_dim, count_points, embed, enumerate_points)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -239,9 +238,8 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
         return SpanningSets(q, t, (), size, True)
     if engine == "naive":
         cand = itertools.combinations(range(g.size), t)
-    elif t == 1:  # q.coords is canonical; runs without residues too
-        cand = ((i,) for i, col in enumerate(g.columns)
-                if canonical_vector(field, col) == q.coords)
+    elif t == 1:  # columns and q.coords are canonical; no residues needed
+        cand = ((i,) for i, col in enumerate(g.columns) if col == q.coords)
     else:
         from . import quotient  # loaded with the ground set
         cand = quotient.candidates(field, g.residues, q.coords, t)

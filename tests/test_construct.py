@@ -557,6 +557,108 @@ def test_wrappers_keep_the_proved_reports(monkeypatch, space, A, run):
     _assert_report_is_a_fresh_solve(out)
 
 
+def _spy_line_step_work(monkeypatch):
+    """Row widths of every `Echelon` that construct builds, and a list
+    of its `set_envelope` calls."""
+    widths, envelopes = [], []
+
+    def echelon(field, rows=()):
+        rows = list(rows)
+        widths.append(len(rows[0]))
+        return Echelon(field, rows)
+
+    def envelope(*args):
+        envelopes.append(args)
+        return set_envelope(*args)
+
+    monkeypatch.setattr(construct, "Echelon", echelon)
+    monkeypatch.setattr(construct, "set_envelope", envelope)
+    return widths, envelopes
+
+
+_SV22 = MultiProjectiveSpace((1, 2), (1, 2), QQ)
+
+
+@pytest.mark.parametrize("space, A, run", [
+    (_V22, [pt(_V22, (1, 0, 0))],
+     lambda d: veronese_extend(d, 2, ConstructionConfig(rng_seed=4))),
+    (_SV22, [pt(_SV22, E0, (1, 0, 0)), pt(_SV22, E1, (1, 0, 0))],
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2))),
+], ids=["veronese_extend", "sv_line_steps"])
+def test_line_steps_eliminate_u_once(monkeypatch, space, A, run):
+    # two line steps: U is eliminated once at tensor width, each step
+    # hands the next its output's span, and no envelope is recomputed
+    d = Decomposition(space, A, lin_comb(space, A))
+    widths, envelopes = _spy_line_step_work(monkeypatch)
+    out = run(d)
+    assert len(out.provenance["steps"]) == 2
+    assert widths.count(len(d.target.coords)) == 1
+    assert set(widths) == {len(d.target.coords), space.factor_dims[-1] + 1}
+    assert envelopes == []
+
+
+def _same_span(field, span, cols):
+    """Whether the `Echelon` span is the span of the columns."""
+    return (span.rank == Echelon(field, cols).rank
+            and all(span.contains(c) for c in cols))
+
+
+@pytest.mark.parametrize("field", [QQ, gf(5), gf(11)], ids=str)
+def test_line_steps_carry_their_spans(monkeypatch, field):
+    # every step starts from the spans of its input and hands the next
+    # the spans of its output: U of the columns, F of the replaced
+    # factor's vectors; F and the factor envelope grow by exactly one,
+    # and the proved report is the one a fresh solve gives.  P3 in
+    # degree one has k = 2 points per step, so U must still grow there
+    real = construct._extend_one_factor
+    seen = []
+
+    def fresh_columns(d):
+        return [embed(d.space, p).coords for p in d.points]
+
+    def step(d, u_span, f_span, factor, cfg):
+        dim = set_envelope(d.space, d.points).dims[factor]
+        assert _same_span(field, u_span, fresh_columns(d))
+        assert _same_span(field, f_span, [p.coords[factor]
+                                          for p in d.points])
+        assert f_span.rank == dim + 1
+        out, span = real(d, u_span, f_span, factor, cfg)
+        assert set_envelope(d.space, out.points).dims[factor] == dim + 1
+        assert _same_span(field, f_span, [p.coords[factor]
+                                          for p in out.points])
+        assert _same_span(field, span, fresh_columns(out))
+        assert out.embedded_columns == fresh_columns(out)
+        _assert_report_is_a_fresh_solve(out)
+        seen.append(d.space.multidegree[factor])
+        return out, span
+
+    monkeypatch.setattr(construct, "_extend_one_factor", step)
+    rng = random.Random(str(field))
+
+    def coeff():
+        return rng.randint(1, 4)
+
+    def made(build):
+        while True:
+            d = build()
+            if d is not None:
+                return d
+
+    for seed in range(3):
+        cfg = ConstructionConfig(rng_seed=seed)
+        for n, deg, r in ((3, 1, 1), (3, 1, 2), (2, 2, 1), (2, 3, 2)):
+            V = veronese(n, deg, field)
+            d = made(lambda: _irredundant_sum(
+                V, rng, r, lambda: random_point(V, rng, 5), coeff))
+            out = veronese_extend(d, n, cfg)
+            assert set_envelope(V, out.points).dims == (n,)
+        SV = MultiProjectiveSpace((1, 2), (1, 2), field)
+        d = made(lambda: _sliced_sum(SV, rng, 2, (1, 0, 0), coeff))
+        out = sv_extend(d, cfg)
+        assert set_envelope(SV, out.points).dims[-1] == 2
+    assert sorted(seen) == [1] * 15 + [2] * 12 + [3] * 3
+
+
 def test_sv_extend_rejects_a_point_last_factor():
     # on P1 x P0 the slice Y' x {o} is the whole space
     S = segre((1, 0))
@@ -702,7 +804,8 @@ def test_line_draws_by_index_match_the_listed_draws(p):
         rng = random.Random(seed)
         n = rng.randint(2, 4)
         a = _random_canonical(F, rng, n)
-        w = construct._draw_vector_off_span(F, rng, n, [a])
+        w = construct._draw_vector_off_span(F, rng, n,
+                                            construct._on_ray(F, a))
         old, new = random.Random(seed), random.Random(seed)
         count = 1 + seed % min(p, 3)
         want = old.sample(_listed_line(F, a, w), count)

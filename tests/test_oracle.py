@@ -232,6 +232,33 @@ def test_engines_agree_at_fixed_cardinality():
             assert counts["auto"] == counts["naive"], (q.coords, t, counts)
 
 
+@pytest.mark.parametrize("within", [False, True], ids=["full", "within"])
+def test_engines_agree_at_t1(within):
+    # the t=1 scan compares the canonical ground columns with the
+    # canonical target directly; targets are ground points (rescaled
+    # before Tensor.of), points off Y and random tensors
+    S = segre((1, 2), gf(5))
+    F = S.field
+    y = (SubspaceSpec.of(S, [(E0, E1), ((1, 1, 0), (0, 2, 1))])
+         if within else None)
+    g = ground_set(S, y)
+    rng = random.Random(31)
+    points = rng.sample(g.columns, 24)
+    targets = [Tensor.of(S, [F.mul(c, k) for c in col])
+               for col, k in zip(points, rng.choices(range(1, 5), k=24))]
+    targets.append(embed(S, pt(S, E1, (0, 0, 1))))  # off Y
+    targets += _random_targets(S, rng, 8)
+    found = []
+    for q in targets:
+        indices = {e: [w.provenance["indices"]
+                       for w in spanning_sets(q, 1, within=y,
+                                              engine=e).witnesses]
+                   for e in ("auto", "naive")}
+        assert indices["auto"] == indices["naive"], q.coords
+        found.append(len(indices["auto"]))
+    assert found[:24] == [1] * 24 and found[24] == (not within)
+
+
 @pytest.mark.parametrize("t", [4, 5])
 def test_engines_agree_above_t3_on_p1xp2_over_gf2(t):
     S = segre((1, 2), gf(2))  # 21 points
