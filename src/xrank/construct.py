@@ -443,19 +443,10 @@ def concise_plus_m(d: Decomposition, m: int,
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
         a = d.points[ai]
-        cs = []
-        ok = True
-        for _ in range(m + 1):
-            for _try in range(64):
-                v = tuple(field.random_element(rng, DEFAULT_COORD_BOX)
-                          for _ in range(m + 1))
-                if any(x != 0 for x in v):
-                    break
-            else:
-                ok = False
-                break
-            cs.append(canonical_vector(field, v))
-        if not ok or len(set(cs)) != m + 1:
+        draws = (_draw_vector_off_span(field, rng, m + 1, lambda v: False)
+                 for _ in range(m + 1))
+        cs = [canonical_vector(field, v) for v in draws]
+        if len(set(cs)) != m + 1:
             continue
         # _proved_move's condition 1 implies this filter (o = sum_t
         # gamma_t c_t, the c_t independent and every gamma_t nonzero); it

@@ -257,17 +257,13 @@ def extend_from_envelope(reduced: Tensor, env: Envelope) -> Tensor:
     """Inverse of restrict_to_envelope: reduced coordinates back to the
     ambient tensor space."""
     sub = env.subspace
-    f = sub.space.field
     cols = sub.span_columns()
     if len(cols) != len(reduced.coords):
         raise DimensionMismatch("reduced tensor does not match the envelope")
-    n = len(cols[0])
-    out = [f.zero()] * n
-    for c, col in zip(reduced.coords, cols):
-        if c != 0:
-            for i in range(n):
-                out[i] = f.add(out[i], f.mul(c, col[i]))
-    return Tensor.of(sub.space, out)
+    # raw sums; Tensor.of reduces them into the field
+    coords = [sum(c * col[i] for c, col in zip(reduced.coords, cols))
+              for i in range(len(cols[0]))]
+    return Tensor.of(sub.space, coords)
 
 
 def fiber_condition(d: Decomposition) -> FiberReport:

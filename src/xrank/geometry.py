@@ -448,17 +448,14 @@ class SubspaceSpec:
         return True
 
     def lift_point(self, reduced: MppPoint) -> MppPoint:
-        """Map a point of the reduced space through the factor bases."""
-        f = self.space.field
+        """Map a point of the reduced space through the factor bases
+        (raw sums; `MppPoint.of` reduces them into the field)."""
         vecs = []
         for basis, rv in zip(self.factor_bases, reduced.coords):
             if len(rv) != len(basis):
                 raise DimensionMismatch("reduced factor length mismatch")
-            amb = [f.zero()] * len(basis[0])
-            for c, b in zip(rv, basis):
-                for i, bv in enumerate(b):
-                    amb[i] = f.add(amb[i], f.mul(c, bv))
-            vecs.append(amb)
+            vecs.append([sum(c * b[i] for c, b in zip(rv, basis))
+                         for i in range(len(basis[0]))])
         return MppPoint.of(self.space, vecs)
 
     def span_columns(self):

@@ -11,16 +11,15 @@ once: ray buckets in V/<q> for t=2, and for t >= 3 a walk over the
 prefixes of t-3 points independent in V/<q> with an anchor search in
 V/<q, prefix, anchor> at each.  That module, and numpy with it, is
 imported only when the first GF(p) ground set is built, so this module
-loads without numpy.  A naive subset scan is kept as a reference engine
-for cross-testing.  Every candidate passes through
+loads without numpy.  Every candidate passes through
 `verify_irredundant`, the exact verification used everywhere else, so
 engine bugs can only lose witnesses, not invent them; the test suite
-compares engines against the naive scan to guard the losing direction.
+compares the search with the definition, an exact solve on every subset
+of the ground columns, to guard the losing direction.
 The report that verification caches on a witness is the one the
 constructions read, so a witness is solved only once.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -59,32 +58,20 @@ class GroundSet:
         return len(self.points)
 
 
-def _ground(space, within, pts, cols):
+@lru_cache(maxsize=64)
+def _ground(space: MultiProjectiveSpace,
+            within: Optional[SubspaceSpec]) -> GroundSet:
+    if within is None:
+        pts = tuple(enumerate_points(space))
+    else:
+        pts = tuple(within.lift_point(rp)
+                    for rp in enumerate_points(within.reduced_space()))
+    cols = tuple(embed(space, p).coords for p in pts)
     # the first GF(p) ground set imports the numpy engine
     from .quotient import residue_matrix
     return GroundSet(space, within, pts, cols,
                      residue_matrix(space.field.modulus, cols),
                      Echelon(space.field, cols))
-
-
-@lru_cache(maxsize=64)
-def _ground_full(space: MultiProjectiveSpace) -> GroundSet:
-    pts = tuple(enumerate_points(space))
-    cols = tuple(embed(space, p).coords for p in pts)
-    return _ground(space, None, pts, cols)
-
-
-@lru_cache(maxsize=64)
-def _ground_within(ysub: SubspaceSpec) -> GroundSet:
-    space = ysub.space
-    reduced = ysub.reduced_space()
-    pts = []
-    cols = []
-    for rp in enumerate_points(reduced):
-        ap = ysub.lift_point(rp)
-        pts.append(ap)
-        cols.append(embed(space, ap).coords)
-    return _ground(space, ysub, tuple(pts), tuple(cols))
 
 
 def _ground_space(space, within):
@@ -99,7 +86,7 @@ def _ground_space(space, within):
 def ground_set(space: MultiProjectiveSpace,
                within: Optional[SubspaceSpec] = None) -> GroundSet:
     _ground_space(space, within)
-    return _ground_full(space) if within is None else _ground_within(within)
+    return _ground(space, within)
 
 
 def _search_size(space, within, t, budget):
@@ -216,29 +203,23 @@ class ConciseResult(NamedTuple):
 def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
                   within: Optional[SubspaceSpec] = None,
                   budget: int = DEFAULT_BUDGET,
-                  engine: str = "auto",
                   predicate: Optional[Callable] = None) -> SpanningSets:
     """Irredundant size-t decompositions of q from ground points, in
     ascending index order.  mode="exists" stops at the first witness;
-    `predicate` filters verified witnesses before they count.
-    engine="auto" scans for columns parallel to q at t=1 and runs
-    `quotient.candidates` at every t >= 2; engine="naive" tries every
-    size-t subset.  Either way each candidate is verified exactly."""
+    `predicate` filters verified witnesses before they count.  t=1
+    scans for columns parallel to q, and every t >= 2 runs
+    `quotient.candidates`; each candidate is verified exactly."""
     space = q.space
     if t < 1:
         raise InvalidInput("t must be >= 1")
     if mode not in ("all", "exists"):
         raise InvalidInput("mode must be 'all' or 'exists'")
-    if engine not in ("auto", "naive"):
-        raise InvalidInput("engine must be auto or naive")
     size = _search_size(space, within, t, budget)
     g = ground_set(space, within)
     field = space.field
     if not g.span.contains(q.coords):
         return SpanningSets(q, t, (), size, True)
-    if engine == "naive":
-        cand = itertools.combinations(range(g.size), t)
-    elif t == 1:  # columns and q.coords are canonical; no residues needed
+    if t == 1:  # columns and q.coords are canonical; no residues needed
         cand = ((i,) for i, col in enumerate(g.columns) if col == q.coords)
     else:
         from . import quotient  # loaded with the ground set
@@ -261,8 +242,7 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
 
 
 def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
-               budget: int = DEFAULT_BUDGET,
-               engine: str = "auto") -> RankCertificate:
+               budget: int = DEFAULT_BUDGET) -> RankCertificate:
     """Smallest t admitting an irredundant size-t decomposition from
     ground points, with all minimal decompositions.  Raises
     TargetNotSpanned when the ground set cannot express the target."""
@@ -275,8 +255,7 @@ def brute_rank(q: Tensor, *, within: Optional[SubspaceSpec] = None,
             "target lies outside the span of the %d ground points" % g.size)
     searched = 0
     for t in range(1, big + 1):
-        ss = spanning_sets(q, t, "all", within=within, budget=budget,
-                           engine=engine)
+        ss = spanning_sets(q, t, "all", within=within, budget=budget)
         searched += ss.search_space_size
         if ss.witnesses:
             return RankCertificate(q, t, ss.witnesses, searched, within)
@@ -321,12 +300,16 @@ def min_concise_t(q: Tensor, *, budget: int = DEFAULT_BUDGET) -> ConciseResult:
     searched = cert.search_space_size
     non_concise = []
     for t in range(cert.rank, big + 1):
-        ss = spanning_sets(q, t, "exists", budget=budget,
-                           predicate=full_env)
-        searched += ss.search_space_size
-        if ss.witnesses:
-            return ConciseResult(t, ss.witnesses[0], cert.rank,
-                                 tuple(non_concise), searched)
+        if t == cert.rank:  # brute_rank listed this layer in full
+            hit = next(filter(full_env, cert.witnesses), None)
+        else:
+            ss = spanning_sets(q, t, "exists", budget=budget,
+                               predicate=full_env)
+            searched += ss.search_space_size
+            hit = ss.witnesses[0] if ss.witnesses else None
+        if hit is not None:
+            return ConciseResult(t, hit, cert.rank, tuple(non_concise),
+                                 searched)
         non_concise.append(t)
     raise NoConciseWitness(
         "no irredundant decomposition with full envelope up to t=%d" % big)

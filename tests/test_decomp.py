@@ -11,7 +11,7 @@ from xrank.decomp import (Decomposition, extend_from_envelope, fiber_condition,
                           verify_irredundant, verify_irredundant_exhaustive)
 from xrank.errors import EmptySet, NotContained, SpaceMismatch, UnsupportedDegree
 from xrank.exactlin import rank_rows
-from xrank.geometry import Tensor, embed
+from xrank.geometry import MultiProjectiveSpace, Tensor, embed
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -210,12 +210,13 @@ def test_restrict_rejects_outside_tensor():
         restrict_to_envelope(Tensor.of(S, (0, 0, 1, 1)), env)
 
 
-def test_restrict_extend_round_trip_random():
-    rng = random.Random(17)
+def _round_trips(rng, spaces, count):
+    """Restrict random tensors of random envelopes and extend them back."""
     done = 0
-    while done < 50:
+    while done < count:
         field = rng.choice([QQ, gf(5), gf(11)])
-        sp = segre(rng.choice([(1, 1), (1, 2), (2, 2), (1, 1, 1)]), field)
+        dims, degrees = rng.choice(spaces)
+        sp = MultiProjectiveSpace(dims, degrees, field)
         pts = distinct_points(sp, rng.randint(1, 3), rng, box=4)
         coeffs = [field.random_element(rng, 4) for _ in pts]
         if all(c == field.zero() for c in coeffs):
@@ -228,6 +229,15 @@ def test_restrict_extend_round_trip_random():
         r = restrict_to_envelope(q, env)
         assert extend_from_envelope(r, env) == q
         done += 1
+
+
+def test_restrict_extend_round_trip_random():
+    rng = random.Random(17)
+    _round_trips(rng, [(dims, (1,) * len(dims)) for dims in
+                       [(1, 1), (1, 2), (2, 2), (1, 1, 1)]], 50)
+    # the lift sums raw products at every degree
+    _round_trips(rng, [((1, 2), (1, 2)), ((2,), (2,)), ((1, 1), (2, 1))],
+                 60)
 
 
 # ------------------------------------------------------------------- fibers

@@ -19,7 +19,7 @@ from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                           ModulusTooLarge, TargetNotSpanned)
 from xrank.exactlin import FieldSpec, solve_columns
 from xrank.geometry import (SubspaceSpec, Tensor, canonical_vector,
-                            count_points, embed)
+                            count_points, embed, enumerate_points)
 from xrank.oracle import (brute_rank, gap_profile, ground_set,
                           min_concise_t, spanning_sets)
 from xrank.quotient import _canonical, candidates
@@ -38,6 +38,35 @@ def _is_witness(field, cols, qvec):
 def _witnesses_by_definition(field, cols, qvec, t):
     return [tup for tup in itertools.combinations(range(len(cols)), t)
             if _is_witness(field, [cols[i] for i in tup], qvec)]
+
+
+def _naive(q, t, within=None):
+    """The reference search: the point tuples of every size-t subset of
+    the ground points that is a witness by the definition.  It rebuilds
+    the ground points itself and shares no code with `spanning_sets`."""
+    space = q.space
+    if within is None:
+        pts = list(enumerate_points(space))
+    else:
+        pts = [within.lift_point(p)
+               for p in enumerate_points(within.reduced_space())]
+    cols = [embed(space, p).coords for p in pts]
+    return [tuple(pts[i] for i in tup)
+            for tup in _witnesses_by_definition(space.field, cols, q.coords,
+                                                t)]
+
+
+def _naive_rank(q, within=None):
+    """The smallest t with a witness by the definition, and the point
+    tuples of its witnesses."""
+    for t in itertools.count(1):
+        found = _naive(q, t, within)
+        if found:
+            return t, found
+
+
+def _points(res):
+    return [w.points for w in res.witnesses]
 
 
 def _engine_against_the_definition(field, cols, qvec, t):
@@ -148,8 +177,6 @@ def test_spanning_sets_input_validation():
         spanning_sets(q, 0)
     with pytest.raises(InvalidInput):
         spanning_sets(q, 2, mode="some")
-    with pytest.raises(InvalidInput):
-        spanning_sets(q, 2, engine="quantum")
 
 
 def test_budget_is_enforced_and_mentions_the_override():
@@ -186,7 +213,7 @@ def test_witness_columns_are_the_embeddings_of_their_points():
                                               for p in w.points]
 
 
-# ------------------------------------------------------- engine equivalence
+# ------------------------------------------------- the search vs. definition
 
 def _random_targets(space, rng, n):
     out = []
@@ -203,11 +230,9 @@ def test_engines_agree_on_small_segre():
     S = segre((1, 1), gf(3))
     rng = random.Random(99)
     for q in _random_targets(S, rng, 12):
-        certs = {e: brute_rank(q, engine=e) for e in ("auto", "naive")}
-        ranks = {e: c.rank for e, c in certs.items()}
-        assert len(set(ranks.values())) == 1, ranks
-        wit = {e: set(c.minimal_decompositions) for e, c in certs.items()}
-        assert wit["auto"] == wit["naive"]
+        cert = brute_rank(q)
+        assert (cert.rank, list(cert.minimal_decompositions)) == \
+            _naive_rank(q), q.coords
 
 
 def test_engines_agree_inside_a_subspace():
@@ -216,10 +241,9 @@ def test_engines_agree_inside_a_subspace():
     rng = random.Random(4)
     A = [pt(S, E0, (1, 0, 0)), pt(S, E1, (0, 1, 0)), pt(S, (1, 1), (1, 1, 0))]
     q = lin_comb(S, A)
-    certs = [brute_rank(q, within=y, engine=e) for e in ("auto", "naive")]
-    assert certs[0].rank == certs[1].rank
-    assert set(certs[0].minimal_decompositions) == \
-        set(certs[1].minimal_decompositions)
+    cert = brute_rank(q, within=y)
+    assert (cert.rank, list(cert.minimal_decompositions)) == \
+        _naive_rank(q, y)
 
 
 def test_engines_agree_at_fixed_cardinality():
@@ -227,9 +251,7 @@ def test_engines_agree_at_fixed_cardinality():
     rng = random.Random(123)
     for q in _random_targets(S, rng, 6):
         for t in (1, 2, 3, 4):
-            counts = {e: spanning_sets(q, t, engine=e).count
-                      for e in ("auto", "naive")}
-            assert counts["auto"] == counts["naive"], (q.coords, t, counts)
+            assert _points(spanning_sets(q, t)) == _naive(q, t), (q.coords, t)
 
 
 @pytest.mark.parametrize("within", [False, True], ids=["full", "within"])
@@ -250,12 +272,9 @@ def test_engines_agree_at_t1(within):
     targets += _random_targets(S, rng, 8)
     found = []
     for q in targets:
-        indices = {e: [w.provenance["indices"]
-                       for w in spanning_sets(q, 1, within=y,
-                                              engine=e).witnesses]
-                   for e in ("auto", "naive")}
-        assert indices["auto"] == indices["naive"], q.coords
-        found.append(len(indices["auto"]))
+        points = _points(spanning_sets(q, 1, within=y))
+        assert points == _naive(q, 1, y), q.coords
+        found.append(len(points))
     assert found[:24] == [1] * 24 and found[24] == (not within)
 
 
@@ -264,21 +283,16 @@ def test_engines_agree_above_t3_on_p1xp2_over_gf2(t):
     S = segre((1, 2), gf(2))  # 21 points
     rng = random.Random(40 + t)
     for q in _random_targets(S, rng, 3):
-        auto, naive = (spanning_sets(q, t, engine=e) for e in ("auto",
-                                                               "naive"))
-        assert [w.points for w in auto.witnesses] == \
-            [w.points for w in naive.witnesses], q.coords
+        assert _points(spanning_sets(q, t)) == _naive(q, t), q.coords
 
 
 def test_engines_agree_on_the_quartic_over_gf11_above_t3():
     q = _rnc_target(11)
     counts = []
     for t in (4, 5, 6):
-        auto, naive = (spanning_sets(q, t, engine=e) for e in ("auto",
-                                                               "naive"))
-        assert [w.points for w in auto.witnesses] == \
-            [w.points for w in naive.witnesses], t
-        counts.append(auto.count)
+        found = _points(spanning_sets(q, t))
+        assert found == _naive(q, t), t
+        counts.append(len(found))
     assert counts == [20, 512, 0]
 
 
@@ -301,10 +315,7 @@ def test_t3_engine_matches_naive_witnesses():
     targets = ([Tensor.of(S, c) for c in ORBITS_2X2X2]
                + _random_targets(S, rng, 1) + _random_targets(T, rng, 3))
     for q in targets:
-        auto, naive = (spanning_sets(q, 3, engine=e) for e in ("auto",
-                                                               "naive"))
-        assert [w.points for w in auto.witnesses] == \
-            [w.points for w in naive.witnesses], q.coords
+        assert _points(spanning_sets(q, 3)) == _naive(q, 3), q.coords
 
 
 @pytest.mark.parametrize("coords,count,digest", [
@@ -689,12 +700,20 @@ def test_min_concise_t_basis_tensor_gf3():
     assert (res.t, res.rank, res.non_concise_ts) == (3, 1, (1, 2))
     assert verify_irredundant(res.witness).irredundant
     assert set_envelope(S, res.witness.points).is_full
+    # the first concise witness in ascending order, and every layer
+    # counted once: sum of C(16, t) for t = 1..3
+    assert res.witness.points == (pt(S, E1, E1), pt(S, E1, (1, 1)),
+                                  pt(S, (1, 1), E0))
+    assert res.witness.provenance["indices"] == [0, 2, 9]
+    assert res.search_space_size == 16 + 120 + 560 == 696
 
 
 def test_min_concise_t_concise_target_needs_no_extra():
     S = segre((1, 1), gf(3))
     res = min_concise_t(Tensor.of(S, (1, 0, 0, 1)))
     assert (res.t, res.rank, res.non_concise_ts) == (2, 2, ())
+    assert res.witness.points == (pt(S, E1, E1), pt(S, E0, E0))
+    assert res.search_space_size == 16 + 120
 
 
 def test_min_concise_t_veronese_uses_span_concision():
