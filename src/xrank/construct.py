@@ -7,20 +7,21 @@ that equal a off one factor.  `_proved_move` proves such a candidate's
 report from the input's report, with one exact solve on the replaced
 factor's Veronese images (not the N + 1 tensor coordinates) and one
 independence test modulo the input's span (see its docstring); no
-candidate point is embedded or verified again.  The line steps of
-`veronese_extend` and `sv_extend` eliminate that span once per call: each
-step hands the next the span of its output's columns and of the replaced
-factor's vectors.  What the draws prove of an output is not tested
-again: a line step grows its factor envelope by one, `concise_plus_m`'s
-envelope is full and `escape`'s output leaves Y.  Outputs therefore
-never rely on genericity arguments alone; every returned decomposition
-carries an exact report.  All draws come from one seeded stream, so
-identical (input, seed, config) give identical outputs.
+candidate point is embedded or verified again: its column is
+`geometry.fiber_map` of a and the factor applied to the new vector's
+`geometry.factor_image`.  The line steps of `veronese_extend` and
+`sv_extend` eliminate that span once per call: each step hands the next
+the span of its output's columns and of the replaced factor's vectors.
+What the draws prove of an output is not tested again: a line step grows
+its factor envelope by one, `concise_plus_m`'s envelope is full and
+`escape`'s output leaves Y.  Outputs therefore never rely on genericity
+arguments alone; every returned decomposition carries an exact report.
+All draws come from one seeded stream, so identical (input, seed,
+config) give identical outputs.
 """
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
                      verify_irredundant)
@@ -29,10 +30,9 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotConcise, NotContainedInY, NotIrredundantInput,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
-from .exactlin import (Echelon, _integer_row, in_span, rank_rows,
-                       solve_columns)
-from .geometry import (DEFAULT_COORD_BOX, SubspaceSpec, _evaluate_monomials,
-                       canonical_vector, line_point)
+from .exactlin import Echelon, in_span, rank_rows, solve_columns
+from .geometry import (DEFAULT_COORD_BOX, SubspaceSpec, canonical_vector,
+                       factor_image, fiber_map, line_point)
 from .oracle import brute_rank
 
 
@@ -89,64 +89,14 @@ def _line_candidates(field, rng, a_vec, w_vec, count):
     return [line_point(field, a_vec, w_vec, t) for t in ts]
 
 
-def _factor_image(field, y, deg):
-    """(v, s): v = s v_deg(y) as plain ints, for v_deg the degree-deg
-    Veronese map in embedding order.  Over Q, s = d^deg clears the least
-    common denominator d of y; over GF(p), s = 1 and v holds ints
-    congruent to v_deg(y), reduced by whoever uses them."""
-    if field.modulus is None:
-        ints, d = _integer_row(y)
-        return _evaluate_monomials(ints, deg), d ** deg
-    return _evaluate_monomials(y, deg), 1
-
-
-def _fiber_map(space, point, i):
-    """The map (v, s) -> L(v / s), where L(v_e(y)) is the Segre-Veronese
-    embedding of `point` with factor i replaced by y: the product of the
-    Veronese images of point's other factors with v_e(y), nested left to
-    right.  L is linear and injective.  Called on `_factor_image` of a
-    canonical y, it equals `embed(space, point.replace_factor(i, y)).coords`
-    exactly: the image of a canonical vector has leading entry 1, and so
-    has a product of such images.  As in `embed`, over Q each factor is
-    cleared to ints first, and the product is divided once by s times the
-    product of the scales cleared, which is its lead for a canonical y."""
-    field = space.field
-    p = field.modulus
-    left, right = [1], [1]
-    den = 1
-    for t, (vec, deg) in enumerate(zip(point.coords, space.multidegree)):
-        if t == i:
-            continue
-        vals, s = _factor_image(field, vec, deg)
-        den *= s
-        if t < i:
-            left = [c * x for c in left for x in vals]
-        else:
-            right = [c * x for c in right for x in vals]
-    if p is None:
-        def fiber(image):
-            v, s = image
-            d = s * den
-            return tuple([Fraction(c * x * r, d)
-                          for c in left for x in v for r in right])
-    else:
-        left = [c % p for c in left]
-        right = [c % p for c in right]
-
-        def fiber(image):
-            return tuple([c * x * r % p
-                          for c in left for x in image[0] for r in right])
-    return fiber
-
-
 def _escaping_fibers(space, points, u_span):
     """(point index, factor, fiber map) triples, in order, whose fiber
     through the point has a coordinate direction embedding outside U; the
-    map is `_fiber_map` of that point and factor.  The factors have degree
-    one, so a unit vector is its own image."""
+    map is `geometry.fiber_map` of that point and factor.  The factors
+    have degree one, so a unit vector is its own image."""
     for ai, a in enumerate(points):
         for i in range(space.k):
-            fiber = _fiber_map(space, a, i)
+            fiber = fiber_map(space, a, i)
             n = space.factor_dims[i]
             for j in range(n + 1):
                 e = [int(t == j) for t in range(n + 1)]
@@ -160,8 +110,8 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     factor i and carry there the vectors `vecs`: the candidate, with its
     columns and a proved report, or None.  `report` is d's, `u_span` an
     `Echelon` spanning d's columns (left as it is) and `fiber` the
-    `_fiber_map` of point ai and factor i; no point is embedded and
-    nothing is solved at tensor length.  With `carry` the result is
+    `geometry.fiber_map` of point ai and factor i; no point is embedded
+    and nothing is solved at tensor length.  With `carry` the result is
     (candidate, span), span an `Echelon` of U and x_g1 .. x_g(k-1), which
     spans the candidate's columns (below), for a next move to start from.
 
@@ -187,13 +137,13 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     normal curve v_e(line), any e + 1 of which span its P^e (Landsberg,
     Tensors: Geometry and Applications, 2012).  So this accepts exactly
     what re-verification accepts.  Over Q the images are s_t v_e(g_t) and
-    s_a v_e(a_i) (`_factor_image`), so gamma is rescaled by s_t / s_a.
+    s_a v_e(a_i) (`geometry.factor_image`), so gamma is rescaled by s_t / s_a.
     """
     field = d.space.field
     deg = d.space.multidegree[i]
     a = d.points[ai]
     new_pts = [a.replace_factor(i, g) for g in vecs]
-    images = [_factor_image(field, g.coords[i], deg) for g in new_pts]
+    images = [factor_image(field, g.coords[i], deg) for g in new_pts]
     cols = [fiber(im) for im in images[:-1]]
     # 2: insert x_g1 .. x_g(k-1) into a copy of U, each growing it; a
     # single column that nothing carries forward is tested against U
@@ -204,7 +154,7 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
             return None
     elif span.contains(cols[0]):
         return None
-    target, s_a = _factor_image(field, a.coords[i], deg)
+    target, s_a = factor_image(field, a.coords[i], deg)
     sol = solve_columns(field, [v for v, _ in images], target)
     gamma = sol.coefficients
     if not (sol.independent and gamma is not None and all(gamma)):
@@ -277,8 +227,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     both off every input point.  The input is checked by
     `verify_irredundant`, which reuses a report the input already carries
     (an oracle witness has one) instead of solving again.  No point is
-    embedded: the scan's unit directions go through the fiber map of
-    `_fiber_map`, built once per (point, factor).
+    embedded: the scan's unit directions go through
+    `geometry.fiber_map`, built once per (point, factor).
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -391,7 +341,7 @@ def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
         prov.update({"replaced_point": ai, "factor": istar,
                      "retries_used": attempt})
         cand = _proved_move(d, report, u_span, ai, istar,
-                            _fiber_map(space, a, istar), cands, prov)
+                            fiber_map(space, a, istar), cands, prov)
         if cand is not None:
             return cand
     raise GenericityExhausted("escape failed after %d retries"
@@ -461,7 +411,7 @@ def concise_plus_m(d: Decomposition, m: int,
         prov.update({"replaced_point": ai, "factor": last,
                      "retries_used": attempt})
         cand = _proved_move(d, report, u_span, ai, last,
-                            _fiber_map(space, a, last), cs, prov)
+                            fiber_map(space, a, last), cs, prov)
         if cand is not None:
             return cand
     raise GenericityExhausted("concise_plus_m failed after %d retries"
@@ -499,7 +449,7 @@ def _extend_one_factor(d, u_span, f_span, factor, cfg):
                                           "factor": factor,
                                           "retries_used": attempt}]
         moved = _proved_move(d, report, u_span, ai, factor,
-                             _fiber_map(space, a, factor), gvecs, prov,
+                             fiber_map(space, a, factor), gvecs, prov,
                              carry=True)
         if moved is not None:
             f_span.insert(w)

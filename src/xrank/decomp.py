@@ -207,25 +207,13 @@ def set_envelope(space: MultiProjectiveSpace, points) -> Envelope:
 def _flattening_rows(q: Tensor, mode: int):
     """Rows of the mode-i flattening transpose: one row per index combo of
     the other factors, entries running over factor-i coordinates."""
-    space = q.space
-    counts = [n + 1 for n in space.factor_dims]
-    strides = [1] * space.k
-    for i in range(space.k - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-    other = [i for i in range(space.k) if i != mode]
-    rows = []
-
-    def rec(pos, base):
-        if pos == len(other):
-            rows.append(tuple(q.coords[base + a * strides[mode]]
-                              for a in range(counts[mode])))
-            return
-        f = other[pos]
-        for a in range(counts[f]):
-            rec(pos + 1, base + a * strides[f])
-
-    rec(0, 0)
-    return rows
+    # the index tuples run in embedding order, so each row takes its
+    # entries in factor-i order and the rows come in order of the others
+    rows = {}
+    shape = (range(n + 1) for n in q.space.factor_dims)
+    for index, x in zip(itertools.product(*shape), q.coords):
+        rows.setdefault(index[:mode] + index[mode + 1:], []).append(x)
+    return [tuple(row) for row in rows.values()]
 
 
 def tensor_envelope(q: Tensor) -> Envelope:

@@ -123,8 +123,11 @@ class FieldSpec:
         return (a * b) % self.modulus if self.modulus else a * b
 
     def parse_scalar(self, text: str):
-        """Parse "a" or "a/b" (decimal residue over GF(p)); ValueError
-        when text names no finite rational."""
+        """Parse "a", "a/b" or "0.1" (decimal residue over GF(p)), or an
+        int; ValueError when text names no finite rational, and for a
+        bool or a float, whose binary expansion is no decimal's value."""
+        if isinstance(text, (bool, float)):
+            raise ValueError("bad scalar %r: want a string or an int" % text)
         try:
             value = Fraction(text)
         except (OverflowError, ZeroDivisionError) as e:

@@ -5,10 +5,15 @@ A space is a product P^{n_1} x ... x P^{n_k} with a multidegree
 monomials (exponent vectors in leading-first lexicographic order) and
 nests factors left to right, so the last factor's index moves fastest.
 Projective representatives are canonical: first nonzero coordinate 1.
-`embed` runs on plain ints over both fields (over Q after clearing each
-factor's denominators) and makes one `Fraction` per entry at the end.
+This module is the one owner of that layout: `factor_image` evaluates one
+factor's monomials on plain ints (over Q after clearing its
+denominators), and `fiber_map` alone multiplies factor images together,
+making one `Fraction` per entry at the end over Q.  `embed` is the fiber
+map of a point's last factor applied to that factor's image; the
+constructions build their candidates' columns with the same map.
 """
 
+import itertools
 import math
 import operator
 import random
@@ -87,10 +92,7 @@ class MultiProjectiveSpace:
 
 def ambient_dim(space: MultiProjectiveSpace) -> int:
     """Projective dimension N of the embedding target: prod binom(n_i+d_i, n_i) - 1."""
-    total = 1
-    for c in space.factor_monomial_counts():
-        total *= c
-    return total - 1
+    return math.prod(space.factor_monomial_counts()) - 1
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +126,14 @@ def canonical_vector(field: FieldSpec, vec):
         return tuple(inv * v for v in vec)
     inv = pow(lead, -1, p)
     return tuple(inv * v % p for v in vec)
+
+
+def _parse_vector(field: FieldSpec, data) -> list:
+    """The scalars of a document's vector; a string, which would be read
+    one character at a time, raises TypeError."""
+    if isinstance(data, str):
+        raise TypeError("a vector must be a list, got %r" % data)
+    return [field.parse_scalar(s) for s in data]
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ class MppPoint:
     @classmethod
     def from_json(cls, space: MultiProjectiveSpace, data) -> "MppPoint":
         try:
-            vecs = [[space.field.parse_scalar(s) for s in vec] for vec in data]
+            vecs = [_parse_vector(space.field, vec) for vec in data]
         except (TypeError, ValueError) as e:
             raise InvalidInput("bad point document: %s" % e)
         return cls.of(space, vecs)
@@ -193,7 +203,7 @@ class Tensor:
     @classmethod
     def from_json(cls, space: MultiProjectiveSpace, data) -> "Tensor":
         try:
-            coords = [space.field.parse_scalar(s) for s in data]
+            coords = _parse_vector(space.field, data)
         except (TypeError, ValueError) as e:
             raise InvalidInput("bad tensor document: %s" % e)
         return cls.of(space, coords)
@@ -220,30 +230,69 @@ def _evaluate_monomials(vec, degree: int):
     return out
 
 
+def factor_image(field: FieldSpec, y, deg: int):
+    """(v, s): v = s v_deg(y) as plain ints, for v_deg the degree-deg
+    Veronese map in embedding order.  Over Q, s = d^deg clears the least
+    common denominator d of y; over GF(p), s = 1 and v holds ints
+    congruent to v_deg(y), reduced by whoever uses them."""
+    if field.modulus is None:
+        ints, d = _integer_row(y)
+        return _evaluate_monomials(ints, deg), d ** deg
+    return _evaluate_monomials(y, deg), 1
+
+
+def fiber_map(space: MultiProjectiveSpace, point: MppPoint, i: int):
+    """The map (v, s) -> L(v / s), where L(v_e(y)) is the Segre-Veronese
+    image of `point` with factor i replaced by y: the product of the
+    Veronese images of point's other factors with v_e(y), nested left to
+    right.  L is linear and injective.  Called on `factor_image` of a
+    canonical y, it equals `embed(space, point.replace_factor(i, y)).coords`
+    exactly: the image of a canonical vector has leading entry 1, and so
+    has a product of such images.  Over Q each factor is cleared to ints
+    first, and the product is divided once by s times the product of the
+    scales cleared, which is its lead for a canonical y."""
+    field = space.field
+    p = field.modulus
+    left, right = [1], [1]
+    den = 1
+    for t, (vec, deg) in enumerate(zip(point.coords, space.multidegree)):
+        if t == i:
+            continue
+        vals, s = factor_image(field, vec, deg)
+        den *= s
+        if t < i:
+            left = [c * x for c in left for x in vals]
+        else:
+            right = [c * x for c in right for x in vals]
+    if p is None:
+        def fiber(image):
+            v, s = image
+            d = s * den
+            return tuple([Fraction(c * x * r, d)
+                          for c in left for x in v for r in right])
+    else:
+        left = [c % p for c in left]
+        right = [c % p for c in right]
+
+        def fiber(image):
+            return tuple([c * x * r % p
+                          for c in left for x in image[0] for r in right])
+    return fiber
+
+
 def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
-    """Segre-Veronese embedding of a point, scaled by the image's own
-    first nonzero entry, so canonical however the factors are scaled.
-    Clearing a factor's denominators over Q is a projective rescaling."""
+    """Segre-Veronese embedding of a point: the fiber map of its last
+    factor applied to that factor's image.  A point built directly, not
+    through `MppPoint.of`, may have unscaled factors; its image is scaled
+    by its own first nonzero entry, so it is canonical all the same."""
     if point.space is not space and point.space != space:
         raise SpaceMismatch("point does not live on the given space")
-    p = space.field.modulus
-    coords = [1]
-    for vec, d in zip(point.coords, space.multidegree):
-        if p is None:
-            vals = _evaluate_monomials(_integer_row(vec)[0], d)
-            coords = [c * v for c in coords for v in vals]
-        else:
-            vals = _evaluate_monomials(vec, d)
-            coords = [c * v % p for c in coords for v in vals]
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise ZeroFactor("zero vector has no projective class")
-    if p is None:
-        coords = [Fraction(c, lead) for c in coords]
-    elif lead != 1:
-        inv = pow(lead, -1, p)
-        coords = [c * inv % p for c in coords]
-    return Tensor(space, tuple(coords))
+    last = space.k - 1
+    coords = fiber_map(space, point, last)(factor_image(
+        space.field, point.coords[last], space.multidegree[last]))
+    if next((c for c in coords if c), None) != 1:
+        coords = canonical_vector(space.field, coords)
+    return Tensor(space, coords)
 
 
 def line_point(field: FieldSpec, a, w, t):
@@ -279,22 +328,12 @@ def random_point(space: MultiProjectiveSpace, rng_seed=0,
 
 
 def _projective_vectors(field: FieldSpec, n: int):
-    """All canonical representatives of P^n(GF(p)), ascending lex order."""
-    p = field.modulus
-    out = []
-    for first in range(n + 1):
-        # first nonzero at position `first`, later coordinates free
-        free = n - first
-        for tail in range(p ** free):
-            digits = []
-            t = tail
-            for _ in range(free):
-                digits.append(t % p)
-                t //= p
-            digits.reverse()
-            out.append((0,) * first + (1,) + tuple(digits))
-    out.sort()
-    return out
+    """All canonical representatives of P^n(GF(p)), ascending lex order:
+    the later the first nonzero coordinate, the earlier the vector."""
+    return [(0,) * first + (1,) + tail
+            for first in range(n, -1, -1)
+            for tail in itertools.product(range(field.modulus),
+                                          repeat=n - first)]
 
 
 def enumerate_points(space: MultiProjectiveSpace):
@@ -304,58 +343,18 @@ def enumerate_points(space: MultiProjectiveSpace):
         raise FieldNotFinite("point enumeration needs GF(p)")
     per_factor = [_projective_vectors(space.field, n)
                   for n in space.factor_dims]
-    points = []
-
-    def rec(i, acc):
-        if i == space.k:
-            points.append(MppPoint(space, tuple(acc)))
-            return
-        for v in per_factor[i]:
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return points
+    return [MppPoint(space, coords)
+            for coords in itertools.product(*per_factor)]
 
 
 def count_points(space: MultiProjectiveSpace) -> int:
     if not space.field.is_finite:
         raise FieldNotFinite("point counting needs GF(p)")
     p = space.field.modulus
-    total = 1
-    for n in space.factor_dims:
-        total *= (p ** (n + 1) - 1) // (p - 1)
-    return total
+    return math.prod((p ** (n + 1) - 1) // (p - 1) for n in space.factor_dims)
 
 
 # -- linear subspaces of a product space --------------------------------
-
-
-def _poly_from_vector(vec):
-    """Linear form sum vec[i]*x_i as {exponent tuple: coeff}."""
-    n = len(vec)
-    poly = {}
-    for i, c in enumerate(vec):
-        if c != 0:
-            expo = tuple(1 if j == i else 0 for j in range(n))
-            poly[expo] = c
-    return poly
-
-
-def _poly_mul(field, f, g):
-    out = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = field.mul(ca, cb)
-            if e in out:
-                c = field.add(out[e], c)
-            if c == 0:
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
 
 
 def substitution_columns(field: FieldSpec, basis, degree: int):
@@ -366,23 +365,31 @@ def substitution_columns(field: FieldSpec, basis, degree: int):
     (embedding order): column beta holds, for every ambient monomial
     x^alpha, the coefficient of c^beta in (sum_j c_j b_j)^alpha.  So
     v_d(sum_j c_j b_j) = sum_beta c^beta * column_beta as a polynomial
-    identity in c, over any field and any degree.
+    identity in c, over any field and any degree.  Each x^alpha is
+    expanded one linear form x_i = sum_j c_j b_j[i] at a time, on raw
+    values, and reduced into the field once at the end.
     """
     r = len(basis)
-    red_index = {e: i for i, e in enumerate(monomial_exponents(r, degree))}
-    # the ambient coordinate x_i as a linear form in c
-    coord_forms = [_poly_from_vector([b[i] for b in basis])
-                   for i in range(len(basis[0]))]
-    amb_monos = monomial_exponents(len(basis[0]), degree)
-    cols = [[field.zero()] * len(amb_monos) for _ in red_index]
-    for row, expo in enumerate(amb_monos):
-        poly = {(0,) * r: field.one()}
-        for form, e in zip(coord_forms, expo):
+    # c^beta is keyed by sum_j beta_j B^j with B > degree, so multiplying
+    # by c_j adds B^j to the key
+    steps = [(degree + 1) ** j for j in range(r)]
+    forms = [[(s, b[i]) for s, b in zip(steps, basis) if b[i]]
+             for i in range(len(basis[0]))]
+    polys = []
+    for expo in monomial_exponents(len(basis[0]), degree):
+        poly = {0: 1}
+        for form, e in zip(forms, expo):
             for _ in range(e):
-                poly = _poly_mul(field, poly, form)
-        for beta, c in poly.items():
-            cols[red_index[beta]][row] = c
-    return [tuple(c) for c in cols]
+                prod = {}
+                for key, c in poly.items():
+                    for s, x in form:
+                        prod[key + s] = prod.get(key + s, 0) + c * x
+                poly = prod
+        polys.append(poly)
+    keys = [sum(e * s for e, s in zip(beta, steps))
+            for beta in monomial_exponents(r, degree)]
+    return [tuple(field.coerce(poly.get(key, 0)) for poly in polys)
+            for key in keys]
 
 
 @dataclass(frozen=True)
@@ -481,8 +488,8 @@ class SubspaceSpec:
     def from_json(cls, data: dict) -> "SubspaceSpec":
         try:
             space = MultiProjectiveSpace.from_json(data["space"])
-            bases = [[[space.field.parse_scalar(s) for s in b]
-                      for b in basis] for basis in data["bases"]]
+            bases = [[_parse_vector(space.field, b) for b in basis]
+                     for basis in data["bases"]]
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidInput("bad subspace document: %s" % e)
         return cls.of(space, bases)

@@ -2,7 +2,8 @@
 import random
 
 from xrank.exactlin import FieldSpec, vec_add, vec_scale
-from xrank.geometry import MppPoint, MultiProjectiveSpace, Tensor, embed, random_point
+from xrank.geometry import (MppPoint, MultiProjectiveSpace, Tensor, embed,
+                            monomial_exponents, random_point)
 
 QQ = FieldSpec.parse("QQ")
 
@@ -33,6 +34,24 @@ def lin_comb(space, points, coeffs=None):
         term = vec_scale(field, field.coerce(c), embed(space, p).coords)
         acc = term if acc is None else vec_add(field, acc, term)
     return Tensor.of(space, acc)
+
+
+def field_embed(space, coords):
+    """The Segre-Veronese image of the factor vectors `coords`, computed
+    apart from `embed`: monomials and Kronecker product entry by entry
+    through the field's own `mul`, then `Tensor.of` to canonicalise."""
+    f = space.field
+    out = [f.one()]
+    for vec, d in zip(coords, space.multidegree):
+        vals = []
+        for expo in monomial_exponents(len(vec), d):
+            acc = f.one()
+            for x, e in zip(vec, expo):
+                for _ in range(e):
+                    acc = f.mul(acc, f.coerce(x))
+            vals.append(acc)
+        out = [f.mul(c, v) for c in out for v in vals]
+    return Tensor.of(space, out)
 
 
 def distinct_points(space, count, rng, box=9):

@@ -283,6 +283,27 @@ def test_malformed_document_is_a_domain_error(tmp_path, capsys):
     assert payload["error"] == "InvalidInput"
 
 
+@pytest.mark.parametrize("member,value", [
+    ("target", [0.1, 0, 0, 0.3]), ("target", [1, 0, 0, True]),
+    ("target", "1001"), ("points", [["10", "10"], ["01", "01"]])])
+def test_floats_bools_and_strings_for_vectors_are_rejected(
+        tmp_path, capsys, member, value):
+    # read loosely, each of these documents verifies as irredundant
+    doc = dict(_diag_doc(), **{member: value})
+    code, payload = _run(capsys, ["verify", "--in",
+                                  _write(tmp_path, "d.json", doc)])
+    assert code == 2
+    assert payload["error"] == "InvalidInput"
+
+
+def test_decimal_strings_and_ints_are_read_exactly(tmp_path, capsys):
+    doc = dict(_diag_doc(), target=["0.1", 0, 0, "3/10"])
+    code, payload = _run(capsys, ["verify", "--in",
+                                  _write(tmp_path, "d.json", doc)])
+    assert code == 0
+    assert payload["coefficients"] == ["1", "3"]
+
+
 def test_scalar_strings_round_trip_through_the_cli(tmp_path, capsys):
     from fractions import Fraction
     S = segre((1, 1))
@@ -433,14 +454,14 @@ _READS = {
     "min-concise-t": ("tensor",),
 }
 _DELETE = object()
-# values that no member of the given kind accepts; digit strings and
-# finite numbers are left out of the scalars because Fraction() takes them,
-# while sizes (dims, degrees, a step's m and target_n) must be ints: a
-# float, a bool or a digit string is rejected even where its int() would
-# make a valid document
+# values that no member of the given kind accepts; digit strings and ints
+# are left out of the scalars because they are scalars (a float or a bool
+# is not), while sizes (dims, degrees, a step's m and target_n) must be
+# ints: a float, a bool or a digit string is rejected even where its int()
+# would make a valid document
 _BAD_CONTAINER = [None, 5, -1.5, "x", {}]
 _BAD_SCALAR = [None, "x", "", [], {}, "1/0", "1/5", "0x1",
-               float("inf"), float("nan")]
+               float("inf"), float("nan"), 0.5, True]
 _BAD_SIZE = [1.5, 2.0, True, "2"]
 _BAD_INTS = [None, "x", [], {}, [None], ["a"], [[1]], [-1], [1, 1, 1],
              float("inf"), [1.5, 2], [1, 2.0], [True, 2], [1, "2"],
@@ -506,8 +527,9 @@ def _mutations(kind, in_list):
     if kind == "step":
         return st.sampled_from(_BAD_STEP)
     if kind == "vector":
-        # ragged, padded, zero, or not a list of scalars
-        return st.sampled_from(["ragged", "padded", "zero"]
+        # ragged, padded, zero, or not a list of scalars: a digit string
+        # would otherwise be read one character at a time
+        return st.sampled_from(["ragged", "padded", "zero", "10"]
                                + _BAD_CONTAINER)
     return st.sampled_from(_BAD_CONTAINER + ([] if in_list else [_DELETE]))
 

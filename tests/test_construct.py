@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QQ, gf, lin_comb, pt, segre, veronese
+from conftest import QQ, field_embed, gf, lin_comb, pt, segre, veronese
 
 from xrank import construct, decomp, geometry
 from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
@@ -80,7 +80,7 @@ def test_plus_one_columns_match_fresh_embeddings():
     q = Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 0))  # W: rank 3, 225 witnesses
     for seed, w in enumerate(brute_rank(q).witnesses[:40]):
         out = plus_one(w, ConstructionConfig(rng_seed=seed))
-        assert out.embedded_columns == [embed(S, p).coords
+        assert out.embedded_columns == [field_embed(S, p.coords).coords
                                         for p in out.points]
 
 
@@ -144,19 +144,20 @@ def _random_canonical(field, rng, length):
     ((2,), (1,)), ((2,), (3,)), ((1, 2), (2, 1)), ((1, 1, 2), (1, 3, 2)),
 ], ids=["P1P1P1", "P2P1", "P1P2P1", "P2", "V3P2", "P1P2_21", "P1P1P2_132"])
 def test_fiber_map_equals_embed_of_the_replaced_point(field, dims, degrees):
-    # (2,) has no factor left or right of the one replaced
+    # (2,) has no factor left or right of the one replaced; field_embed
+    # computes the image apart from fiber_map, which embed runs through
     S = MultiProjectiveSpace(dims, degrees, field)
     rng = random.Random("%s %s %s" % (dims, degrees, field))
     for _ in range(6):
         point = MppPoint.of(S, [_random_canonical(field, rng, n + 1)
                                 for n in dims])
         for i, (n, deg) in enumerate(zip(dims, degrees)):
-            fiber = construct._fiber_map(S, point, i)
+            fiber = geometry.fiber_map(S, point, i)
             for _ in range(4):
                 y = _random_canonical(field, rng, n + 1)
-                image = construct._factor_image(field, y, deg)
-                assert fiber(image) == embed(
-                    S, point.replace_factor(i, y)).coords
+                image = geometry.factor_image(field, y, deg)
+                assert fiber(image) == field_embed(
+                    S, point.replace_factor(i, y).coords).coords
 
 
 @pytest.mark.parametrize("field", [gf(3), gf(5), QQ], ids=str)
@@ -197,7 +198,7 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
             continue
         cand = construct._proved_move(
             d, report, Echelon(F, d.embedded_columns), 0, 0,
-            construct._fiber_map(S, A[0], 0), gs + [last], {})
+            geometry.fiber_map(S, A[0], 0), gs + [last], {})
         pts = A[1:] + [A[0].replace_factor(0, g) for g in gs + [last]]
         fresh = None
         if len(set(pts)) == len(pts):
@@ -207,8 +208,8 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
         if accepted:
             assert list(cand.points) == pts
             assert verify_irredundant(cand) == fresh
-            assert cand.embedded_columns == [embed(S, p).coords
-                                             for p in pts]
+            assert cand.embedded_columns == [
+                field_embed(S, p.coords).coords for p in pts]
         seen[accepted] += 1
 
 
@@ -224,7 +225,7 @@ def test_plus_one_on_a_middle_factor_fiber(field):
         out = plus_one(d, ConstructionConfig(rng_seed=seed))
         assert (out.provenance["replaced_point"],
                 out.provenance["factor"]) == (0, 1)
-        assert out.embedded_columns == [embed(S, p).coords
+        assert out.embedded_columns == [field_embed(S, p.coords).coords
                                         for p in out.points]
         _assert_report_is_a_fresh_solve(out)
 

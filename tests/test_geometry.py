@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import QQ, gf, pt, segre, veronese
+from conftest import QQ, field_embed, gf, pt, segre, veronese
 
 from xrank.errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
                           ZeroFactor)
-from xrank.exactlin import solve_columns
+from xrank.exactlin import rank_rows, solve_columns
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, ambient_dim, canonical_vector,
                             count_points, embed, enumerate_points, line_point,
@@ -155,23 +155,6 @@ def test_embed_frozen_digests(field, digest):
     assert h.hexdigest() == digest
 
 
-def _field_embed(space, coords):
-    """Monomials and Kronecker product entry by entry through the field's
-    own `mul`, then `Tensor.of` to canonicalise."""
-    f = space.field
-    out = [f.one()]
-    for vec, d in zip(coords, space.multidegree):
-        vals = []
-        for expo in monomial_exponents(len(vec), d):
-            acc = f.one()
-            for x, e in zip(vec, expo):
-                for _ in range(e):
-                    acc = f.mul(acc, f.coerce(x))
-            vals.append(acc)
-        out = [f.mul(c, v) for c in out for v in vals]
-    return Tensor.of(space, out)
-
-
 @pytest.mark.parametrize("field", [QQ, gf(2), gf(11)], ids=str)
 def test_embed_of_non_canonical_point_is_canonical(field):
     """A point built directly, skipping `MppPoint.of`, may carry unscaled
@@ -192,7 +175,7 @@ def test_embed_of_non_canonical_point_is_canonical(field):
                     v = [c * x for x in v]
                 coords.append(tuple(v))
             p = MppPoint(sp, tuple(coords))
-            assert embed(sp, p) == _field_embed(sp, coords)
+            assert embed(sp, p) == field_embed(sp, coords)
             assert embed(sp, p) == embed(sp, MppPoint.of(sp, coords))
 
 
@@ -223,10 +206,11 @@ def test_enumerate_matches_closed_form():
         assert len({q.coords for q in got}) == expect
 
 
-def test_enumerate_is_deterministic():
-    sp = segre((1, 1), gf(5))
-    assert [p.coords for p in enumerate_points(sp)] == \
-        [p.coords for p in enumerate_points(sp)]
+def test_enumerate_is_ascending_lexicographic():
+    for dims, p in [((1,), 2), ((3,), 2), ((2,), 3), ((1, 2), 3),
+                    ((2, 1, 1), 2), ((1, 1), 5), ((2,), 5)]:
+        coords = [q.coords for q in enumerate_points(segre(dims, gf(p)))]
+        assert all(a < b for a, b in zip(coords, coords[1:])), (dims, p)
 
 
 def test_enumerate_requires_finite_field():
@@ -334,6 +318,47 @@ def test_span_columns_are_the_veronese_of_the_reduced_point():
     assert sol.independent
     assert Tensor.of(y.reduced_space(), sol.coefficients) == \
         embed(y.reduced_space(), r)
+
+
+def _random_basis(field, rng, length):
+    """1 to `length` independent random vectors; over Q their entries are
+    non-integer fractions more often than not."""
+    rank = rng.randint(1, length)
+    while True:
+        if field.is_finite:
+            basis = [[rng.randrange(field.modulus) for _ in range(length)]
+                     for _ in range(rank)]
+        else:
+            basis = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(length)] for _ in range(rank)]
+        if rank_rows(field, basis) == rank:
+            return basis
+
+
+@pytest.mark.parametrize("field,digest", [
+    (QQ,
+     "791c449ab79e304213ea251822a27a85e03119827c64bed606b6fd1a09ae2500"),
+    (gf(3),
+     "5d7e7ee64e79ec1275b848bbb5db586003db85e199de4d8c8099e40de7edc683"),
+    (gf(11),
+     "87c9043fd8d7b9c31ae40dbf67559b46dbc7b74e9e38cfcf3fdb35009a1ce1d1"),
+], ids=str)
+def test_span_columns_frozen_digests(field, digest):
+    """span_columns of seeded subspaces in degrees 1-4; the repr pins the
+    values and their types.  Recorded while `substitution_columns` still
+    expanded products of polynomials."""
+    rng = random.Random(2002)
+    h = hashlib.sha256()
+    for degree in (1, 2, 3, 4):
+        for dims, degs in (((2,), (degree,)), ((3,), (degree,)),
+                           ((1, 2), (1, degree)),
+                           ((1, 2), (degree, degree))):
+            space = MultiProjectiveSpace(dims, degs, field)
+            for _ in range(3):
+                y = SubspaceSpec.of(space, [_random_basis(field, rng, n + 1)
+                                            for n in dims])
+                h.update(repr(y.span_columns()).encode())
+    assert h.hexdigest() == digest
 
 
 def test_full_subspace_is_full():
