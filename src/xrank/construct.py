@@ -12,9 +12,10 @@ candidate point is embedded or verified again: its column is
 `geometry.factor_image`.  The line steps of `veronese_extend` and
 `sv_extend` eliminate that span once per call: each step hands the next
 the span of its output's columns and of the replaced factor's vectors.
-What the draws prove of an output is not tested again: a line step grows
-its factor envelope by one, `concise_plus_m`'s envelope is full and
-`escape`'s output leaves Y.  Outputs therefore never rely on genericity
+What the draws or input checks prove is not tested again: a line step
+grows its factor envelope by one, `concise_plus_m`'s envelope is full,
+`escape`'s output leaves Y and an irredundant input inside Y has its
+target in the span of Y's image.  So outputs never rely on genericity
 arguments alone; every returned decomposition carries an exact report.
 All draws come from one seeded stream, so identical (input, seed,
 config) give identical outputs.
@@ -190,27 +191,21 @@ def _irredundant_input(d):
     return report
 
 
-def _last_factor_slice(d):
-    """(o, Y' x {o}): o is the last-factor point that every input point
-    shares, Y' the full retained factors.  The target must lie in the span
-    of the slice's image."""
-    space = d.space
-    last = space.k - 1
+def _last_factor_point(d):
+    """o, the last-factor point that every input point shares; by the proof
+    in `escape`, the target then lies in the span of Y' x {o}'s image."""
+    last = d.space.k - 1
     o = d.points[0].coords[last]
     if any(p.coords[last] != o for p in d.points):
         raise InvalidInput("input points do not share one last-factor point")
-    full = SubspaceSpec.full(space)
-    ysub = SubspaceSpec.of(space, list(full.factor_bases[:last]) + [(o,)])
-    if solve_columns(space.field, ysub.span_columns(),
-                     d.target.coords).coefficients is None:
-        raise NotContainedInY("target outside the span of Y' x {o}")
-    return o, ysub
+    return o
 
 
-def _base_provenance(name, cfg, assert_minimal, certified):
+def _move_provenance(name, cfg, assert_minimal, certified, ai, i, attempt):
     return {"construction": name, "seed": cfg.rng_seed,
             "assert_minimal": bool(assert_minimal),
-            "certified_minimal": bool(certified)}
+            "certified_minimal": bool(certified), "replaced_point": ai,
+            "factor": i, "retries_used": attempt}
 
 
 def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
@@ -263,10 +258,8 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         except GenericityExhausted:
             continue
         pair = _line_candidates(field, rng, a.coords[i], w, 2)
-        prov = _base_provenance("plus_one", cfg, assert_minimal,
-                                certify_minimal)
-        prov.update({"replaced_point": ai, "factor": i,
-                     "retries_used": attempt})
+        prov = _move_provenance("plus_one", cfg, assert_minimal,
+                                certify_minimal, ai, i, attempt)
         cand = _proved_move(d, report, u_span, ai, i, fiber, pair, prov)
         if cand is not None:
             return cand
@@ -284,8 +277,18 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     Works in the first factor where Y is deficient (that factor must have
     degree one): one point is replaced by two points off Y's factor
     subspace on a line through it, so their span recovers the dropped
-    point.  Output is proved irredundant and leaves Y by construction
-    (see `_escape`).
+    point.  Output is proved irredundant and leaves Y by construction.
+
+    The input checks place the target in the span of Y's image with no
+    solve: q = sum_j c_j x_j, as the input is irredundant, and each
+    x_j = v(p_j), p_j in Y, lies in the span of `SubspaceSpec.span_columns`
+    by the substitution identity of `geometry.substitution_columns`.
+
+    Every accepted candidate leaves Y.  Let H be Y's subspace in the
+    deficient factor i*.  The replaced point a lies in Y, so a_i* is in H,
+    and w is drawn off H.  The new points carry a_i* + t w (t != 0) or w
+    in factor i*; if a_i* + t w were in H, so would be w.  So no new point
+    lies in Y, and no candidate needs a test for it.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -297,32 +300,13 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     for p in d.points:
         if not ysub.contains_point(p):
             raise NotContainedInY("input point outside Y")
-    if solve_columns(space.field, ysub.span_columns(),
-                     d.target.coords).coefficients is None:
-        raise NotContainedInY("target outside the span of Y's image")
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
-    return _escape(d, report, ysub, cfg, assert_minimal,
-                   certify_minimal)
-
-
-def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
-    """`escape` once its input checks have passed: Y is proper and holds
-    the irredundant input's points and its target; report is the
-    input's.
-
-    Every accepted candidate leaves Y.  Let H be Y's subspace in the
-    deficient factor i*.  The replaced point a lies in Y, so a_i* is in H,
-    and w is drawn off H.  The new points carry a_i* + t w (t != 0) or w
-    in factor i*; if a_i* + t w were in H, so would be w.  So no new point
-    lies in Y, and no candidate needs a test for it."""
-    space = d.space
     field = space.field
     istar = next(i for i in range(space.k)
                  if ysub.dims[i] < space.factor_dims[i])
     if space.multidegree[istar] != 1:
-        raise UnsupportedDegree(
-            "the deficient factor must have degree one")
+        raise UnsupportedDegree("the deficient factor must have degree one")
     on_h = Echelon(field, ysub.factor_bases[istar]).contains
     rng = random.Random(cfg.rng_seed)
     u_span = Echelon(field, d.embedded_columns)
@@ -336,10 +320,8 @@ def _escape(d, report, ysub, cfg, assert_minimal, certify_minimal):
         except GenericityExhausted:
             continue
         cands = _line_candidates(field, rng, a.coords[istar], w, 2)
-        prov = _base_provenance("escape", cfg, assert_minimal,
-                                certify_minimal)
-        prov.update({"replaced_point": ai, "factor": istar,
-                     "retries_used": attempt})
+        prov = _move_provenance("escape", cfg, assert_minimal,
+                                certify_minimal, ai, istar, attempt)
         cand = _proved_move(d, report, u_span, ai, istar,
                             fiber_map(space, a, istar), cands, prov)
         if cand is not None:
@@ -378,14 +360,16 @@ def concise_plus_m(d: Decomposition, m: int,
     if m < 2 or space.factor_dims[last] != m:
         raise BadM("m must be >= 2 and equal the last factor dimension")
     report = _irredundant_input(d)
-    o, ysub = _last_factor_slice(d)
+    o = _last_factor_point(d)
     env = set_envelope(space, d.points)
     if env.dims[:last] != space.factor_dims[:last]:
         raise NotConcise(
             "input envelope is deficient on the retained factors: %s"
             % (env.dims,))
     if certify_minimal:
-        _certify_minimal_via_oracle(d, within=ysub)
+        retained = SubspaceSpec.full(space).factor_bases[:last]
+        _certify_minimal_via_oracle(
+            d, within=SubspaceSpec.of(space, list(retained) + [(o,)]))
     field = space.field
     rng = random.Random(cfg.rng_seed)
     u_span = Echelon(field, d.embedded_columns)
@@ -406,10 +390,8 @@ def concise_plus_m(d: Decomposition, m: int,
                 in_span(field, cs[:drop] + cs[drop + 1:], o)
                 for drop in range(m + 1)):
             continue
-        prov = _base_provenance("concise_plus_m", cfg, assert_minimal,
-                                certify_minimal)
-        prov.update({"replaced_point": ai, "factor": last,
-                     "retries_used": attempt})
+        prov = _move_provenance("concise_plus_m", cfg, assert_minimal,
+                                certify_minimal, ai, last, attempt)
         cand = _proved_move(d, report, u_span, ai, last,
                             fiber_map(space, a, last), cs, prov)
         if cand is not None:
@@ -510,39 +492,23 @@ def veronese_extend(d: Decomposition, target_n: int,
                         "seed": cfg.rng_seed, "target_n": target_n})
 
 
-def sv_extend(d: Decomposition, cfg: ConstructionConfig | None = None, *,
-              assert_minimal: bool = False,
-              certify_minimal: bool = False) -> Decomposition:
-    """Extend a decomposition concentrated at one last-factor point to full
-    last-factor envelope on a Segre-Veronese space.
-
-    Last-factor degree 1 delegates to escape (cardinality +1); degree
-    e > 1 runs m line-extension steps in the last factor (cardinality
-    + e*m, full last-factor envelope).  Either way the provenance records
-    the certification that this call ran.
+def sv_extend(d: Decomposition,
+              cfg: ConstructionConfig | None = None) -> Decomposition:
+    """Extend an irredundant decomposition concentrated at one last-factor
+    point o to full last-factor envelope on a Segre-Veronese space: m line
+    steps in the last factor P^m, of degree e, each grow the envelope by
+    one, and the output has #A + e*m points.  Minimality is not required.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
     if space.k < 2:
         raise InvalidInput("need at least two factors")
     last = space.k - 1
+    m = space.factor_dims[last]
+    if m == 0:
+        raise YEqualsW("last factor P^0: Y' x {o} is the ambient space")
     report = _irredundant_input(d)
-    o, ysub = _last_factor_slice(d)
-    if certify_minimal:
-        _certify_minimal_via_oracle(d, within=ysub)
-    if space.multidegree[last] == 1:
-        # _irredundant_input and _last_factor_slice have run escape's
-        # other checks: Y holds the irredundant input and its target
-        if ysub.dims == space.factor_dims:
-            raise YEqualsW("Y equals the ambient space")
-        out = _escape(d, report, ysub, cfg, assert_minimal,
-                      certify_minimal)
-        out.provenance = dict(out.provenance, construction="sv_extend",
-                              route="escape")
-        return out
-    prov = _base_provenance("sv_extend", cfg, assert_minimal,
-                            certify_minimal)
-    prov["route"] = "line_steps"
+    o = _last_factor_point(d)
     # every input point has o in the last factor, so <o> is its span
-    return _line_steps(d, report, Echelon(space.field, [o]), last,
-                       space.factor_dims[last], cfg, prov)
+    return _line_steps(d, report, Echelon(space.field, [o]), last, m, cfg,
+                       {"construction": "sv_extend", "seed": cfg.rng_seed})

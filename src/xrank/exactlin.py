@@ -149,7 +149,7 @@ class FieldSpec:
 # -- elimination kernels on raw rows ------------------------------------
 
 
-def _integer_row(vec):
+def integer_row(vec):
     """(ints, den): den is the least common denominator of vec's entries
     and ints = den * vec, all plain ints."""
     den = 1
@@ -198,7 +198,7 @@ class Echelon:
                                     % (len(vec), self._width))
         p = self._p
         if p is None:
-            v, scale = _integer_row(vec)
+            v, scale = integer_row(vec)
             for lead, row in self._rows:
                 c = v[lead]
                 if c:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
                      SpaceMismatch, ZeroFactor)
-from .exactlin import FieldSpec, _integer_row, rank_rows, rref
+from .exactlin import FieldSpec, integer_row, rank_rows, rref
 
 DEFAULT_COORD_BOX = 50
 
@@ -236,7 +236,7 @@ def factor_image(field: FieldSpec, y, deg: int):
     common denominator d of y; over GF(p), s = 1 and v holds ints
     congruent to v_deg(y), reduced by whoever uses them."""
     if field.modulus is None:
-        ints, d = _integer_row(y)
+        ints, d = integer_row(y)
         return _evaluate_monomials(ints, deg), d ** deg
     return _evaluate_monomials(y, deg), 1
 

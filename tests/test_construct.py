@@ -15,15 +15,15 @@ from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
                              plus_one, sv_extend, veronese_extend)
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
                           verify_irredundant)
-from xrank.exactlin import Echelon
-from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
-                          NotConcise, NotContainedInY, NotIrredundantInput,
-                          NotVeronese, TargetTooSmall, UnsupportedDegree,
-                          YEqualsW)
+from xrank.exactlin import Echelon, solve_columns
+from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall,
+                          GenericityExhausted, InvalidInput, NotConcise,
+                          NotContainedInY, NotIrredundantInput, NotVeronese,
+                          TargetTooSmall, UnsupportedDegree, YEqualsW)
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, canonical_vector, embed, line_point,
                             random_point)
-from xrank.oracle import brute_rank
+from xrank.oracle import brute_rank, ground_set
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -348,6 +348,8 @@ def test_escape_deterministic():
 
 
 def test_escape_rejects_target_off_the_subspace():
+    # the point check refuses it: an irredundant input whose points lie in
+    # Y has its target in the span of Y's image
     S = segre((1, 1))
     y = SubspaceSpec.of(S, [(E0, E1), (E0,)])
     d = Decomposition(S, [pt(S, E1, E1)], Tensor.of(S, (0, 0, 0, 1)))
@@ -503,32 +505,6 @@ def test_veronese_extend_works_over_gf5_degree_four():
 
 # ---------------------------------------------------------------- sv_extend
 
-def test_sv_extend_degree_one_delegates_to_escape():
-    S = segre((1, 1))
-    o = E0
-    A = [pt(S, E0, o), pt(S, E1, o)]
-    d = Decomposition(S, A, lin_comb(S, A))
-    out = sv_extend(d, ConstructionConfig(rng_seed=2))
-    assert len(out.points) == 3
-    assert out.provenance["construction"] == "sv_extend"
-    assert out.provenance["route"] == "escape"
-
-
-def test_sv_extend_escape_route_solves_the_slice_once(monkeypatch):
-    # the input's report, the target in Y' x {o} (4 columns), and the
-    # candidate's proof in the replaced factor (2 columns of length 2):
-    # escape's own checks are not run again
-    S = segre((1, 1, 1))
-    A = [pt(S, E0, E0, E0), pt(S, E1, E1, E0)]
-    d = Decomposition(S, A, lin_comb(S, A))
-    calls = _count_solves(monkeypatch)
-    out = sv_extend(d, ConstructionConfig(rng_seed=2))
-    assert out.provenance["route"] == "escape"
-    assert out.provenance["retries_used"] == 0
-    assert calls == [("xrank.decomp", 2, 8), ("xrank.construct", 4, 8),
-                     ("xrank.construct", 2, 2)]
-
-
 _V22 = veronese(2, 2)
 _SV12 = MultiProjectiveSpace((1, 1), (1, 2), QQ)
 _S111 = segre((1, 1, 1))
@@ -543,10 +519,10 @@ _S111 = segre((1, 1, 1))
      lambda d: sv_extend(d, ConstructionConfig(rng_seed=2))),
 ], ids=["veronese_extend", "sv_line_steps", "sv_escape"])
 def test_wrappers_keep_the_proved_reports(monkeypatch, space, A, run):
-    # each line step proves its report from the one before, and the
-    # sv_extend routes return the proved output itself: the only solve of
-    # a decomposition's report is the input's, and the output's report
-    # needs no solve
+    # each line step proves its report from the one before, and the last
+    # step's output is returned as it is: the only solve of a
+    # decomposition's report is the input's, and the output's report
+    # needs no solve; sv_escape has a last factor of degree one
     d = Decomposition(space, A, lin_comb(space, A))
     calls = _count_solves(monkeypatch)
     out = run(d)
@@ -660,12 +636,17 @@ def test_line_steps_carry_their_spans(monkeypatch, field):
     assert sorted(seen) == [1] * 15 + [2] * 12 + [3] * 3
 
 
-def test_sv_extend_rejects_a_point_last_factor():
-    # on P1 x P0 the slice Y' x {o} is the whole space
-    S = segre((1, 0))
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sv_extend_rejects_a_point_last_factor(monkeypatch, degree):
+    # on P1 x P0 the slice Y' x {o} is the whole space, in any degree;
+    # the refusal comes before any solve
+    S = MultiProjectiveSpace((1, 0), (1, degree), QQ)
     A = [pt(S, E0, (1,)), pt(S, E1, (1,))]
+    d = Decomposition(S, A, lin_comb(S, A))
+    calls = _count_solves(monkeypatch)
     with pytest.raises(YEqualsW):
-        sv_extend(Decomposition(S, A, lin_comb(S, A)))
+        sv_extend(d)
+    assert calls == []
 
 
 def test_sv_extend_degree_two_line_steps():
@@ -677,7 +658,6 @@ def test_sv_extend_degree_two_line_steps():
     assert len(out.points) == 4  # rho + e * m = 2 + 2
     assert verify_irredundant(out).irredundant
     assert set_envelope(SV, out.points).dims[-1] == 1
-    assert out.provenance["route"] == "line_steps"
 
 
 @pytest.mark.parametrize("field", [QQ, gf(3), gf(11)], ids=str)
@@ -692,23 +672,8 @@ def test_sv_extend_with_a_non_coordinate_base_point(field):
     assert set_envelope(SV, out.points).dims[-1] == 2
 
 
-def test_sv_extend_escape_route_records_its_certification():
-    # the escape route runs escape without the flag; the provenance must
-    # still record the oracle's certification of the input
-    S = segre((1, 1, 1), gf(3))
-    A = [pt(S, E0, E0, E0), pt(S, E1, E1, E0)]
-    d = Decomposition(S, A, lin_comb(S, A))
-    out = sv_extend(d, certify_minimal=True)
-    assert out.provenance["route"] == "escape"
-    assert out.provenance["certified_minimal"] is True
-    plain = sv_extend(d)
-    assert plain.provenance["certified_minimal"] is False
-    assert plain.points == out.points
-
-
 def test_sv_extend_rejects_spread_out_input():
-    # points off a common last-factor slice cannot define Y x {o}; the
-    # shape check fires before any containment question can arise
+    # points off a common last-factor slice cannot define Y x {o}
     SV = MultiProjectiveSpace((1, 1), (1, 2), QQ)
     A = [pt(SV, E0, E0), pt(SV, E1, E1)]
     d = Decomposition(SV, A, lin_comb(SV, A))
@@ -761,6 +726,35 @@ def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
     assert calls == [("xrank.decomp", 2, 4), ("xrank.construct", 2, 2)]
     assert again.points == out.points
     assert verify_irredundant(out).irredundant
+
+
+_S11 = segre((1, 1))
+_S12 = segre((1, 2))
+
+
+@pytest.mark.parametrize("space, A, run, factor_length", [
+    (_S11, [pt(_S11, (1, 1), E0)],
+     lambda d: escape(d, SubspaceSpec.of(_S11, [(E0, E1), (E0,)]),
+                      ConstructionConfig(rng_seed=3)), 2),
+    (_S12, [pt(_S12, E0, (1, 0, 0)), pt(_S12, E1, (1, 0, 0))],
+     lambda d: concise_plus_m(d, 2, ConstructionConfig(rng_seed=9)), 3),
+    (_S12, [pt(_S12, E0, (1, 1, 0)), pt(_S12, E1, (1, 1, 0))],
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), 3),
+    (_SV12, [pt(_SV12, E0, E0), pt(_SV12, E1, E0)],
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), 3),
+], ids=["escape", "concise_plus_m", "sv_extend_degree_1",
+        "sv_extend_degree_2"])
+def test_moves_in_y_solve_only_the_input_at_tensor_length(
+        monkeypatch, space, A, run, factor_length):
+    # the input checks place the target in the span of Y's image, so the
+    # one tensor-length solve is the input's report; each candidate is
+    # proved on the replaced factor's Veronese images
+    d = Decomposition(space, A, lin_comb(space, A))
+    calls = _count_solves(monkeypatch)
+    run(d)
+    assert calls[0] == ("xrank.decomp", len(A), len(d.target.coords))
+    assert {c[0] for c in calls[1:]} == {"xrank.construct"}
+    assert {c[2] for c in calls[1:]} == {factor_length}
 
 
 def test_plus_one_embeds_nothing(monkeypatch):
@@ -926,8 +920,8 @@ def _sliced_sum(space, rng, r, o, coeff):
 
 
 def _frozen_cases(field):
-    """Seeded outputs of escape, concise_plus_m, veronese_extend and both
-    sv_extend routes over one field, in a fixed order."""
+    """Seeded outputs of escape, concise_plus_m, veronese_extend and
+    sv_extend over one field, in a fixed order."""
     p = field.modulus
     rng = random.Random(9090 + (p or 0))
 
@@ -973,34 +967,36 @@ def _frozen_cases(field):
             if set_envelope(V, d.points).dims[0] != r - 1:
                 continue
             outs.append(veronese_extend(d, 2, ConstructionConfig(rng_seed=i)))
-    # sv_extend: the escape route (last degree 1) and the line steps
+    # sv_extend: last factors of degree 1 and 2
     for space in (segre((1, 1), field), segre((2, 1), field),
                   MultiProjectiveSpace((1, 1), (1, 2), field),
                   MultiProjectiveSpace((1, 2), (1, 2), field)):
         o = (1,) + (0,) * space.factor_dims[-1]
         for i, d in enumerate(made(lambda: _sliced_sum(
                 space, rng, 2, o, coeff), 2)):
-            outs.append(sv_extend(d, ConstructionConfig(rng_seed=i),
-                                  assert_minimal=i == 0))
+            outs.append(sv_extend(d, ConstructionConfig(rng_seed=i)))
     return outs
 
 
 @pytest.mark.parametrize("field, count, digest", [
     (QQ, 23,
-     "872209acd95dfb7537d3a3861c2fa6c2f90c895e99d9313abf5543d27e9296c3"),
+     "d949142bd344ba300702b6855e346acae2704db1c89f876612c809228916af7f"),
     (gf(11), 23,
-     "7e2d2fa52cb1bdaaccd55970f6ebd0a522f45627d5992018fb3df284facf42d6"),
+     "fb5007ab2fac2f51e45130a155b020ab6aa4fe6f72210476632c25c764e8a723"),
 ], ids=["QQ", "GF(11)"])
 def test_other_constructions_frozen_outputs(field, count, digest):
     """Seeded outputs of the four constructions other than plus_one,
     points, target and provenance; recorded before their input checks
-    and line-step loops were shared between them."""
+    and line-step loops were shared between them, and re-recorded when
+    sv_extend ran line steps for every last-factor degree (only the
+    provenance of its degree-one outputs changed)."""
     outs = _frozen_cases(field)
-    routes = {o.provenance.get("route") for o in outs
-              if o.provenance.get("construction") == "sv_extend"}
-    assert routes == {"escape", "line_steps"}
     for out in outs:
         assert verify_irredundant(out).irredundant
+        if out.provenance["construction"] == "sv_extend":
+            m = out.space.factor_dims[-1]
+            assert len(out.provenance["steps"]) == m
+            assert set_envelope(out.space, out.points).dims[-1] == m
     assert (len(outs), _digest(outs)) == (count, digest)
 
 
@@ -1009,3 +1005,142 @@ def test_other_constructions_prove_their_reports(field):
     # plus_one's banks check the same in their frozen-output tests
     for out in _frozen_cases(field):
         _assert_report_is_a_fresh_solve(out)
+
+
+# ------------------------------------------ contract sweeps over small fields
+#
+# Each construction's docstring proves what its output satisfies, and no
+# construction tests it again; these sweeps run the constructions over
+# GF(2) and GF(3), where degenerate draws are common, and check it.
+
+def _minimal_in(ysub, seed, targets=16, per_target=8):
+    """Seeded minimal decompositions inside Y: of `targets` random nonzero
+    tensors in the span of Y's embedded points (found apart from
+    `SubspaceSpec.span_columns`), at most `per_target` witnesses each,
+    spread over the oracle's list."""
+    space = ysub.space
+    p = space.field.modulus
+    span = Echelon(space.field)
+    basis = [c for c in ground_set(space, ysub).columns if span.insert(c)]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(targets):
+        cs = [0]
+        while not any(cs):
+            cs = [rng.randrange(p) for _ in basis]
+        q = Tensor.of(space, [sum(c * col[i] for c, col in zip(cs, basis)) % p
+                              for i in range(len(basis[0]))])
+        wits = brute_rank(q, within=ysub).witnesses
+        out += wits[::-(-len(wits) // per_target)]
+    return out
+
+
+def _assert_target_in_span_of(ysub, d):
+    # escape and the slice constructions no longer solve this: their input
+    # checks imply it (escape's docstring)
+    sol = solve_columns(ysub.space.field, ysub.span_columns(),
+                        d.target.coords)
+    assert sol.coefficients is not None
+
+
+def _slice(space, o):
+    """Y' x {o}, Y' the full retained factors."""
+    last = space.k - 1
+    return SubspaceSpec.of(
+        space, SubspaceSpec.full(space).factor_bases[:last] + ((o,),))
+
+
+_I2, _I3 = (E0, E1), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(3)], ids=str)
+@pytest.mark.parametrize("dims, bases", [
+    ((1, 1, 1), (_I2, _I2, ((1, 1),))),
+    ((1, 1, 1), (((0, 1),), _I2, _I2)),
+    ((1, 2), (_I2, ((1, 0, 1), (0, 1, 0)))),
+    ((1, 2), (((1, 1),), _I3)),
+    ((2, 2), (((1, 0, 0), (0, 1, 1)), _I3)),
+    ((2, 2), (_I3, ((1, 1, 0),))),
+], ids=["P1xP1xP1-o", "P1xP1xP1-point", "P1xP2-line", "P1xP2-point",
+        "P2xP2-line", "P2xP2-o"])
+def test_escape_sweep(field, dims, bases):
+    space = segre(dims, field)
+    ysub = SubspaceSpec.of(space, bases)
+    for seed, d in enumerate(_minimal_in(ysub, seed=len(dims) + sum(dims))):
+        _assert_target_in_span_of(ysub, d)
+        out = escape(d, ysub, ConstructionConfig(rng_seed=seed))
+        _assert_proved_and_distinct(out)
+        assert len(out.points) == len(d.points) + 1
+        assert all(not ysub.contains_point(p)
+                   for p in out.points if p not in d.points)
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(3)], ids=str)
+def test_concise_plus_m_sweep(field):
+    space = segre((1, 1, 2), field)
+    grown = refused = 0
+    for o in ((1, 0, 0), (1, 1, 1), (0, 1, 1)):
+        ysub = _slice(space, o)
+        for seed, d in enumerate(_minimal_in(ysub, seed=sum(o))):
+            if set_envelope(space, d.points).dims[:2] != (1, 1):
+                continue
+            _assert_target_in_span_of(ysub, d)
+            try:
+                out = concise_plus_m(d, 2, ConstructionConfig(rng_seed=seed))
+            except GenericityExhausted:
+                # over GF(2) one attempt's c_0, c_1, c_2 pass the draw
+                # filter with probability 24/343, so about 1% of seeds
+                # exhaust the 64 retries
+                assert field.modulus == 2
+                refused += 1
+                continue
+            _assert_proved_and_distinct(out)
+            assert len(out.points) == len(d.points) + 2
+            assert set_envelope(space, out.points).is_full
+            grown += 1
+    assert grown > 10 * refused
+
+
+@pytest.mark.parametrize("n, degree, field", [
+    (3, 1, gf(2)), (2, 2, gf(3)), (2, 3, gf(5)), (2, 4, gf(5)),
+], ids=["P3-deg1-GF(2)", "P2-deg2-GF(3)", "P2-deg3-GF(5)", "P2-deg4-GF(5)"])
+def test_veronese_extend_sweep(n, degree, field):
+    # single points and pairs, grown to all of P^n; in degree 4 over GF(5)
+    # a line step takes every point of its line but the base point
+    V = veronese(n, degree, field)
+    rng = random.Random(n * degree)
+    done = 0
+    while done < 60:
+        r = 1 + done % 2
+        d = _irredundant_sum(V, rng, r, lambda: random_point(V, rng),
+                             lambda: rng.randrange(1, field.modulus))
+        if d is None or set_envelope(V, d.points).dims != (r - 1,):
+            continue
+        out = veronese_extend(d, n, ConstructionConfig(rng_seed=done))
+        _assert_proved_and_distinct(out)
+        assert len(out.points) == r + degree * (n - r + 1)
+        assert set_envelope(V, out.points).dims == (n,)
+        done += 1
+
+
+@pytest.mark.parametrize("dims, degrees, field", [
+    ((1, 1), (1, 1), gf(2)),
+    ((1, 2), (1, 1), gf(2)),
+    ((1, 1, 2), (1, 1, 1), gf(2)),
+    ((1, 2), (1, 1), gf(3)),
+    ((2, 2), (1, 1), gf(3)),
+    ((1, 1), (1, 2), gf(3)),
+    ((1, 2), (1, 2), gf(3)),
+], ids=lambda v: str(v).replace(" ", ""))
+def test_sv_extend_sweep(dims, degrees, field):
+    # in degree one with m >= 2 the last factor fills only after m steps
+    space = MultiProjectiveSpace(dims, degrees, field)
+    m = dims[-1]
+    for o in ((1,) + (0,) * m, (1,) * (m + 1)):
+        ysub = _slice(space, o)
+        for seed, d in enumerate(_minimal_in(ysub, seed=sum(dims))):
+            _assert_target_in_span_of(ysub, d)
+            out = sv_extend(d, ConstructionConfig(rng_seed=seed))
+            _assert_proved_and_distinct(out)
+            assert len(out.points) == len(d.points) + degrees[-1] * m
+            assert set_envelope(space, out.points).dims[-1] == m
