@@ -101,7 +101,7 @@ def _escaping_fibers(space, points, u_span):
             n = space.factor_dims[i]
             for j in range(n + 1):
                 e = [int(t == j) for t in range(n + 1)]
-                if not u_span.contains(fiber((e, 1))):
+                if not u_span.contains(fiber(e)):
                     yield ai, i, fiber
                     break
 
@@ -138,14 +138,18 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     normal curve v_e(line), any e + 1 of which span its P^e (Landsberg,
     Tensors: Geometry and Applications, 2012).  So this accepts exactly
     what re-verification accepts.  Over Q the images are s_t v_e(g_t) and
-    s_a v_e(a_i) (`geometry.factor_image`), so gamma is rescaled by s_t / s_a.
+    s_a v_e(a_i) (`geometry.factor_image`), so gamma is rescaled by
+    s_t / s_a.  The columns, U's among them, are the integer images that
+    `Decomposition.images` describes, nonzero multiples of the x_j, which
+    changes neither condition 2 nor any span; the report's values come
+    from d's report and gamma, so they are the canonical coefficients.
     """
     field = d.space.field
     deg = d.space.multidegree[i]
     a = d.points[ai]
     new_pts = [a.replace_factor(i, g) for g in vecs]
     images = [factor_image(field, g.coords[i], deg) for g in new_pts]
-    cols = [fiber(im) for im in images[:-1]]
+    cols = [fiber(v) for v, _ in images[:-1]]
     # 2: insert x_g1 .. x_g(k-1) into a copy of U, each growing it; a
     # single column that nothing carries forward is tested against U
     span = u_span
@@ -165,8 +169,8 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     keep = [j for j in range(len(d.points)) if j != ai]
     cand = Decomposition(d.space, [d.points[j] for j in keep] + new_pts,
                          d.target, prov)
-    cand._with_columns([d.embedded_columns[j] for j in keep] + cols
-                       + [fiber(images[-1])])
+    cand._with_columns([d.images[j] for j in keep] + cols
+                       + [fiber(images[-1][0])])
     c_a = report.values[ai]
     values = (tuple(report.values[j] for j in keep)
               + tuple(field.mul(c_a, g) for g in gamma))
@@ -236,7 +240,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         _certify_minimal_via_oracle(d)
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.embedded_columns)
+    u_span = Echelon(field, d.images)
 
     # (point, factor) pairs whose fiber escapes U, scanned as attempts need
     # them: the first attempt takes the first, a retry needs them all
@@ -309,7 +313,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise UnsupportedDegree("the deficient factor must have degree one")
     on_h = Echelon(field, ysub.factor_bases[istar]).contains
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.embedded_columns)
+    u_span = Echelon(field, d.images)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
@@ -372,7 +376,7 @@ def concise_plus_m(d: Decomposition, m: int,
             d, within=SubspaceSpec.of(space, list(retained) + [(o,)]))
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.embedded_columns)
+    u_span = Echelon(field, d.images)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
@@ -456,8 +460,8 @@ def _line_steps(d, report, f_span, factor, steps, cfg, prov):
                             % (deg + 1, p, p))
     prov["steps"] = []
     cur = Decomposition(space, d.points, d.target, prov)
-    cur._with_columns(d.embedded_columns)._with_report(report)
-    u_span = Echelon(space.field, d.embedded_columns)
+    cur._with_columns(d.images)._with_report(report)
+    u_span = Echelon(space.field, d.images)
     for step in range(steps):
         cur, u_span = _extend_one_factor(
             cur, u_span, f_span, factor,

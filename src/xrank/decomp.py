@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, EmptySet, InvalidInput, NotContained,
                      SpaceMismatch, UnsupportedDegree)
 from .exactlin import FieldSpec, solve_columns
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
-                       canonical_basis_rows, embed)
+                       canonical_basis_rows, canonical_column, embed_image)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Decomposition:
         self.points = points
         self.target = target
         self.provenance = provenance
-        self._columns = None
+        self._images = None
         self._report = None
 
     def __eq__(self, other):
@@ -106,16 +106,28 @@ class Decomposition:
         return hash((self.space, self.points, self.target))
 
     @property
+    def images(self):
+        """The stored column of each point, in point order: its
+        `geometry.embed_image`.  Over GF(p) that is its canonical
+        embedding; over Q its integer image, the canonical column times
+        the image's first nonzero entry.  Computed once, unless a caller
+        hands them over (`_with_columns`)."""
+        if self._images is None:
+            self._images = [embed_image(self.space, p) for p in self.points]
+        return self._images
+
+    @property
     def embedded_columns(self):
-        if self._columns is None:
-            self._columns = [embed(self.space, p).coords
-                             for p in self.points]
-        return self._columns
+        """The canonical embedding of each point, in point order: the
+        `geometry.canonical_column` of each stored image, over GF(p) the
+        image itself and over Q derived on every access."""
+        return [canonical_column(self.space.field, c) for c in self.images]
 
     def _with_columns(self, cols) -> "Decomposition":
-        """Take the embeddings of the points, in point order, from a caller
-        that already holds them; returns self."""
-        self._columns = list(cols)
+        """Take the points' stored columns, in point order and in the form
+        `images` describes, from a caller that already holds them; returns
+        self."""
+        self._images = list(cols)
         return self
 
     def _with_report(self, report) -> "Decomposition":
@@ -150,15 +162,27 @@ def verify_irredundant(d: Decomposition) -> IrredundancyReport:
     Independent and in span with all coefficients nonzero <=> irredundant.
     Coefficients are reported whenever the target is in the span, even for
     dependent sets (then they are one valid choice, not unique).
+
+    The solve runs on the stored `images`.  Over Q the image X_j is
+    lead_j times the canonical column x_j, so each coefficient found is
+    multiplied by its column's lead.  Scaling columns changes neither
+    their independence nor their span, and the free variables of a
+    dependent set stay zero, so the report is the one a solve on the
+    canonical columns gives.
     """
     if d._report is not None:
         return d._report
     if not d.points:
         raise EmptySet("decomposition has no points")
     field = d.space.field
-    sol = solve_columns(field, d.embedded_columns, d.target.coords)
+    cols = d.images
+    sol = solve_columns(field, cols, d.target.coords)
     in_span = sol.coefficients is not None
     values = tuple(sol.coefficients) if in_span else None
+    if in_span and not field.is_finite:
+        # q = sum_j c'_j X_j and X_j = lead_j x_j: c_j = c'_j lead_j
+        values = tuple(c * next(x for x in col if x)
+                       for c, col in zip(values, cols))
     irr = sol.independent and in_span and all(c != 0 for c in values)
     d._report = IrredundancyReport(sol.independent, in_span, field, values,
                                    irr)

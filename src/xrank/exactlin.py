@@ -12,12 +12,13 @@ reduces a vector against the span (`reduce`), and answers membership
 row is zero at the leads of the rows inserted before it, so one pass over
 the rows in insertion order clears every lead.  Over GF(p) it runs on
 plain ints with inline `% p`, each row scaled to 1 at its lead.  Over Q it
-is fraction-free: a vector's denominators are cleared once, a lead is
-cleared by `v <- r[lead]*v - v[lead]*r` (both factors divided by their
-gcd first), and each new row is divided by the gcd of its entries, so
-rows stay primitive integer vectors and `Fraction`s appear only in the
-values `reduce` returns.  Build one `Echelon` per fixed span and query it
-many times.
+is fraction-free: a vector's denominators are cleared once (a vector of
+plain ints, such as `geometry`'s integer tensor columns, enters as it
+is), a lead is cleared by `v <- r[lead]*v - v[lead]*r` (both factors
+divided by their gcd first), and each new row is divided by the gcd of
+its entries, so rows stay primitive integer vectors and `Fraction`s
+appear only in the values `reduce` returns.  Build one `Echelon` per
+fixed span and query it many times.
 
 `Echelon` is the only elimination: `rank_rows` is the rank of one;
 `solve_columns` inserts the columns into one, each carrying its
@@ -151,7 +152,10 @@ class FieldSpec:
 
 def integer_row(vec):
     """(ints, den): den is the least common denominator of vec's entries
-    and ints = den * vec, all plain ints."""
+    and ints = den * vec, all plain ints.  A vec of plain ints is handed
+    back as it is, with den 1."""
+    if set(map(type, vec)) <= {int}:
+        return vec, 1
     den = 1
     for x in vec:
         d = x.denominator

@@ -7,10 +7,12 @@ nests factors left to right, so the last factor's index moves fastest.
 Projective representatives are canonical: first nonzero coordinate 1.
 This module is the one owner of that layout: `factor_image` evaluates one
 factor's monomials on plain ints (over Q after clearing its
-denominators), and `fiber_map` alone multiplies factor images together,
-making one `Fraction` per entry at the end over Q.  `embed` is the fiber
-map of a point's last factor applied to that factor's image; the
-constructions build their candidates' columns with the same map.
+denominators), and `fiber_map` alone multiplies factor images together.
+Over Q the product stays in ints: a point's integer image is a positive
+multiple of its canonical column, the multiple being its first nonzero
+entry, and the library keeps its own columns in that form (`embed_image`).
+`embed` divides the image by that lead once; the constructions build
+their candidates' columns with the same map.
 """
 
 import itertools
@@ -242,57 +244,73 @@ def factor_image(field: FieldSpec, y, deg: int):
 
 
 def fiber_map(space: MultiProjectiveSpace, point: MppPoint, i: int):
-    """The map (v, s) -> L(v / s), where L(v_e(y)) is the Segre-Veronese
-    image of `point` with factor i replaced by y: the product of the
-    Veronese images of point's other factors with v_e(y), nested left to
-    right.  L is linear and injective.  Called on `factor_image` of a
-    canonical y, it equals `embed(space, point.replace_factor(i, y)).coords`
-    exactly: the image of a canonical vector has leading entry 1, and so
-    has a product of such images.  Over Q each factor is cleared to ints
-    first, and the product is divided once by s times the product of the
-    scales cleared, which is its lead for a canonical y."""
-    field = space.field
-    p = field.modulus
+    """The map v -> S L(v), where L(v_e(y)) is the Segre-Veronese image
+    of `point` with factor i replaced by y: the product of the Veronese
+    images of point's other factors with v_e(y), nested left to right,
+    and S is the product of those factors' `factor_image` scales.  L is
+    linear and injective, and the map runs on plain ints.  Called on the
+    ints v of `factor_image(field, y, e) = (v, s)` for a canonical y, it
+    gives s S times `embed(space, point.replace_factor(i, y)).coords`:
+    over GF(p) s S = 1, so that is the canonical column itself; over Q it
+    is the integer image, whose first nonzero entry is s S, as the image
+    of a canonical vector has leading entry 1 and so has a product of
+    such images."""
+    p = space.field.modulus
     left, right = [1], [1]
-    den = 1
     for t, (vec, deg) in enumerate(zip(point.coords, space.multidegree)):
         if t == i:
             continue
-        vals, s = factor_image(field, vec, deg)
-        den *= s
+        vals = factor_image(space.field, vec, deg)[0]
         if t < i:
             left = [c * x for c in left for x in vals]
         else:
             right = [c * x for c in right for x in vals]
     if p is None:
-        def fiber(image):
-            v, s = image
-            d = s * den
-            return tuple([Fraction(c * x * r, d)
-                          for c in left for x in v for r in right])
+        def fiber(v):
+            return tuple([c * x * r for c in left for x in v for r in right])
     else:
         left = [c % p for c in left]
         right = [c % p for c in right]
 
-        def fiber(image):
+        def fiber(v):
             return tuple([c * x * r % p
-                          for c in left for x in image[0] for r in right])
+                          for c in left for x in v for r in right])
     return fiber
 
 
-def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
-    """Segre-Veronese embedding of a point: the fiber map of its last
-    factor applied to that factor's image.  A point built directly, not
-    through `MppPoint.of`, may have unscaled factors; its image is scaled
-    by its own first nonzero entry, so it is canonical all the same."""
+def embed_image(space: MultiProjectiveSpace, point: MppPoint) -> tuple:
+    """The column the library keeps for a point's embedding: the fiber map
+    of its last factor applied to that factor's image.  Over GF(p) these
+    are `embed`'s coordinates; over Q the integer image, `embed`'s
+    coordinates times the image's first nonzero entry (its lead).  A point
+    built directly, not through `MppPoint.of`, may have unscaled factors;
+    over GF(p) its image is scaled by its own lead, so it is canonical all
+    the same, and over Q its lead may be negative."""
     if point.space is not space and point.space != space:
         raise SpaceMismatch("point does not live on the given space")
     last = space.k - 1
-    coords = fiber_map(space, point, last)(factor_image(
-        space.field, point.coords[last], space.multidegree[last]))
-    if next((c for c in coords if c), None) != 1:
-        coords = canonical_vector(space.field, coords)
-    return Tensor(space, coords)
+    field = space.field
+    col = fiber_map(space, point, last)(factor_image(
+        field, point.coords[last], space.multidegree[last])[0])
+    if field.modulus is not None and next((c for c in col if c), None) != 1:
+        col = canonical_vector(field, col)
+    return col
+
+
+def canonical_column(field: FieldSpec, col) -> tuple:
+    """The canonical coordinates of a stored column (`embed_image`): over
+    GF(p) the column itself, over Q each entry divided by its lead."""
+    if field.is_finite:
+        return col
+    lead = next(x for x in col if x)
+    return tuple([Fraction(x, lead) for x in col])
+
+
+def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
+    """Segre-Veronese embedding of a point: the canonical coordinates of
+    its `embed_image`."""
+    return Tensor(space, canonical_column(space.field,
+                                          embed_image(space, point)))
 
 
 def line_point(field: FieldSpec, a, w, t):
@@ -367,9 +385,16 @@ def substitution_columns(field: FieldSpec, basis, degree: int):
     v_d(sum_j c_j b_j) = sum_beta c^beta * column_beta as a polynomial
     identity in c, over any field and any degree.  Each x^alpha is
     expanded one linear form x_i = sum_j c_j b_j[i] at a time, on raw
-    values, and reduced into the field once at the end.
+    values, and reduced into the field once at the end.  Over Q each b_j
+    is first cleared to plain ints, B_j = den_j b_j
+    (`exactlin.integer_row`); the expansion in the B_j gives column beta
+    times prod_j den_j^beta_j, so column beta is divided by that product
+    once.
     """
     r = len(basis)
+    dens = [1] * r
+    if not field.is_finite:
+        basis, dens = zip(*(integer_row(b) for b in basis))
     # c^beta is keyed by sum_j beta_j B^j with B > degree, so multiplying
     # by c_j adds B^j to the key
     steps = [(degree + 1) ** j for j in range(r)]
@@ -386,10 +411,17 @@ def substitution_columns(field: FieldSpec, basis, degree: int):
                         prod[key + s] = prod.get(key + s, 0) + c * x
                 poly = prod
         polys.append(poly)
-    keys = [sum(e * s for e, s in zip(beta, steps))
-            for beta in monomial_exponents(r, degree)]
-    return [tuple(field.coerce(poly.get(key, 0)) for poly in polys)
-            for key in keys]
+    cols = []
+    for beta in monomial_exponents(r, degree):
+        key = sum(e * s for e, s in zip(beta, steps))
+        if not field.is_finite:
+            den = math.prod(d ** e for d, e in zip(dens, beta))
+            cols.append(tuple(Fraction(poly.get(key, 0), den)
+                              for poly in polys))
+        else:
+            cols.append(tuple(field.coerce(poly.get(key, 0))
+                              for poly in polys))
+    return cols
 
 
 @dataclass(frozen=True)

@@ -75,13 +75,33 @@ def test_plus_one_over_gf11():
     assert verify_irredundant(out).irredundant
 
 
+def _assert_stored_columns(out):
+    """A construction's stored columns are its points' images: over Q
+    plain ints, and over either field their canonical view equals fresh
+    embeddings."""
+    if not out.space.field.is_finite:
+        assert all(type(x) is int for col in out.images for x in col)
+    assert out.embedded_columns == [field_embed(out.space, p.coords).coords
+                                    for p in out.points]
+
+
 def test_plus_one_columns_match_fresh_embeddings():
     S = segre((1, 1, 1), gf(5))
     q = Tensor.of(S, (0, 1, 1, 0, 1, 0, 0, 0))  # W: rank 3, 225 witnesses
     for seed, w in enumerate(brute_rank(q).witnesses[:40]):
-        out = plus_one(w, ConstructionConfig(rng_seed=seed))
-        assert out.embedded_columns == [field_embed(S, p.coords).coords
-                                        for p in out.points]
+        _assert_stored_columns(plus_one(w, ConstructionConfig(rng_seed=seed)))
+    rng = random.Random(55)
+    for dims in ((1, 1), (2, 1), (1, 1, 1)):
+        S = segre(dims)
+        made = 0
+        while made < 4:
+            d = _irredundant_sum(S, rng, rng.randint(1, 2),
+                                 lambda: random_point(S, rng, 5),
+                                 lambda: rng.randint(1, 5))
+            if d is not None:
+                _assert_stored_columns(
+                    plus_one(d, ConstructionConfig(rng_seed=made)))
+                made += 1
 
 
 def _assert_report_is_a_fresh_solve(out):
@@ -153,11 +173,26 @@ def test_fiber_map_equals_embed_of_the_replaced_point(field, dims, degrees):
                                 for n in dims])
         for i, (n, deg) in enumerate(zip(dims, degrees)):
             fiber = geometry.fiber_map(S, point, i)
+            # S: the product of the scales of the factors it multiplies out
+            scale = 1
+            for t, (vec, e) in enumerate(zip(point.coords, degrees)):
+                if t != i:
+                    scale *= geometry.factor_image(field, vec, e)[1]
             for _ in range(4):
                 y = _random_canonical(field, rng, n + 1)
-                image = geometry.factor_image(field, y, deg)
-                assert fiber(image) == field_embed(
-                    S, point.replace_factor(i, y).coords).coords
+                v, s = geometry.factor_image(field, y, deg)
+                image = fiber(v)
+                want = field_embed(S, point.replace_factor(i, y).coords)
+                assert all(type(x) is int for x in image)
+                if field.is_finite:
+                    assert image == want.coords
+                else:
+                    # the integer image: the canonical column times its
+                    # lead, the product of the scales cleared
+                    lead = next(x for x in image if x)
+                    assert lead == s * scale
+                    assert tuple(Fraction(x, lead)
+                                 for x in image) == want.coords
 
 
 @pytest.mark.parametrize("field", [gf(3), gf(5), QQ], ids=str)
@@ -605,6 +640,7 @@ def test_line_steps_carry_their_spans(monkeypatch, field):
                                           for p in out.points])
         assert _same_span(field, span, fresh_columns(out))
         assert out.embedded_columns == fresh_columns(out)
+        _assert_stored_columns(out)
         _assert_report_is_a_fresh_solve(out)
         seen.append(d.space.multidegree[factor])
         return out, span
@@ -764,12 +800,15 @@ def test_plus_one_embeds_nothing(monkeypatch):
                       budget=10 ** 9).witnesses
     embeds = []
 
-    def spy(*args):
-        embeds.append(args)
-        return embed(*args)
+    def spy(fn):
+        def wrapped(*args):
+            embeds.append(args)
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(geometry, "embed", spy)
-    monkeypatch.setattr(decomp, "embed", spy)
+    monkeypatch.setattr(geometry, "embed", spy(geometry.embed))
+    monkeypatch.setattr(geometry, "embed_image", spy(geometry.embed_image))
+    monkeypatch.setattr(decomp, "embed_image", spy(decomp.embed_image))
     for seed, w in enumerate(wits[:20]):
         out = plus_one(w, ConstructionConfig(rng_seed=seed))
         assert len(out.points) == 4
@@ -1005,6 +1044,7 @@ def test_other_constructions_prove_their_reports(field):
     # plus_one's banks check the same in their frozen-output tests
     for out in _frozen_cases(field):
         _assert_report_is_a_fresh_solve(out)
+        _assert_stored_columns(out)
 
 
 # ------------------------------------------ contract sweeps over small fields

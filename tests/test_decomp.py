@@ -1,17 +1,19 @@
 """Irredundancy verification, envelopes, and the fiber condition."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import QQ, distinct_points, gf, lin_comb, pt, segre, veronese
 
-from xrank.decomp import (Decomposition, extend_from_envelope, fiber_condition,
+from xrank.decomp import (Decomposition, IrredundancyReport,
+                          extend_from_envelope, fiber_condition,
                           restrict_to_envelope, set_envelope, tensor_envelope,
                           verify_irredundant, verify_irredundant_exhaustive)
 from xrank.errors import EmptySet, NotContained, SpaceMismatch, UnsupportedDegree
-from xrank.exactlin import rank_rows
-from xrank.geometry import MultiProjectiveSpace, Tensor, embed
+from xrank.exactlin import rank_rows, solve_columns
+from xrank.geometry import MultiProjectiveSpace, Tensor, ambient_dim, embed
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -100,6 +102,51 @@ def test_fast_route_agrees_with_subset_route(field):
         assert fast.irredundant == slow.irredundant, d.to_json()
         assert fast.in_span == slow.in_span
         checked += 1
+
+
+@pytest.mark.parametrize("space", [
+    segre((1, 1)), segre((1, 2)), segre((1, 1, 1)), veronese(1, 2),
+    veronese(2, 2), MultiProjectiveSpace((1, 1), (1, 2), QQ),
+    MultiProjectiveSpace((1, 2), (2, 1), QQ),
+], ids=["P1P1", "P1P2", "P1P1P1", "V2P1", "V2P2", "P1P1_12", "P1P2_21"])
+def test_rescaled_report_equals_a_solve_on_canonical_columns(space):
+    # over Q verify_irredundant solves on the integer images and
+    # multiplies each coefficient by its column's lead; every field of the
+    # report must equal a solve on the canonical columns.  Up to N + 2
+    # points on an ambient space of dimension N - 1: independent sets,
+    # dependent ones, targets off the span and zero coefficients
+    rng = random.Random(str(space.factor_dims + space.multidegree))
+    width = ambient_dim(space) + 1
+    seen = Counter()
+    for _ in range(80):
+        pts = distinct_points(space, rng.randint(1, width + 2), rng, box=5)
+        if rng.random() < 0.7:
+            coeffs = [rng.randint(-3, 3) for _ in pts]
+            if not any(coeffs):
+                continue
+            q = lin_comb(space, pts, coeffs)
+        else:
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(width)]
+            if not any(vec):
+                continue
+            q = Tensor.of(space, vec)
+        d = Decomposition(space, pts, q)
+        ref = solve_columns(QQ, d.embedded_columns, q.coords)
+        values = ref.coefficients
+        in_span = values is not None
+        assert verify_irredundant(d) == IrredundancyReport(
+            ref.independent, in_span, QQ, values,
+            ref.independent and in_span and all(values))
+        leads = [next(x for x in col if x) for col in d.images]
+        seen["unscaled"] += any(lead != 1 for lead in leads)
+        seen["distinct leads"] += len(set(leads)) > 1
+        seen["dependent"] += in_span and not ref.independent
+        seen["off span"] += not in_span
+        seen["zero coefficient"] += (ref.independent and in_span
+                                     and not all(values))
+        seen["irredundant"] += ref.independent and in_span and all(values)
+    assert min(seen.values()) >= 3 and len(seen) == 6, seen
 
 
 # ---------------------------------------------------------------- envelopes
