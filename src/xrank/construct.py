@@ -5,24 +5,28 @@ builds a candidate, proves it, and retries with fresh randomness up to
 max_retries.  All five make one move: a point a is replaced by k points
 that equal a off one factor.  `_proved_move` proves such a candidate's
 report from the input's report, with one exact solve on the replaced
-factor's Veronese images (not the N + 1 tensor coordinates) and one
-independence test modulo the input's span (see its docstring); no
-candidate point is embedded or verified again: its column is
-`geometry.fiber_map` of a and the factor applied to the new vector's
-`geometry.factor_image`.  The line steps of `veronese_extend` and
-`sv_extend` eliminate that span once per call: each step hands the next
-the span of its output's columns and of the replaced factor's vectors.
-What the draws or input checks prove is not tested again: a line step
-grows its factor envelope by one, `concise_plus_m`'s envelope is full,
-`escape`'s output leaves Y and an irredundant input inside Y has its
-target in the span of Y's image.  So outputs never rely on genericity
-arguments alone; every returned decomposition carries an exact report.
-All draws come from one seeded stream, so identical (input, seed,
-config) give identical outputs.
+factor's Veronese images (not the N + 1 tensor coordinates), given that
+the new columns are independent modulo the input's span U (see its
+docstring).  Only `plus_one` tests that, with one membership test in U
+per candidate; the draws of `escape`, `concise_plus_m` and the line
+steps of `veronese_extend` and `sv_extend` imply it (the proofs are in
+their docstrings), so no other construction eliminates U.  No candidate
+point is embedded or verified again: its column is `geometry.fiber_map`
+of a and the factor applied to the new vector's
+`geometry.factor_image`, and over Q the new vectors stay primitive
+integer vectors from the line draw to that image.  What the draws or
+input checks prove is not tested again: a line step grows its factor
+envelope by one, `concise_plus_m`'s envelope is full, `escape`'s output
+leaves Y and an irredundant input inside Y has its target in the span
+of Y's image.  So outputs never rely on genericity arguments alone;
+every returned decomposition carries an exact report.  All draws come
+from one seeded stream, so identical (input, seed, config) give
+identical outputs.
 """
 
 import random
 from dataclasses import dataclass, replace
+from math import gcd
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
                      verify_irredundant)
@@ -31,7 +35,7 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotConcise, NotContainedInY, NotIrredundantInput,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
-from .exactlin import Echelon, in_span, rank_rows, solve_columns
+from .exactlin import Echelon, in_span, integer_row, rank_rows, solve_columns
 from .geometry import (DEFAULT_COORD_BOX, SubspaceSpec, canonical_vector,
                        factor_image, fiber_map, line_point)
 from .oracle import brute_rank
@@ -71,23 +75,36 @@ def _on_ray(field, r):
 
 def _line_candidates(field, rng, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
-    from a.  Over GF(p) the line carries p such points, a + t w for
-    t = 1 .. p-1 and w itself, and `count` distinct positions among them
-    are drawn by index; over Q distinct nonzero parameters t are sampled
-    from the coordinate box."""
+    from a, in the form `_proved_move` takes.  Over GF(p) the line
+    carries p such points, a + t w for t = 1 .. p-1 and w itself, and
+    `count` distinct positions among them are drawn by index; each comes
+    back canonical.  Over Q distinct nonzero parameters t are sampled
+    from [-B, B], B the coordinate box or ceil(count / 2) if larger, and
+    each point comes back as its primitive integer vector with a positive
+    lead: a + t w = (e A + t d W) / (d e) for A = d a and W = e w the
+    integer vectors of a and w (`exactlin.integer_row`)."""
     if field.is_finite:
         p = field.modulus
         if count > p:
             raise FieldTooSmall(
                 "need %d distinct points on a line off its base point; "
                 "GF(%d) offers %d" % (count, p, p))
-        return [tuple(w_vec) if k == p - 1
-                else line_point(field, a_vec, w_vec, k + 1)
+        return [canonical_vector(field, w_vec if k == p - 1
+                                 else line_point(field, a_vec, w_vec, k + 1))
                 for k in rng.sample(range(p), count)]
-    box = DEFAULT_COORD_BOX
+    box = max(DEFAULT_COORD_BOX, -(-count // 2))
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
-    return [line_point(field, a_vec, w_vec, t) for t in ts]
+    (A, d), (W, e) = integer_row(a_vec), integer_row(w_vec)
+    eA, dW = [e * x for x in A], [d * x for x in W]
+    out = []
+    for t in ts:
+        v = [x + t * y for x, y in zip(eA, dW)]
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        out.append(tuple([x // g for x in v]) if g != 1 else tuple(v))
+    return out
 
 
 def _escaping_fibers(space, points, u_span):
@@ -106,15 +123,16 @@ def _escaping_fibers(space, points, u_span):
                     break
 
 
-def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
+def _proved_move(d, report, ai, i, fiber, vecs, prov):
     """Replace point ai of d by the k >= 2 points that equal it off
     factor i and carry there the vectors `vecs`: the candidate, with its
-    columns and a proved report, or None.  `report` is d's, `u_span` an
-    `Echelon` spanning d's columns (left as it is) and `fiber` the
-    `geometry.fiber_map` of point ai and factor i; no point is embedded
-    and nothing is solved at tensor length.  With `carry` the result is
-    (candidate, span), span an `Echelon` of U and x_g1 .. x_g(k-1), which
-    spans the candidate's columns (below), for a next move to start from.
+    columns and a proved report, or None.  `report` is d's and `fiber`
+    the `geometry.fiber_map` of point ai and factor i.  Over GF(p) each
+    vector is canonical.  Over Q any nonzero vector will do, and a
+    canonical one or a primitive integer vector with a positive lead
+    (`_line_candidates`) gives its column the scale that
+    `Decomposition.images` describes.  No point is embedded and nothing
+    is solved or eliminated at tensor length.
 
     The proof.  q = sum_j c_j x_j, the r columns x_j independent and
     every c_j nonzero; U is their span.  For a = point ai, v_e the
@@ -122,8 +140,11 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     x_a = L(v_e(a_i)) and x_gt = L(v_e(g_t)) for the linear, injective
     fiber map L.  The candidate is accepted when
     1. the factor-length solve v_e(a_i) = sum_t gamma_t v_e(g_t) has
-       independent columns and every gamma_t nonzero, and
-    2. x_g1 .. x_g(k-1) are independent modulo U.
+       independent columns and every gamma_t nonzero,
+    and the caller guarantees
+    2. x_g1 .. x_g(k-1) are independent modulo U:
+    `plus_one` tests it, and `escape`, `concise_plus_m` and the line
+    steps (`_extend_one_factor`) prove it from their draws.
     By 1 and L, x_a = sum_t gamma_t x_gt, so x_gk lies in
     U + <x_g1 .. x_g(k-1)>, of dimension r + k - 1 by 2.  The
     candidate's r - 1 + k columns span it, as they span x_a: they are
@@ -136,29 +157,18 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     degree-one factor (`plus_one`, `escape`), c_t spanning the factor
     (`concise_plus_m`), or e + 1 distinct points of the degree-e rational
     normal curve v_e(line), any e + 1 of which span its P^e (Landsberg,
-    Tensors: Geometry and Applications, 2012).  So this accepts exactly
+    Tensors: Geometry and Applications, 2012).  So 1 and 2 accept exactly
     what re-verification accepts.  Over Q the images are s_t v_e(g_t) and
-    s_a v_e(a_i) (`geometry.factor_image`), so gamma is rescaled by
-    s_t / s_a.  The columns, U's among them, are the integer images that
-    `Decomposition.images` describes, nonzero multiples of the x_j, which
-    changes neither condition 2 nor any span; the report's values come
-    from d's report and gamma, so they are the canonical coefficients.
+    s_a v_e(a_i) for the canonical g_t (`geometry.factor_image`), so
+    gamma is rescaled by s_t / s_a.  The columns, U's among them, are the
+    integer images, nonzero multiples of the x_j, which changes neither
+    condition 2 nor any span; the report's values come from d's report
+    and gamma, so they are the canonical coefficients.
     """
     field = d.space.field
     deg = d.space.multidegree[i]
     a = d.points[ai]
-    new_pts = [a.replace_factor(i, g) for g in vecs]
-    images = [factor_image(field, g.coords[i], deg) for g in new_pts]
-    cols = [fiber(v) for v, _ in images[:-1]]
-    # 2: insert x_g1 .. x_g(k-1) into a copy of U, each growing it; a
-    # single column that nothing carries forward is tested against U
-    span = u_span
-    if carry or len(cols) > 1:
-        span = u_span.copy()
-        if not all(span.insert(c) for c in cols):
-            return None
-    elif span.contains(cols[0]):
-        return None
+    images = [factor_image(field, g, deg) for g in vecs]
     target, s_a = factor_image(field, a.coords[i], deg)
     sol = solve_columns(field, [v for v, _ in images], target)
     gamma = sol.coefficients
@@ -167,15 +177,16 @@ def _proved_move(d, report, u_span, ai, i, fiber, vecs, prov, carry=False):
     if field.modulus is None:
         gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
     keep = [j for j in range(len(d.points)) if j != ai]
-    cand = Decomposition(d.space, [d.points[j] for j in keep] + new_pts,
-                         d.target, prov)
-    cand._with_columns([d.images[j] for j in keep] + cols
-                       + [fiber(images[-1][0])])
     c_a = report.values[ai]
     values = (tuple(report.values[j] for j in keep)
               + tuple(field.mul(c_a, g) for g in gamma))
-    cand._with_report(IrredundancyReport(True, True, field, values, True))
-    return (cand, span) if carry else cand
+    # the columns are independent (above), so the points are distinct
+    return Decomposition._proved(
+        d.space,
+        [d.points[j] for j in keep] + [a.replace_factor(i, g) for g in vecs],
+        d.target, prov,
+        [d.images[j] for j in keep] + [fiber(v) for v, _ in images],
+        IrredundancyReport(True, True, field, values, True))
 
 
 def _certify_minimal_via_oracle(d, within=None):
@@ -222,12 +233,13 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     span not inside U = span of the embedded input; the replacement points
     are two random points of a line through the chosen point inside that
     fiber, and `_proved_move` proves the candidate's report from the
-    input's.  Its test that the first new point embeds outside U keeps
-    both off every input point.  The input is checked by
-    `verify_irredundant`, which reuses a report the input already carries
-    (an oracle witness has one) instead of solving again.  No point is
-    embedded: the scan's unit directions go through
-    `geometry.fiber_map`, built once per (point, factor).
+    input's.  Only plus_one tests `_proved_move`'s condition 2, that the
+    first new point embeds outside U, as a line in an escaping fiber may
+    still lie in U; the test keeps both new points off every input point.
+    The input is checked by `verify_irredundant`, which reuses a report
+    the input already carries (an oracle witness has one) instead of
+    solving again.  No point is embedded: the scan's unit directions go
+    through `geometry.fiber_map`, built once per (point, factor).
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -262,9 +274,13 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         except GenericityExhausted:
             continue
         pair = _line_candidates(field, rng, a.coords[i], w, 2)
+        # `_proved_move`'s condition 2; the factor has degree one, so a
+        # vector is its own image
+        if u_span.contains(fiber(pair[0])):
+            continue
         prov = _move_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal, ai, i, attempt)
-        cand = _proved_move(d, report, u_span, ai, i, fiber, pair, prov)
+        cand = _proved_move(d, report, ai, i, fiber, pair, prov)
         if cand is not None:
             return cand
     raise GenericityExhausted("plus_one failed after %d retries"
@@ -293,6 +309,16 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     and w is drawn off H.  The new points carry a_i* + t w (t != 0) or w
     in factor i*; if a_i* + t w were in H, so would be w.  So no new point
     lies in Y, and no candidate needs a test for it.
+
+    Every candidate meets `_proved_move`'s condition 2, with no test.
+    Let S be the span of Y's image and L the fiber map of a and i*, whose
+    factor has degree one, so L(u) = y x u for y != 0 the image of a's
+    other factors.  U lies in S, the tensor product of the spans of Y's
+    factor images, which is H in factor i*; so an element L(u) of S has u
+    in H.  So L(w) lies outside S, as w is off H, while L(a_i*) lies in
+    it.  The first new column is
+    a nonzero multiple of L(a_i* + t w) = L(a_i*) + t L(w) with t != 0,
+    or of L(w); either way it lies outside S, so outside U.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -313,7 +339,6 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise UnsupportedDegree("the deficient factor must have degree one")
     on_h = Echelon(field, ysub.factor_bases[istar]).contains
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.images)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
@@ -326,7 +351,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         cands = _line_candidates(field, rng, a.coords[istar], w, 2)
         prov = _move_provenance("escape", cfg, assert_minimal,
                                 certify_minimal, ai, istar, attempt)
-        cand = _proved_move(d, report, u_span, ai, istar,
+        cand = _proved_move(d, report, ai, istar,
                             fiber_map(space, a, istar), cands, prov)
         if cand is not None:
             return cand
@@ -353,6 +378,16 @@ def concise_plus_m(d: Decomposition, m: int,
     its retained envelope is the input's, and `_proved_move`'s condition 1
     (independent columns c_0..c_m, the factor having degree one) makes
     c_0..c_m a basis of the last factor.
+
+    Every candidate meets `_proved_move`'s condition 2, with no test.
+    With V' the tensor space of the retained factors, U lies in
+    V' x <o>, and the new columns are y_a x c_t for y_a != 0 the image of
+    a's retained factors.  Condition 1 makes c_0..c_m a basis with
+    o = sum_t gamma_t c_t, every gamma_t nonzero, so o is off the span of
+    every m of them.  If sum_{t<m} l_t y_a x c_t lay in V' x <o>,
+    sum_{t<m} l_t c_t would be a multiple of o, so zero, and every l_t
+    zero: y_a x c_0 .. y_a x c_(m-1) are independent modulo V' x <o>, so
+    modulo U.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -376,7 +411,6 @@ def concise_plus_m(d: Decomposition, m: int,
             d, within=SubspaceSpec.of(space, list(retained) + [(o,)]))
     field = space.field
     rng = random.Random(cfg.rng_seed)
-    u_span = Echelon(field, d.images)
 
     for attempt in range(cfg.max_retries):
         ai = attempt % len(d.points)
@@ -396,7 +430,7 @@ def concise_plus_m(d: Decomposition, m: int,
             continue
         prov = _move_provenance("concise_plus_m", cfg, assert_minimal,
                                 certify_minimal, ai, last, attempt)
-        cand = _proved_move(d, report, u_span, ai, last,
+        cand = _proved_move(d, report, ai, last,
                             fiber_map(space, a, last), cs, prov)
         if cand is not None:
             return cand
@@ -404,17 +438,33 @@ def concise_plus_m(d: Decomposition, m: int,
                               % cfg.max_retries)
 
 
-def _extend_one_factor(d, u_span, f_span, factor, cfg):
+def _extend_one_factor(d, f_span, factor, cfg):
     """One line step in a factor of degree e: replace a point a by e+1
     distinct points of the line through a_f and a vector w drawn off the
     factor span F, and prove the result from d's report, which the step
-    before proved.  u_span is an `Echelon` of d's columns, f_span one of
-    F; returns (output, an `Echelon` of its columns) and inserts w into
-    f_span.  The step is appended to the provenance's "steps".
+    before proved.  f_span is an `Echelon` of F; returns the output and
+    inserts w into f_span.  The step is appended to the provenance's
+    "steps".
 
     The factor envelope grows by exactly one.  w is off F and a_f is in F,
     so any two distinct points of the line span <a_f, w>; the e+1 >= 2 new
-    points take a's place, so the output's factor span is F + <w>."""
+    points take a's place, so the output's factor span is F + <w>.
+
+    Every candidate meets `_proved_move`'s condition 2, with no test.
+    Every point of d has its factor-f vector in F, so U lies in the span
+    of the images of the points whose factor-f vector is in F.  The new
+    columns are y_a x v_e(g_t), y_a != 0 the image of a's other factors,
+    so it suffices that e of the v_e(g_t) are independent modulo the span
+    P of v_e(F).  Change coordinates so that a_f = e_0, F = <e_0..e_m>
+    and w = e_(m+1); v_e of a linear change of coordinates is an
+    invertible linear map, and P then lies in the span of the monomials
+    supported on x_0..x_m.  v_e(a_f + t w) = sum_j t^j M_j for M_j the
+    monomial x_0^(e-j) x_(m+1)^j, and v_e(w) = M_e.  The M_j with j >= 1
+    are independent modulo the monomials supported on F, and for any e
+    of the e+1 drawn points the matrix of their coordinates on
+    M_1 .. M_e is nonsingular: the rows (t, t^2, .., t^e) for distinct
+    nonzero t form a scaled Vandermonde matrix, and w gives the row
+    (0, .., 0, 1), leaving e-1 of them in the first e-1 coordinates."""
     space = d.space
     field = space.field
     deg = space.multidegree[factor]
@@ -434,9 +484,8 @@ def _extend_one_factor(d, u_span, f_span, factor, cfg):
         prov["steps"] = prov["steps"] + [{"replaced_point": ai,
                                           "factor": factor,
                                           "retries_used": attempt}]
-        moved = _proved_move(d, report, u_span, ai, factor,
-                             fiber_map(space, a, factor), gvecs, prov,
-                             carry=True)
+        moved = _proved_move(d, report, ai, factor,
+                             fiber_map(space, a, factor), gvecs, prov)
         if moved is not None:
             f_span.insert(w)
             return moved
@@ -449,9 +498,9 @@ def _line_steps(d, report, f_span, factor, steps, cfg, prov):
     """Run `steps` line steps in one factor of degree e, step s seeded
     with rng_seed + 7919 s; report is d's, f_span an `Echelon` of its
     points' vectors in that factor, and prov starts the output's
-    provenance.  U, the span of d's columns, is eliminated once; each step
-    hands the next its output's span and f_span.  FieldTooSmall when a
-    line over GF(p) has fewer than e+1 points off its base point."""
+    provenance.  Each step hands the next its output and f_span; no step
+    eliminates at tensor length.  FieldTooSmall when a line over GF(p)
+    has fewer than e+1 points off its base point."""
     space = d.space
     deg = space.multidegree[factor]
     p = space.field.modulus
@@ -459,12 +508,12 @@ def _line_steps(d, report, f_span, factor, steps, cfg, prov):
         raise FieldTooSmall("need %d distinct line points; GF(%d) offers %d"
                             % (deg + 1, p, p))
     prov["steps"] = []
-    cur = Decomposition(space, d.points, d.target, prov)
-    cur._with_columns(d.images)._with_report(report)
-    u_span = Echelon(space.field, d.images)
+    # d's points were checked when d was built and its report just now
+    cur = Decomposition._proved(space, d.points, d.target, prov, d.images,
+                                report)
     for step in range(steps):
-        cur, u_span = _extend_one_factor(
-            cur, u_span, f_span, factor,
+        cur = _extend_one_factor(
+            cur, f_span, factor,
             replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
     return cur
 

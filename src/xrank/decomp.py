@@ -111,7 +111,7 @@ class Decomposition:
         `geometry.embed_image`.  Over GF(p) that is its canonical
         embedding; over Q its integer image, the canonical column times
         the image's first nonzero entry.  Computed once, unless a caller
-        hands them over (`_with_columns`)."""
+        hands them over (`_proved`)."""
         if self._images is None:
             self._images = [embed_image(self.space, p) for p in self.points]
         return self._images
@@ -123,18 +123,22 @@ class Decomposition:
         image itself and over Q derived on every access."""
         return [canonical_column(self.space.field, c) for c in self.images]
 
-    def _with_columns(self, cols) -> "Decomposition":
-        """Take the points' stored columns, in point order and in the form
-        `images` describes, from a caller that already holds them; returns
-        self."""
-        self._images = list(cols)
-        return self
-
-    def _with_report(self, report) -> "Decomposition":
-        """Take the verification report from a caller that has proved it;
-        returns self."""
-        self._report = report
-        return self
+    @classmethod
+    def _proved(cls, space, points, target, provenance, images,
+                report=None) -> "Decomposition":
+        """A decomposition from a caller that has proved what `__init__`
+        checks: the points are distinct and on the space of the target.
+        It hands over the points' stored columns, in point order and in
+        the form `images` describes, and with `report` the verification
+        report it has proved."""
+        d = cls.__new__(cls)
+        d.space = space
+        d.points = tuple(points)
+        d.target = target
+        d.provenance = provenance
+        d._images = list(images)
+        d._report = report
+        return d
 
     def to_json(self) -> dict:
         d = {"space": self.space.to_json(),

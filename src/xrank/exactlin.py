@@ -188,12 +188,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def copy(self) -> "Echelon":
-        """The same basis; inserting into the copy leaves this one as is."""
-        new = Echelon.__new__(Echelon)
-        new._p, new._rows, new._width = self._p, list(self._rows), self._width
-        return new
-
     def _eliminate(self, vec):
         """(v, scale): v is scale times `reduce(vec)`.  Over Q, v holds
         ints and scale is a nonzero int; over GF(p), scale is 1."""

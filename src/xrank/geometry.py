@@ -114,6 +114,13 @@ def canonical_vector(field: FieldSpec, vec):
     """Scale so the first nonzero coordinate is 1; raises ZeroFactor."""
     p = field.modulus
     if p is None:
+        vec = tuple(vec)
+        if set(map(type, vec)) <= {int}:
+            # an int vector: one Fraction per entry, divided by its lead
+            lead = next((v for v in vec if v), None)
+            if lead is None:
+                raise ZeroFactor("zero vector has no projective class")
+            return tuple([Fraction(v, lead) for v in vec])
         vec = tuple(v if type(v) is Fraction else Fraction(v) for v in vec)
     else:
         vec = tuple(v % p if type(v) is int else field.coerce(v)
@@ -213,33 +220,30 @@ class Tensor:
 
 def _evaluate_monomials(vec, degree: int):
     """Values of all degree-`degree` monomials at the int vector vec,
-    embedding order, unreduced."""
+    embedding order, unreduced.  rows[d] lists the degree-d monomials in
+    the variables seen so far, leading variable first; a new leading
+    variable x puts x times rows[d - 1] before the monomials free of x,
+    so each monomial of each degree costs one product."""
     if degree == 1:
         return vec
-    powers = []
-    for v in vec:
-        row = [1]
-        for _ in range(degree):
-            row.append(row[-1] * v)
-        powers.append(row)
-    out = []
-    for expo in monomial_exponents(len(vec), degree):
-        acc = 1
-        for row, e in zip(powers, expo):
-            if e:
-                acc *= row[e]
-        out.append(acc)
-    return out
+    rows = [[1]] + [[] for _ in range(degree)]
+    for x in reversed(vec):
+        for d in range(1, degree + 1):
+            rows[d] = [x * m for m in rows[d - 1]] + rows[d]
+    return rows[degree]
 
 
 def factor_image(field: FieldSpec, y, deg: int):
-    """(v, s): v = s v_deg(y) as plain ints, for v_deg the degree-deg
-    Veronese map in embedding order.  Over Q, s = d^deg clears the least
-    common denominator d of y; over GF(p), s = 1 and v holds ints
-    congruent to v_deg(y), reduced by whoever uses them."""
+    """(v, s): v = s v_deg(y') as plain ints, for v_deg the degree-deg
+    Veronese map in embedding order and y' the canonical vector of y.
+    Over Q, v = v_deg(g) and s = lead(g)^deg for g the integer vector of
+    y (`exactlin.integer_row`), as g = lead(g) y'; for a canonical y, g
+    clears its least common denominator d, and s = d^deg.  Over GF(p),
+    y must be canonical: s = 1 and v holds ints congruent to v_deg(y),
+    reduced by whoever uses them."""
     if field.modulus is None:
-        ints, d = integer_row(y)
-        return _evaluate_monomials(ints, deg), d ** deg
+        g = integer_row(y)[0]
+        return _evaluate_monomials(g, deg), next(x for x in g if x) ** deg
     return _evaluate_monomials(y, deg), 1
 
 

@@ -227,9 +227,11 @@ def spanning_sets(q: Tensor, t: int, mode: str = "all", *,
     witnesses = []
     complete = True
     for tup in cand:
-        d = Decomposition(space, [g.points[i] for i in tup], q,
-                          {"source": "oracle", "t": t, "indices": list(tup)}
-                          )._with_columns([g.columns[i] for i in tup])
+        # distinct ground indices: distinct points
+        d = Decomposition._proved(
+            space, [g.points[i] for i in tup], q,
+            {"source": "oracle", "t": t, "indices": list(tup)},
+            [g.columns[i] for i in tup])
         if not verify_irredundant(d).irredundant:
             continue
         if predicate is not None and not predicate(d):

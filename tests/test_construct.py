@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -76,11 +77,13 @@ def test_plus_one_over_gf11():
 
 
 def _assert_stored_columns(out):
-    """A construction's stored columns are its points' images: over Q
-    plain ints, and over either field their canonical view equals fresh
-    embeddings."""
+    """A construction's stored columns are its points' images: bit for
+    bit `geometry.embed_image` (over Q plain ints, at its scale), and
+    over either field their canonical view equals fresh embeddings."""
     if not out.space.field.is_finite:
         assert all(type(x) is int for col in out.images for x in col)
+    assert out.images == [geometry.embed_image(out.space, p)
+                          for p in out.points]
     assert out.embedded_columns == [field_embed(out.space, p.coords).coords
                                     for p in out.points]
 
@@ -195,14 +198,30 @@ def test_fiber_map_equals_embed_of_the_replaced_point(field, dims, degrees):
                                  for x in image) == want.coords
 
 
+def _meets_condition_2(d, ai, i, vecs):
+    """`_proved_move`'s condition 2, apart from construct's code: the
+    fresh embeddings of the first k-1 new points are independent modulo
+    the span of d's.  For k = 2 it is plus_one's test."""
+    space = d.space
+    span = Echelon(space.field, [field_embed(space, p.coords).coords
+                                 for p in d.points])
+    a = d.points[ai]
+    return all(span.insert(field_embed(space,
+                                       a.replace_factor(i, g).coords).coords)
+               for g in vecs[:-1])
+
+
 @pytest.mark.parametrize("field", [gf(3), gf(5), QQ], ids=str)
 def test_proved_move_accepts_exactly_what_verification_accepts(field):
     # moves of a = point 0 in factor 0 of P3 x P1, where b = point 1
     # shares a's fiber, so the fiber meets U in <x_a, x_b>.  The new
     # vectors g_1 .. g_(k-1) are drawn among a_0, b_0, a_0 + c b_0 and
-    # random vectors, and g_k = a_0 - sum_t lam_t g_t with lam_t at times
-    # 0, so a_0 lies in the span of the g_t: the proof must accept a
-    # candidate exactly when a fresh verification does
+    # random vectors, so their columns may lie in U, and
+    # g_k = a_0 - sum_t lam_t g_t with lam_t at times 0, so a_0 lies in
+    # the span of the g_t.  Condition 2, which plus_one tests and the
+    # other constructions prove, and the proof must together accept a
+    # candidate exactly when a fresh verification does.  Over GF(p) the
+    # move takes canonical vectors; over Q it gets them unscaled
     S = segre((3, 1), field)
     F = field
     rng = random.Random(str(field))
@@ -211,6 +230,7 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
         return tuple(F.add(s, F.mul(F.coerce(c), t)) for s, t in zip(x, y))
 
     seen = {True: 0, False: 0}
+    in_u = 0
     while min(seen.values()) < 40:
         A = [pt(S, _random_canonical(F, rng, 4), E0) for _ in range(2)]
         A.append(pt(S, _random_canonical(F, rng, 4), E1))
@@ -231,21 +251,27 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
             last = combo(last, -rng.choice([0, 1, rng.randint(1, 4)]), g)
         if not any(last):
             continue
+        vecs = gs + [last]
+        if F.is_finite:
+            vecs = [canonical_vector(F, g) for g in vecs]
         cand = construct._proved_move(
-            d, report, Echelon(F, d.embedded_columns), 0, 0,
-            geometry.fiber_map(S, A[0], 0), gs + [last], {})
-        pts = A[1:] + [A[0].replace_factor(0, g) for g in gs + [last]]
+            d, report, 0, 0, geometry.fiber_map(S, A[0], 0), vecs, {})
+        pts = A[1:] + [A[0].replace_factor(0, g) for g in vecs]
         fresh = None
         if len(set(pts)) == len(pts):
             fresh = verify_irredundant(Decomposition(S, pts, d.target))
         accepted = fresh is not None and fresh.irredundant
-        assert (cand is not None) == accepted
+        condition_2 = _meets_condition_2(d, 0, 0, vecs)
+        in_u += cand is not None and not condition_2
+        assert (cand is not None and condition_2) == accepted
         if accepted:
             assert list(cand.points) == pts
             assert verify_irredundant(cand) == fresh
             assert cand.embedded_columns == [
                 field_embed(S, p.coords).coords for p in pts]
         seen[accepted] += 1
+    # some candidates pass the solve with a new column in U
+    assert in_u
 
 
 @pytest.mark.parametrize("field", [QQ, gf(5)], ids=["QQ", "GF5"])
@@ -267,6 +293,7 @@ def test_plus_one_on_a_middle_factor_fiber(field):
 
 def _assert_proved_and_distinct(out):
     _assert_report_is_a_fresh_solve(out)
+    _assert_stored_columns(out)
     assert len(set(p.coords for p in out.points)) == len(out.points)
 
 
@@ -597,16 +624,22 @@ _SV22 = MultiProjectiveSpace((1, 2), (1, 2), QQ)
     (_SV22, [pt(_SV22, E0, (1, 0, 0)), pt(_SV22, E1, (1, 0, 0))],
      lambda d: sv_extend(d, ConstructionConfig(rng_seed=2))),
 ], ids=["veronese_extend", "sv_line_steps"])
-def test_line_steps_eliminate_u_once(monkeypatch, space, A, run):
-    # two line steps: U is eliminated once at tensor width, each step
-    # hands the next its output's span, and no envelope is recomputed
+def test_line_steps_work_at_factor_length(monkeypatch, space, A, run):
+    # two line steps: construct's one `Echelon` is the factor span F, of
+    # the factor vectors' width, so no step inserts or tests a tensor
+    # column; after the input's report every solve is a candidate's, on
+    # the replaced factor's Veronese images, and no envelope is
+    # recomputed
     d = Decomposition(space, A, lin_comb(space, A))
     widths, envelopes = _spy_line_step_work(monkeypatch)
+    calls = _count_solves(monkeypatch)
     out = run(d)
     assert len(out.provenance["steps"]) == 2
-    assert widths.count(len(d.target.coords)) == 1
-    assert set(widths) == {len(d.target.coords), space.factor_dims[-1] + 1}
+    assert set(widths) == {space.factor_dims[-1] + 1}
     assert envelopes == []
+    assert calls[0] == ("xrank.decomp", len(A), len(d.target.coords))
+    assert {c[0] for c in calls[1:]} == {"xrank.construct"}
+    assert {c[2] for c in calls[1:]} == {space.factor_monomial_counts()[-1]}
 
 
 def _same_span(field, span, cols):
@@ -617,33 +650,26 @@ def _same_span(field, span, cols):
 
 @pytest.mark.parametrize("field", [QQ, gf(5), gf(11)], ids=str)
 def test_line_steps_carry_their_spans(monkeypatch, field):
-    # every step starts from the spans of its input and hands the next
-    # the spans of its output: U of the columns, F of the replaced
-    # factor's vectors; F and the factor envelope grow by exactly one,
-    # and the proved report is the one a fresh solve gives.  P3 in
-    # degree one has k = 2 points per step, so U must still grow there
+    # every step starts from the factor span F of its input's vectors and
+    # hands the next the span of its output's; F and the factor envelope
+    # grow by exactly one, and the proved report is the one a fresh solve
+    # gives
     real = construct._extend_one_factor
     seen = []
 
-    def fresh_columns(d):
-        return [embed(d.space, p).coords for p in d.points]
-
-    def step(d, u_span, f_span, factor, cfg):
+    def step(d, f_span, factor, cfg):
         dim = set_envelope(d.space, d.points).dims[factor]
-        assert _same_span(field, u_span, fresh_columns(d))
         assert _same_span(field, f_span, [p.coords[factor]
                                           for p in d.points])
         assert f_span.rank == dim + 1
-        out, span = real(d, u_span, f_span, factor, cfg)
+        out = real(d, f_span, factor, cfg)
         assert set_envelope(d.space, out.points).dims[factor] == dim + 1
         assert _same_span(field, f_span, [p.coords[factor]
                                           for p in out.points])
-        assert _same_span(field, span, fresh_columns(out))
-        assert out.embedded_columns == fresh_columns(out)
         _assert_stored_columns(out)
         _assert_report_is_a_fresh_solve(out)
         seen.append(d.space.multidegree[factor])
-        return out, span
+        return out
 
     monkeypatch.setattr(construct, "_extend_one_factor", step)
     rng = random.Random(str(field))
@@ -831,8 +857,9 @@ def _listed_line(field, a_vec, w_vec):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11])
 def test_line_draws_by_index_match_the_listed_draws(p):
-    # the index draws return the listed draws' points and leave the
-    # stream in the same state, so every seeded output stays the same
+    # the index draws return the listed draws' points, canonical, and
+    # leave the stream in the same state, so every seeded output stays
+    # the same
     F = gf(p)
     for seed in range(200):
         rng = random.Random(seed)
@@ -842,9 +869,34 @@ def test_line_draws_by_index_match_the_listed_draws(p):
                                             construct._on_ray(F, a))
         old, new = random.Random(seed), random.Random(seed)
         count = 1 + seed % min(p, 3)
-        want = old.sample(_listed_line(F, a, w), count)
+        want = [canonical_vector(F, v)
+                for v in old.sample(_listed_line(F, a, w), count)]
         assert construct._line_candidates(F, new, a, w, count) == want
         assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("count", [2, 7, 100, 101, 150])
+def test_line_candidates_over_q(count):
+    # primitive integer vectors with a positive lead, on the line and off
+    # a; up to 100 points the parameters are sampled from the box
+    # [-50, 50], and from count 101 on from [-ceil(count/2), ceil(count/2)]
+    for seed in range(5):
+        rng = random.Random(seed)
+        a = _random_canonical(QQ, rng, 3)
+        w = construct._draw_vector_off_span(QQ, rng, 3,
+                                            construct._on_ray(QQ, a))
+        old, new = random.Random(seed), random.Random(seed)
+        box = max(50, -(-count // 2))
+        ts = old.sample([t for t in range(-box, box + 1) if t], count)
+        got = construct._line_candidates(QQ, new, a, w, count)
+        assert new.getstate() == old.getstate()
+        assert [canonical_vector(QQ, g) for g in got] == [
+            canonical_vector(QQ, line_point(QQ, a, w, t)) for t in ts]
+        assert len(set(got)) == count
+        for g in got:
+            assert all(type(x) is int for x in g)
+            assert next(x for x in g if x) > 0
+            assert math.gcd(*g) == 1
 
 
 _P61 = 2 ** 61 - 1  # the Mersenne prime 2305843009213693951
@@ -1184,3 +1236,76 @@ def test_sv_extend_sweep(dims, degrees, field):
             _assert_proved_and_distinct(out)
             assert len(out.points) == len(d.points) + degrees[-1] * m
             assert set_envelope(space, out.points).dims[-1] == m
+
+
+def _spy_condition_2(monkeypatch):
+    """Make every `_proved_move` call assert condition 2 for its
+    candidate (`_meets_condition_2`); returns a list of the callers'
+    construction names, one per candidate."""
+    real = construct._proved_move
+    moves = []
+
+    def spy(d, report, ai, i, fiber, vecs, prov):
+        assert _meets_condition_2(d, ai, i, vecs)
+        moves.append(prov["construction"])
+        return real(d, report, ai, i, fiber, vecs, prov)
+
+    monkeypatch.setattr(construct, "_proved_move", spy)
+    return moves
+
+
+def _sweep_runs(field):
+    """(construction, run) pairs: runs of escape, concise_plus_m,
+    veronese_extend and sv_extend on the sweeps' kind of inputs over
+    GF(p), in every degree up to 3 that the field's lines allow."""
+    p = field.modulus
+    for dims, bases in (((1, 1, 1), (_I2, _I2, ((1, 1),))),
+                        ((1, 1, 1), (((0, 1),), _I2, _I2)),
+                        ((1, 2), (_I2, ((1, 0, 1), (0, 1, 0))))):
+        ysub = SubspaceSpec.of(segre(dims, field), bases)
+        for seed, d in enumerate(_minimal_in(ysub, seed=6)):
+            yield "escape", lambda d=d, ysub=ysub, seed=seed: escape(
+                d, ysub, ConstructionConfig(rng_seed=seed))
+    space = segre((1, 1, 2), field)
+    for o in ((1, 0, 0), (0, 1, 1)):
+        for seed, d in enumerate(_minimal_in(_slice(space, o), seed=sum(o))):
+            if set_envelope(space, d.points).dims[:2] == (1, 1):
+                yield "concise_plus_m", lambda d=d, seed=seed: concise_plus_m(
+                    d, 2, ConstructionConfig(rng_seed=seed))
+    for degree in range(1, min(p, 4)):
+        V = veronese(2, degree, field)
+        rng = random.Random(degree)
+        for seed in range(20):
+            r = 1 + seed % 2
+            d = None
+            while d is None or set_envelope(V, d.points).dims != (r - 1,):
+                d = _irredundant_sum(V, rng, r, lambda: random_point(V, rng),
+                                     lambda: rng.randrange(1, p))
+            yield "veronese_extend", lambda d=d, seed=seed: veronese_extend(
+                d, 2, ConstructionConfig(rng_seed=seed))
+    for degree in range(1, min(p, 3)):
+        space = MultiProjectiveSpace((1, 2), (1, degree), field)
+        ysub = _slice(space, (1, 1, 1))
+        for seed, d in enumerate(_minimal_in(ysub, seed=3)):
+            yield "sv_extend", lambda d=d, seed=seed: sv_extend(
+                d, ConstructionConfig(rng_seed=seed))
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(3), gf(5), QQ], ids=str)
+def test_moves_outside_plus_one_meet_condition_2(monkeypatch, field):
+    # escape, concise_plus_m and the line steps prove condition 2 from
+    # their draws and do not test it: each candidate they hand to
+    # _proved_move must meet it.  Over Q the frozen cases' inputs
+    moves = _spy_condition_2(monkeypatch)
+    if field.is_finite:
+        for name, run in _sweep_runs(field):
+            try:
+                run()
+            except GenericityExhausted:
+                # concise_plus_m's blind draws over GF(2) (its sweep)
+                assert (name, field.modulus) == ("concise_plus_m", 2)
+    else:
+        _frozen_cases(field)
+    assert set(moves) == {"escape", "concise_plus_m", "veronese_extend",
+                          "sv_extend"}
+

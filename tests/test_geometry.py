@@ -1,6 +1,7 @@
 """Spaces, embeddings, point enumeration, and subspaces."""
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import QQ, field_embed, gf, pt, segre, veronese
 
+from xrank import geometry
 from xrank.errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
                           ZeroFactor)
 from xrank.exactlin import rank_rows, solve_columns
@@ -177,6 +179,63 @@ def test_embed_of_non_canonical_point_is_canonical(field):
             p = MppPoint(sp, tuple(coords))
             assert embed(sp, p) == field_embed(sp, coords)
             assert embed(sp, p) == embed(sp, MppPoint.of(sp, coords))
+
+
+def _monomial_values(vec, degree):
+    """Every degree-`degree` monomial at vec, one exponent vector at a
+    time."""
+    return [math.prod(x ** e for x, e in zip(vec, expo))
+            for expo in monomial_exponents(len(vec), degree)]
+
+
+def test_evaluate_monomials_one_product_per_monomial():
+    rng = random.Random(61)
+    pools = ([0], [-1, 0, 1], list(range(-9, 10)), [-10 ** 30, 7, 10 ** 30])
+    for n_vars in range(1, 7):
+        for degree in range(1, 7):
+            for pool in pools:
+                vec = [rng.choice(pool) for _ in range(n_vars)]
+                got = geometry._evaluate_monomials(vec, degree)
+                assert list(got) == _monomial_values(vec, degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_factor_image_over_q(degree):
+    # on a canonical y: (v_e(d y), d^e), d the least common denominator
+    # of y; on any nonzero rational multiple of y, v = s v_e(y) exactly
+    rng = random.Random(degree)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        y = [0]
+        while not any(y):
+            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                 for _ in range(n + 1)]
+        y = canonical_vector(QQ, y)
+        d = math.lcm(*(x.denominator for x in y))
+        v, s = geometry.factor_image(QQ, y, degree)
+        assert (list(v), s) == (_monomial_values([d * x for x in y], degree),
+                                d ** degree)
+        want = _monomial_values(y, degree)
+        for c in (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                  rng.randint(-50, -1), rng.randint(2, 50)):
+            v, s = geometry.factor_image(QQ, [c * x for x in y], degree)
+            assert all(type(x) is int for x in v)
+            assert list(v) == [s * m for m in want]
+
+
+def test_canonical_vector_of_an_int_vector_over_q():
+    # one Fraction per entry, the values of the general path
+    rng = random.Random(8)
+    for _ in range(300):
+        v = [rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
+        if not any(v):
+            with pytest.raises(ZeroFactor):
+                canonical_vector(QQ, v)
+            continue
+        got = canonical_vector(QQ, v)
+        assert all(type(x) is Fraction for x in got)
+        assert got == canonical_vector(QQ, [Fraction(x) for x in v])
+        assert next(x for x in got if x) == 1
 
 
 # -------------------------------------------------------------- enumeration
