@@ -1001,6 +1001,33 @@ def test_plus_one_frozen_outputs_rationals():
         "a4dfaf091bd8b62fc9aaa543f72aff24b28574db5a6f9ae92107b321be4801b4")
 
 
+def test_plus_one_frozen_outputs_of_the_growth_mix():
+    """plus_one on every minimal witness of a GF(11) W target on P1xP1xP1
+    and of a rank-2 P1xP1 target, witness i with seed base + i as the
+    growth benchmark seeds them.  The digest covers each output's
+    document, its report's values and its stored columns; it was
+    recorded before plus_one's GF(p) move was cut down to its proof."""
+    f = gf(11)
+    h = hashlib.sha256()
+    count = 0
+    for dims, coords, base, want in (
+            ((1, 1, 1), (0, 1, 1, 0, 1, 0, 0, 0), 618033988, 3751),
+            ((1, 1), (3, 1, 4, 1), 141421356, 66)):
+        S = segre(dims, f)
+        wits = brute_rank(Tensor.of(S, coords), budget=10 ** 9).witnesses
+        assert len(wits) == want
+        for i, w in enumerate(wits):
+            out = plus_one(w, ConstructionConfig(rng_seed=base + i),
+                           assert_minimal=True)
+            h.update(json.dumps(
+                [out.to_json(), list(verify_irredundant(out).values),
+                 [list(c) for c in out.images]], sort_keys=True).encode())
+            count += 1
+    assert count == 3817
+    assert h.hexdigest() == (
+        "5fd320bf57449c42864b3b388ca60e1898f741de7177ccaef74b4bb21570891d")
+
+
 def _sliced_sum(space, rng, r, o, coeff):
     """A random r-point irredundant decomposition on Y' x {o}: every point
     carries the last-factor vector o (None when the draw fails)."""
