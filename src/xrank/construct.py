@@ -8,11 +8,12 @@ report from the input's report, with one exact solve on the replaced
 factor's Veronese images (not the N + 1 tensor coordinates), given that
 the new columns are independent modulo the input's span U (see its
 docstring).  Only `plus_one` tests that, with one membership test in U
-per candidate; the draws of `escape`, `concise_plus_m` and the line
-steps of `veronese_extend` and `sv_extend` imply it (the proofs are in
-their docstrings), so no other construction eliminates U.  No candidate
-point is embedded or verified again: its column is `geometry.fiber_map`
-of a and the factor applied to the new vector's
+per candidate, and only on factors of dimension >= 2: on P^1 the
+solve's condition implies it.  The draws of `escape`, `concise_plus_m`
+and the line steps of `veronese_extend` and `sv_extend` imply it (the
+proofs are in their docstrings), so no other construction eliminates U.
+No candidate point is embedded or verified again: its column is
+`geometry.fiber_map` of a and the factor applied to the new vector's
 `geometry.factor_image`, and over Q the new vectors stay primitive
 integer vectors from the line draw to that image.  What the draws or
 input checks prove is not tested again: a line step grows its factor
@@ -26,6 +27,7 @@ identical outputs.
 
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import gcd
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
@@ -36,8 +38,8 @@ from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
                      NotVeronese, SpaceMismatch, TargetTooSmall,
                      UnsupportedDegree, YEqualsW)
 from .exactlin import Echelon, in_span, integer_row, rank_rows, solve_columns
-from .geometry import (DEFAULT_COORD_BOX, SubspaceSpec, canonical_vector,
-                       factor_image, fiber_map, line_point)
+from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
+                       canonical_vector, factor_image, fiber_map)
 from .oracle import brute_rank
 
 
@@ -54,11 +56,16 @@ class ConstructionConfig:
 def _draw_vector_off_span(field, rng, length, on_span, tries=128):
     """Random nonzero vector v with on_span(v) False (rejection
     sampling); on_span is the membership test of a span, such as an
-    `Echelon`'s `contains`."""
+    `Echelon`'s `contains`.  The entries are `FieldSpec.random_element`'s
+    draws, from the same `rng` calls."""
+    p, box = field.modulus, DEFAULT_COORD_BOX
     for _ in range(tries):
-        v = tuple(field.random_element(rng, DEFAULT_COORD_BOX)
-                  for _ in range(length))
-        if any(x != 0 for x in v) and not on_span(v):
+        if p is None:
+            v = tuple([Fraction(rng.randint(-box, box))
+                       for _ in range(length)])
+        else:
+            v = tuple([rng.randrange(p) for _ in range(length)])
+        if any(v) and not on_span(v):
             return v
     raise GenericityExhausted("no direction off the span after %d draws"
                               % tries)
@@ -69,29 +76,39 @@ def _on_ray(field, r):
     elimination: v lies on it iff v r[s] = v[s] r at an entry s with
     r[s] != 0."""
     s = next(j for j, x in enumerate(r) if x)
-    mul = field.mul
-    return lambda v: all(mul(x, r[s]) == mul(v[s], y) for x, y in zip(v, r))
+    rs, p = r[s], field.modulus
+    if p is None:
+        return lambda v: all(x * rs == v[s] * y for x, y in zip(v, r))
+    return lambda v: all((x * rs - v[s] * y) % p == 0 for x, y in zip(v, r))
 
 
 def _line_candidates(field, rng, a_vec, w_vec, count):
     """`count` distinct points of the line through a and w, all differing
     from a, in the form `_proved_move` takes.  Over GF(p) the line
     carries p such points, a + t w for t = 1 .. p-1 and w itself, and
-    `count` distinct positions among them are drawn by index; each comes
-    back canonical.  Over Q distinct nonzero parameters t are sampled
-    from [-B, B], B the coordinate box or ceil(count / 2) if larger, and
-    each point comes back as its primitive integer vector with a positive
-    lead: a + t w = (e A + t d W) / (d e) for A = d a and W = e w the
-    integer vectors of a and w (`exactlin.integer_row`)."""
+    `count` distinct positions among them are drawn by index; each is
+    formed from a's canonical residues and w's residues and scaled once
+    to its canonical vector.  Over Q distinct nonzero parameters t are
+    sampled from [-B, B], B the coordinate box or ceil(count / 2) if
+    larger, and each point comes back as its primitive integer vector
+    with a positive lead: a + t w = (e A + t d W) / (d e) for A = d a and
+    W = e w the integer vectors of a and w (`exactlin.integer_row`)."""
     if field.is_finite:
         p = field.modulus
         if count > p:
             raise FieldTooSmall(
                 "need %d distinct points on a line off its base point; "
                 "GF(%d) offers %d" % (count, p, p))
-        return [canonical_vector(field, w_vec if k == p - 1
-                                 else line_point(field, a_vec, w_vec, k + 1))
-                for k in rng.sample(range(p), count)]
+        out = []
+        for k in rng.sample(range(p), count):
+            v = (w_vec if k == p - 1 else
+                 [(x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec)])
+            lead = next(filter(None, v))
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                v = [inv * x % p for x in v]
+            out.append(tuple(v))
+        return out
     box = max(DEFAULT_COORD_BOX, -(-count // 2))
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
@@ -111,13 +128,20 @@ def _escaping_fibers(space, points, u_span):
     """(point index, factor, fiber map) triples, in order, whose fiber
     through the point has a coordinate direction embedding outside U; the
     map is `geometry.fiber_map` of that point and factor.  The factors
-    have degree one, so a unit vector is its own image."""
+    have degree one, so a unit vector is its own image.  The unit
+    direction at the lead s of the point's factor vector a_i is not
+    tested: a_i, whose image x_a lies in U, and the other n unit
+    directions span the factor, as a_i[s] != 0.  So on a P^1 factor one
+    test decides."""
     for ai, a in enumerate(points):
         for i in range(space.k):
             fiber = fiber_map(space, a, i)
-            n = space.factor_dims[i]
-            for j in range(n + 1):
-                e = [int(t == j) for t in range(n + 1)]
+            vec = a.coords[i]
+            s = next(j for j, x in enumerate(vec) if x)
+            for j in range(len(vec)):
+                if j == s:
+                    continue
+                e = [int(t == j) for t in range(len(vec))]
                 if not u_span.contains(fiber(e)):
                     yield ai, i, fiber
                     break
@@ -128,9 +152,10 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
     factor i and carry there the vectors `vecs`: the candidate, with its
     columns and a proved report, or None.  `report` is d's and `fiber`
     the `geometry.fiber_map` of point ai and factor i.  Over GF(p) each
-    vector is canonical.  Over Q any nonzero vector will do, and a
-    canonical one or a primitive integer vector with a positive lead
-    (`_line_candidates`) gives its column the scale that
+    vector is canonical and becomes the new point's factor as it is.
+    Over Q any nonzero vector will do, canonicalised once for the point,
+    and a canonical one or a primitive integer vector with a positive
+    lead (`_line_candidates`) gives its column the scale that
     `Decomposition.images` describes.  No point is embedded and nothing
     is solved or eliminated at tensor length.
 
@@ -176,16 +201,19 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
         return None
     if field.modulus is None:
         gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
-    keep = [j for j in range(len(d.points)) if j != ai]
     c_a = report.values[ai]
-    values = (tuple(report.values[j] for j in keep)
-              + tuple(field.mul(c_a, g) for g in gamma))
+    values = (report.values[:ai] + report.values[ai + 1:]
+              + tuple([field.mul(c_a, g) for g in gamma]))
+    if field.is_finite:
+        head, tail = a.coords[:i], a.coords[i + 1:]
+        moved = [MppPoint(d.space, head + (g,) + tail) for g in vecs]
+    else:
+        moved = [a.replace_factor(i, g) for g in vecs]
     # the columns are independent (above), so the points are distinct
     return Decomposition._proved(
-        d.space,
-        [d.points[j] for j in keep] + [a.replace_factor(i, g) for g in vecs],
-        d.target, prov,
-        [d.images[j] for j in keep] + [fiber(v) for v, _ in images],
+        d.space, [*d.points[:ai], *d.points[ai + 1:], *moved], d.target,
+        prov, [*d.images[:ai], *d.images[ai + 1:],
+               *[fiber(v) for v, _ in images]],
         IrredundancyReport(True, True, field, values, True))
 
 
@@ -234,12 +262,23 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     are two random points of a line through the chosen point inside that
     fiber, and `_proved_move` proves the candidate's report from the
     input's.  Only plus_one tests `_proved_move`'s condition 2, that the
-    first new point embeds outside U, as a line in an escaping fiber may
-    still lie in U; the test keeps both new points off every input point.
+    first new point embeds outside U, and only when the replaced factor
+    has dimension >= 2: there a line in an escaping fiber may still lie
+    in U, and the test keeps both new points off every input point.
     The input is checked by `verify_irredundant`, which reuses a report
     the input already carries (an oracle witness has one) instead of
     solving again.  No point is embedded: the scan's unit directions go
     through `geometry.fiber_map`, built once per (point, factor).
+
+    On a P^1 factor condition 1 implies condition 2.  Let L be the fiber
+    map of a and i, and K = L^-1(U), a subspace of the factor F_i that
+    contains a_i.  The fiber escapes U, so K != F_i, and as F_i has
+    dimension 2, K = <a_i>.  Condition 1 asks a_i = gamma_1 g_1 +
+    gamma_2 g_2 with g_1, g_2 independent and both gamma nonzero; were
+    g_1 on <a_i>, so would be g_2, against their independence.  So g_1 is
+    off K, and L(g_1), whose nonzero multiple is the first new column,
+    lies outside U.  Every attempt draws from an escaping fiber, so this
+    holds on retries too.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -274,9 +313,10 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
         except GenericityExhausted:
             continue
         pair = _line_candidates(field, rng, a.coords[i], w, 2)
-        # `_proved_move`'s condition 2; the factor has degree one, so a
-        # vector is its own image
-        if u_span.contains(fiber(pair[0])):
+        # `_proved_move`'s condition 2, which its condition 1 implies on a
+        # P^1 factor (above); the factor has degree one, so a vector is
+        # its own image
+        if space.factor_dims[i] >= 2 and u_span.contains(fiber(pair[0])):
             continue
         prov = _move_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal, ai, i, attempt)

@@ -317,17 +317,6 @@ def embed(space: MultiProjectiveSpace, point: MppPoint) -> Tensor:
                                           embed_image(space, point)))
 
 
-def line_point(field: FieldSpec, a, w, t):
-    """The vector a + t*w, unnormalized; a and w must have equal length."""
-    if len(a) != len(w):
-        raise DimensionMismatch("vector lengths %d vs %d" % (len(a), len(w)))
-    tv = field.coerce(t)
-    p = field.modulus
-    if p is None:
-        return tuple(x + tv * y for x, y in zip(a, w))
-    return tuple((x + tv * y) % p for x, y in zip(a, w))
-
-
 def random_point(space: MultiProjectiveSpace, rng_seed=0,
                  box: int = DEFAULT_COORD_BOX) -> MppPoint:
     """Deterministic pseudo-random point.

@@ -36,6 +36,16 @@ def lin_comb(space, points, coeffs=None):
     return Tensor.of(space, acc)
 
 
+def line_point(field, a, w, t):
+    """The vector a + t w over field, unnormalized; a and w have equal
+    length."""
+    tv = field.coerce(t)
+    p = field.modulus
+    if p is None:
+        return tuple(x + tv * y for x, y in zip(a, w))
+    return tuple((x + tv * y) % p for x, y in zip(a, w))
+
+
 def field_embed(space, coords):
     """The Segre-Veronese image of the factor vectors `coords`, computed
     apart from `embed`: monomials and Kronecker product entry by entry

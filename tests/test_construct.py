@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QQ, field_embed, gf, lin_comb, pt, segre, veronese
+from conftest import (QQ, field_embed, gf, lin_comb, line_point, pt, segre,
+                      veronese)
 
 from xrank import construct, decomp, geometry
 from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
@@ -22,8 +23,7 @@ from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall,
                           NotContainedInY, NotIrredundantInput, NotVeronese,
                           TargetTooSmall, UnsupportedDegree, YEqualsW)
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
-                            Tensor, canonical_vector, embed, line_point,
-                            random_point)
+                            Tensor, canonical_vector, embed, random_point)
 from xrank.oracle import brute_rank, ground_set
 
 E0, E1 = (1, 0), (0, 1)
@@ -145,6 +145,49 @@ def test_plus_one_redraws_a_line_that_lies_in_the_input_span():
         _assert_report_is_a_fresh_solve(out)
         retried += out.provenance["retries_used"] > 0
     assert retried
+
+
+def _membership_tests_after_the_draw(monkeypatch, d, seed):
+    """plus_one's output on d and the number of `Echelon.contains` calls
+    it makes after its first draw of a line direction."""
+    events = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Echelon, "contains", spy("contains", Echelon.contains))
+    monkeypatch.setattr(construct, "_draw_vector_off_span",
+                        spy("draw", construct._draw_vector_off_span))
+    out = plus_one(d, ConstructionConfig(rng_seed=seed))
+    monkeypatch.undo()
+    assert "draw" in events
+    return out, events[events.index("draw"):].count("contains")
+
+
+def test_plus_one_tests_membership_only_on_factors_of_dimension_two_up(
+        monkeypatch):
+    # on P^1 factors _proved_move's condition 1 implies condition 2, so
+    # no membership test follows the draw; on P^2 the test still runs
+    f = gf(11)
+    w_target = Tensor.of(segre((1, 1, 1), f), (0, 1, 1, 0, 1, 0, 0, 0))
+    rank2 = Tensor.of(segre((1, 1), f), (3, 1, 4, 1))
+    p1_inputs = (list(brute_rank(w_target, budget=10 ** 9).witnesses[::50])
+                 + list(brute_rank(rank2).witnesses[::10])
+                 + [_diag(), _diag(f), _diag(gf(2))])
+    for seed, w in enumerate(p1_inputs):
+        out, tests = _membership_tests_after_the_draw(monkeypatch, w, seed)
+        _assert_report_is_a_fresh_solve(out)
+        assert tests == 0
+    S = segre((2, 1), f)
+    for seed in range(5):
+        a = random_point(S, seed)
+        d = Decomposition(S, [a], embed(S, a))
+        out, tests = _membership_tests_after_the_draw(monkeypatch, d, seed)
+        _assert_report_is_a_fresh_solve(out)
+        assert out.provenance["factor"] == 0 and tests >= 1
 
 
 def _random_canonical(field, rng, length):

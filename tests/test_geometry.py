@@ -8,15 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import QQ, field_embed, gf, pt, segre, veronese
+from conftest import QQ, field_embed, gf, line_point, pt, segre, veronese
 
 from xrank import geometry
-from xrank.errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
-                          ZeroFactor)
+from xrank.errors import FieldNotFinite, InvalidInput, ZeroFactor
 from xrank.exactlin import rank_rows, solve_columns
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, ambient_dim, canonical_vector,
-                            count_points, embed, enumerate_points, line_point,
+                            count_points, embed, enumerate_points,
                             monomial_exponents, random_point)
 
 
@@ -292,11 +291,6 @@ def test_line_point_membership_solve():
     sol = solve_columns(QQ, [u, v], (1, 0))
     assert sol.independent
     assert list(sol.coefficients) == [Fraction(1, 2), Fraction(1, 2)]
-
-
-def test_line_point_length_mismatch():
-    with pytest.raises(DimensionMismatch):
-        line_point(QQ, (1, 0), (0, 1, 0), QQ.coerce(1))
 
 
 # ------------------------------------------------------------ random points
