@@ -103,7 +103,7 @@ def _line_candidates(field, rng, a_vec, w_vec, count):
         for k in rng.sample(range(p), count):
             v = (w_vec if k == p - 1 else
                  [(x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec)])
-            lead = next(filter(None, v))
+            lead = next(x for x in v if x)
             if lead != 1:
                 inv = pow(lead, -1, p)
                 v = [inv * x % p for x in v]
@@ -168,8 +168,9 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
        independent columns and every gamma_t nonzero,
     and the caller guarantees
     2. x_g1 .. x_g(k-1) are independent modulo U:
-    `plus_one` tests it, and `escape`, `concise_plus_m` and the line
-    steps (`_extend_one_factor`) prove it from their draws.
+    `plus_one` tests it on factors of dimension >= 2 and proves it from
+    1 on P^1, and `escape`, `concise_plus_m` and the line steps
+    (`_extend_one_factor`) prove it from their draws.
     By 1 and L, x_a = sum_t gamma_t x_gt, so x_gk lies in
     U + <x_g1 .. x_g(k-1)>, of dimension r + k - 1 by 2.  The
     candidate's r - 1 + k columns span it, as they span x_a: they are
@@ -201,9 +202,10 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
         return None
     if field.modulus is None:
         gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
+    keep = [j for j in range(len(d.points)) if j != ai]
     c_a = report.values[ai]
-    values = (report.values[:ai] + report.values[ai + 1:]
-              + tuple([field.mul(c_a, g) for g in gamma]))
+    values = (tuple(report.values[j] for j in keep)
+              + tuple(field.mul(c_a, g) for g in gamma))
     if field.is_finite:
         head, tail = a.coords[:i], a.coords[i + 1:]
         moved = [MppPoint(d.space, head + (g,) + tail) for g in vecs]
@@ -211,9 +213,9 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
         moved = [a.replace_factor(i, g) for g in vecs]
     # the columns are independent (above), so the points are distinct
     return Decomposition._proved(
-        d.space, [*d.points[:ai], *d.points[ai + 1:], *moved], d.target,
-        prov, [*d.images[:ai], *d.images[ai + 1:],
-               *[fiber(v) for v, _ in images]],
+        d.space, [d.points[j] for j in keep] + moved,
+        d.target, prov,
+        [d.images[j] for j in keep] + [fiber(v) for v, _ in images],
         IrredundancyReport(True, True, field, values, True))
 
 
