@@ -4,25 +4,28 @@ Each operation draws random data under explicit non-degeneracy constraints,
 builds a candidate, proves it, and retries with fresh randomness up to
 max_retries.  All five make one move: a point a is replaced by k points
 that equal a off one factor.  `_proved_move` proves such a candidate's
-report from the input's report, with one exact solve on the replaced
-factor's Veronese images (not the N + 1 tensor coordinates), given that
-the new columns are independent modulo the input's span U (see its
-docstring).  Only `plus_one` tests that, with one membership test in U
-per candidate, and only on factors of dimension >= 2: on P^1 the
-solve's condition implies it.  The draws of `escape`, `concise_plus_m`
-and the line steps of `veronese_extend` and `sv_extend` imply it (the
-proofs are in their docstrings), so no other construction eliminates U.
-No candidate point is embedded or verified again: its column is
-`geometry.fiber_map` of a and the factor applied to the new vector's
-`geometry.factor_image`, and over Q the new vectors stay primitive
-integer vectors from the line draw to that image.  What the draws or
-input checks prove is not tested again: a line step grows its factor
-envelope by one, `concise_plus_m`'s envelope is full, `escape`'s output
-leaves Y and an irredundant input inside Y has its target in the span
-of Y's image.  So outputs never rely on genericity arguments alone;
-every returned decomposition carries an exact report.  All draws come
-from one seeded stream, so identical (input, seed, config) give
-identical outputs.
+report from the input's report and the coefficients of a's Veronese
+image in the new points' images, given that the new columns are
+independent modulo the input's span U (see its docstring).  Four of the
+five move a to e + 1 points of a line through it, in a factor of degree
+e, and read the coefficients off the line with no solve (the proof is
+in `_line_candidates`); `concise_plus_m` solves for them once, on its
+m + 1 last-factor vectors.  Only `plus_one` tests the independence,
+with one membership test in U per candidate, and only on factors of
+dimension >= 2: on P^1 the line implies it.  The draws of `escape`,
+`concise_plus_m` and the line steps of `veronese_extend` and
+`sv_extend` imply it (the proofs are in their docstrings), so no other
+construction eliminates U.  No candidate point is embedded or verified
+again: its column is `geometry.fiber_map` of a and the factor applied
+to the new vector's `geometry.factor_image`, and over Q the new vectors
+stay primitive integer vectors from the line draw to that image.  What
+the draws or input checks prove is not tested again: a line step grows
+its factor envelope by one, `concise_plus_m`'s envelope is full,
+`escape`'s output leaves Y and an irredundant input inside Y has its
+target in the span of Y's image.  So outputs never rely on genericity
+arguments alone; every returned decomposition carries an exact report.
+All draws come from one seeded stream, so identical (input, seed,
+config) give identical outputs.
 """
 
 import random
@@ -82,46 +85,94 @@ def _on_ray(field, r):
     return lambda v: all((x * rs - v[s] * y) % p == 0 for x, y in zip(v, r))
 
 
-def _line_candidates(field, rng, a_vec, w_vec, count):
-    """`count` distinct points of the line through a and w, all differing
-    from a, in the form `_proved_move` takes.  Over GF(p) the line
-    carries p such points, a + t w for t = 1 .. p-1 and w itself, and
-    `count` distinct positions among them are drawn by index; each is
-    formed from a's canonical residues and w's residues and scaled once
-    to its canonical vector.  Over Q distinct nonzero parameters t are
-    sampled from [-B, B], B the coordinate box or ceil(count / 2) if
-    larger, and each point comes back as its primitive integer vector
-    with a positive lead: a + t w = (e A + t d W) / (d e) for A = d a and
-    W = e w the integer vectors of a and w (`exactlin.integer_row`)."""
-    if field.is_finite:
-        p = field.modulus
+def _line_candidates(field, rng, a_vec, w_vec, deg):
+    """deg + 1 distinct points g_k of the line through a and w, all
+    differing from a, and their coefficients gamma_k, with
+    v_e(a) = sum_k gamma_k v_e(g_k) for v_e the degree-e Veronese map,
+    e = deg: the two lists `_proved_move` takes.  a_vec is canonical.
+    Over GF(p) the line carries p such points, a + t w for t = 1 .. p-1
+    and w itself, and e + 1 distinct positions among them are drawn by
+    index; each is formed from a's canonical residues and w's residues
+    and scaled once to its canonical vector.  Over Q distinct nonzero
+    parameters t are sampled from [-B, B], B the coordinate box or
+    ceil((e + 1) / 2) if larger, and each point comes back as its
+    primitive integer vector with a positive lead:
+    a + t w = (d_w A + t d_a W) / (d_a d_w) for A = d_a a and W = d_w w
+    the integer vectors of a and w (`exactlin.integer_row`).
+
+    gamma is read off the line, with no solve.  Write the drawn points
+    as P_k = (l_k : m_k) in P^1, where l a + m w maps to (l : m), so
+    a + t w = (1 : t) and w = (0 : 1).  Each coordinate of
+    v_e(l a + m w) is a binary form of degree e in (l, m), so Lagrange
+    interpolation at the e + 1 points, with
+    L_k = prod_{j != k} (m_j l - l_j m), gives
+    v_e(a) = sum_k [L_k(1, 0) / L_k(P_k)] v_e(l_k a + m_k w).
+    L_k(1, 0) = prod_{j != k} m_j != 0, as no drawn t is 0, and
+    L_k(P_k) != 0, as the points are distinct.  The canonical point is
+    g_k = (l_k a + m_k w) / c_k, c_k the lead of l_k a + m_k w, so
+    gamma_k = c_k^e L_k(1, 0) / L_k(P_k), exact over GF(p) and Q.  The
+    images v_e(g_k) are independent: v_e(l a + m w) =
+    sum_j l^(e-j) m^j M_j, where the M_j are independent as a and w are
+    (every caller draws w off a's ray), and the matrix
+    (l_k^(e-j) m_k^j) of distinct points of P^1 is a nonsingular
+    Vandermonde matrix.  So every line move meets `_proved_move`'s
+    condition 1: any e + 1 points of the rational normal curve v_e(line)
+    are independent (Harris, Algebraic Geometry: A First Course, GTM 133,
+    1992, Example 1.14; Landsberg, Tensors: Geometry and Applications,
+    2012)."""
+    count = deg + 1
+    p = field.modulus
+    out, params = [], []
+    if p is not None:
         if count > p:
             raise FieldTooSmall(
                 "need %d distinct points on a line off its base point; "
                 "GF(%d) offers %d" % (count, p, p))
-        out = []
         for k in rng.sample(range(p), count):
-            v = (w_vec if k == p - 1 else
-                 [(x + (k + 1) * y) % p for x, y in zip(a_vec, w_vec)])
+            if k == p - 1:
+                v, lm = w_vec, (0, 1)
+            else:
+                v, lm = [(x + (k + 1) * y) % p
+                         for x, y in zip(a_vec, w_vec)], (1, k + 1)
             lead = next(x for x in v if x)
             if lead != 1:
                 inv = pow(lead, -1, p)
                 v = [inv * x % p for x in v]
             out.append(tuple(v))
-        return out
+            params.append(lm + (lead,))
+        return out, _line_coefficients(params, deg, p)
     box = max(DEFAULT_COORD_BOX, -(-count // 2))
     pop = [t for t in range(-box, box + 1) if t != 0]
     ts = rng.sample(pop, count)
-    (A, d), (W, e) = integer_row(a_vec), integer_row(w_vec)
-    eA, dW = [e * x for x in A], [d * x for x in W]
-    out = []
+    (A, da), (W, dw) = integer_row(a_vec), integer_row(w_vec)
+    A, W = [dw * x for x in A], [da * x for x in W]
     for t in ts:
-        v = [x + t * y for x, y in zip(eA, dW)]
+        v = [x + t * y for x, y in zip(A, W)]
+        lead = next(x for x in v if x)
         g = gcd(*v)
-        if next(x for x in v if x) < 0:
+        if lead < 0:
             g = -g
         out.append(tuple([x // g for x in v]) if g != 1 else tuple(v))
-    return out
+        # v is da dw (a + t w), so the lead of a + t w is lead / (da dw)
+        params.append((1, t, lead))
+    return out, _line_coefficients(params, deg, None, (da * dw) ** deg)
+
+
+def _line_coefficients(params, deg, p, scale=1):
+    """gamma_k = c_k^e L_k(1, 0) / (scale L_k(P_k)) for e = deg and the
+    points (l_k, m_k, c_k) of `_line_candidates`' proof: residues mod p,
+    or over Q (p None) Fractions, where each c_k is the lead of
+    s (l_k a + m_k w) for one integer s and scale = s^e."""
+    gamma = []
+    for k, (lk, mk, ck) in enumerate(params):
+        num, den = ck ** deg, scale
+        for j, (lj, mj, _) in enumerate(params):
+            if j != k:
+                num *= mj
+                den *= mj * lk - lj * mk
+        gamma.append(Fraction(num, den) if p is None
+                     else num * pow(den, -1, p) % p)
+    return gamma
 
 
 def _escaping_fibers(space, points, u_span):
@@ -147,26 +198,30 @@ def _escaping_fibers(space, points, u_span):
                     break
 
 
-def _proved_move(d, report, ai, i, fiber, vecs, prov):
+def _proved_move(d, report, ai, i, fiber, vecs, gamma, prov):
     """Replace point ai of d by the k >= 2 points that equal it off
     factor i and carry there the vectors `vecs`: the candidate, with its
-    columns and a proved report, or None.  `report` is d's and `fiber`
-    the `geometry.fiber_map` of point ai and factor i.  Over GF(p) each
-    vector is canonical and becomes the new point's factor as it is.
-    Over Q any nonzero vector will do, canonicalised once for the point,
-    and a canonical one or a primitive integer vector with a positive
-    lead (`_line_candidates`) gives its column the scale that
+    columns and a proved report.  `report` is d's, `fiber` the
+    `geometry.fiber_map` of point ai and factor i, and `gamma` the
+    caller's coefficients of condition 1 below.  Over GF(p) each vector
+    is canonical and becomes the new point's factor as it is.  Over Q
+    any nonzero vector will do, canonicalised once for the point, and a
+    canonical one or a primitive integer vector with a positive lead
+    (`_line_candidates`) gives its column the scale that
     `Decomposition.images` describes.  No point is embedded and nothing
-    is solved or eliminated at tensor length.
+    is solved or eliminated.
 
     The proof.  q = sum_j c_j x_j, the r columns x_j independent and
     every c_j nonzero; U is their span.  For a = point ai, v_e the
-    Veronese map of factor i and g_1..g_k the new points,
+    Veronese map of factor i and g_1..g_k the new points, canonical,
     x_a = L(v_e(a_i)) and x_gt = L(v_e(g_t)) for the linear, injective
-    fiber map L.  The candidate is accepted when
-    1. the factor-length solve v_e(a_i) = sum_t gamma_t v_e(g_t) has
-       independent columns and every gamma_t nonzero,
-    and the caller guarantees
+    fiber map L.  The caller guarantees
+    1. v_e(a_i) = sum_t gamma_t v_e(g_t), with the v_e(g_t) independent
+       and every gamma_t nonzero:
+    a line move's k = e + 1 images lie on the degree-e rational normal
+    curve v_e(line), and it reads gamma off the line, which proves 1
+    (`_line_candidates`); `concise_plus_m` solves for gamma behind a
+    filter that proves 1; and
     2. x_g1 .. x_g(k-1) are independent modulo U:
     `plus_one` tests it on factors of dimension >= 2 and proves it from
     1 on P^1, and `escape`, `concise_plus_m` and the line steps
@@ -176,32 +231,17 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
     candidate's r - 1 + k columns span it, as they span x_a: they are
     independent (so its points are distinct), and
     q = sum_{j != a} c_j x_j + sum_t c_a gamma_t x_gt is the unique
-    expansion, every coefficient nonzero.  Conversely, when an exact
-    re-verification accepts and v_e(a_i) lies in the span of the
-    v_e(g_t), that expansion is its own, so 1 and 2 hold.  Every move
-    here has v_e(a_i) there: two points of a line through a_i in a
-    degree-one factor (`plus_one`, `escape`), c_t spanning the factor
-    (`concise_plus_m`), or e + 1 distinct points of the degree-e rational
-    normal curve v_e(line), any e + 1 of which span its P^e (Landsberg,
-    Tensors: Geometry and Applications, 2012).  So 1 and 2 accept exactly
-    what re-verification accepts.  Over Q the images are s_t v_e(g_t) and
-    s_a v_e(a_i) for the canonical g_t (`geometry.factor_image`), so
-    gamma is rescaled by s_t / s_a.  The columns, U's among them, are the
-    integer images, nonzero multiples of the x_j, which changes neither
-    condition 2 nor any span; the report's values come from d's report
-    and gamma, so they are the canonical coefficients.
+    expansion, every coefficient nonzero.  Conversely, when 1 holds and
+    an exact re-verification accepts, that expansion is its own, so 2
+    holds: given 1, 2 accepts exactly what re-verification accepts.
+    The columns, U's among them, are the integer images over Q
+    (`geometry.factor_image`), nonzero multiples of the x_j, which
+    changes neither condition 2 nor any span; the report's values come
+    from d's report and gamma, so they are the canonical coefficients.
     """
     field = d.space.field
     deg = d.space.multidegree[i]
     a = d.points[ai]
-    images = [factor_image(field, g, deg) for g in vecs]
-    target, s_a = factor_image(field, a.coords[i], deg)
-    sol = solve_columns(field, [v for v, _ in images], target)
-    gamma = sol.coefficients
-    if not (sol.independent and gamma is not None and all(gamma)):
-        return None
-    if field.modulus is None:
-        gamma = [g * s / s_a for g, (_, s) in zip(gamma, images)]
     keep = [j for j in range(len(d.points)) if j != ai]
     c_a = report.values[ai]
     values = (tuple(report.values[j] for j in keep)
@@ -215,7 +255,8 @@ def _proved_move(d, report, ai, i, fiber, vecs, prov):
     return Decomposition._proved(
         d.space, [d.points[j] for j in keep] + moved,
         d.target, prov,
-        [d.images[j] for j in keep] + [fiber(v) for v, _ in images],
+        [d.images[j] for j in keep]
+        + [fiber(factor_image(field, g, deg)[0]) for g in vecs],
         IrredundancyReport(True, True, field, values, True))
 
 
@@ -263,10 +304,12 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     span not inside U = span of the embedded input; the replacement points
     are two random points of a line through the chosen point inside that
     fiber, and `_proved_move` proves the candidate's report from the
-    input's.  Only plus_one tests `_proved_move`'s condition 2, that the
-    first new point embeds outside U, and only when the replaced factor
-    has dimension >= 2: there a line in an escaping fiber may still lie
-    in U, and the test keeps both new points off every input point.
+    input's and the coefficients read off the line (`_line_candidates`),
+    with no solve.  Only plus_one tests `_proved_move`'s condition 2,
+    that the first new point embeds outside U, and only when the
+    replaced factor has dimension >= 2: there a line in an escaping fiber
+    may still lie in U, and the test keeps both new points off every
+    input point.
     The input is checked by `verify_irredundant`, which reuses a report
     the input already carries (an oracle witness has one) instead of
     solving again.  No point is embedded: the scan's unit directions go
@@ -275,12 +318,12 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     On a P^1 factor condition 1 implies condition 2.  Let L be the fiber
     map of a and i, and K = L^-1(U), a subspace of the factor F_i that
     contains a_i.  The fiber escapes U, so K != F_i, and as F_i has
-    dimension 2, K = <a_i>.  Condition 1 asks a_i = gamma_1 g_1 +
-    gamma_2 g_2 with g_1, g_2 independent and both gamma nonzero; were
-    g_1 on <a_i>, so would be g_2, against their independence.  So g_1 is
-    off K, and L(g_1), whose nonzero multiple is the first new column,
-    lies outside U.  Every attempt draws from an escaping fiber, so this
-    holds on retries too.
+    dimension 2, K = <a_i>.  Condition 1, which the line proves, gives
+    a_i = gamma_1 g_1 + gamma_2 g_2 with g_1, g_2 independent and both
+    gamma nonzero; were g_1 on <a_i>, so would be g_2, against their
+    independence.  So g_1 is off K, and L(g_1), whose nonzero multiple
+    is the first new column, lies outside U.  Every attempt draws from
+    an escaping fiber, so this holds on retries too.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -314,7 +357,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
                                       _on_ray(field, a.coords[i]))
         except GenericityExhausted:
             continue
-        pair = _line_candidates(field, rng, a.coords[i], w, 2)
+        pair, gamma = _line_candidates(field, rng, a.coords[i], w, 1)
         # `_proved_move`'s condition 2, which its condition 1 implies on a
         # P^1 factor (above); the factor has degree one, so a vector is
         # its own image
@@ -322,9 +365,7 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
             continue
         prov = _move_provenance("plus_one", cfg, assert_minimal,
                                 certify_minimal, ai, i, attempt)
-        cand = _proved_move(d, report, ai, i, fiber, pair, prov)
-        if cand is not None:
-            return cand
+        return _proved_move(d, report, ai, i, fiber, pair, gamma, prov)
     raise GenericityExhausted("plus_one failed after %d retries"
                               % cfg.max_retries)
 
@@ -339,7 +380,9 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     Works in the first factor where Y is deficient (that factor must have
     degree one): one point is replaced by two points off Y's factor
     subspace on a line through it, so their span recovers the dropped
-    point.  Output is proved irredundant and leaves Y by construction.
+    point, with coefficients read off the line (`_line_candidates`), so
+    no candidate is solved.  Output is proved irredundant and leaves Y by
+    construction.
 
     The input checks place the target in the span of Y's image with no
     solve: q = sum_j c_j x_j, as the input is irredundant, and each
@@ -358,9 +401,9 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     other factors.  U lies in S, the tensor product of the spans of Y's
     factor images, which is H in factor i*; so an element L(u) of S has u
     in H.  So L(w) lies outside S, as w is off H, while L(a_i*) lies in
-    it.  The first new column is
-    a nonzero multiple of L(a_i* + t w) = L(a_i*) + t L(w) with t != 0,
-    or of L(w); either way it lies outside S, so outside U.
+    it.  The first new column is a nonzero multiple of
+    L(a_i* + t w) = L(a_i*) + t L(w) with t != 0, or of L(w); either way
+    it lies outside S, so outside U.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -390,13 +433,11 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
                                       space.factor_dims[istar] + 1, on_h)
         except GenericityExhausted:
             continue
-        cands = _line_candidates(field, rng, a.coords[istar], w, 2)
+        cands, gamma = _line_candidates(field, rng, a.coords[istar], w, 1)
         prov = _move_provenance("escape", cfg, assert_minimal,
                                 certify_minimal, ai, istar, attempt)
-        cand = _proved_move(d, report, ai, istar,
-                            fiber_map(space, a, istar), cands, prov)
-        if cand is not None:
-            return cand
+        return _proved_move(d, report, ai, istar,
+                            fiber_map(space, a, istar), cands, gamma, prov)
     raise GenericityExhausted("escape failed after %d retries"
                               % cfg.max_retries)
 
@@ -415,18 +456,24 @@ def concise_plus_m(d: Decomposition, m: int,
     set envelope must already be full on the retained factors (tensor
     concision of the target for Y implies this).
 
-    So every accepted candidate's envelope is full, with no test: the new
-    points copy a's retained factors and the other input points stay, so
-    its retained envelope is the input's, and `_proved_move`'s condition 1
-    (independent columns c_0..c_m, the factor having degree one) makes
-    c_0..c_m a basis of the last factor.
+    The c_t lie on no line through o, so gamma is solved, not read off
+    a line: one solve of o = sum_t gamma_t c_t on the m + 1 last-factor
+    vectors, whose coefficients `_proved_move` takes.  The draw's filter
+    proves `_proved_move`'s condition 1, the factor having degree one:
+    it keeps c_0..c_m of rank m + 1, a basis of the last factor, so the
+    solve's gamma is unique, and o off the span of every m of them, so
+    every gamma_t is nonzero.
+
+    So every candidate's envelope is full, with no test: the new points
+    copy a's retained factors and the other input points stay, so its
+    retained envelope is the input's, and c_0..c_m are a basis of the
+    last factor.
 
     Every candidate meets `_proved_move`'s condition 2, with no test.
     With V' the tensor space of the retained factors, U lies in
     V' x <o>, and the new columns are y_a x c_t for y_a != 0 the image of
-    a's retained factors.  Condition 1 makes c_0..c_m a basis with
-    o = sum_t gamma_t c_t, every gamma_t nonzero, so o is off the span of
-    every m of them.  If sum_{t<m} l_t y_a x c_t lay in V' x <o>,
+    a's retained factors.  By the filter o is off the span of every m of
+    the c_t.  If sum_{t<m} l_t y_a x c_t lay in V' x <o>,
     sum_{t<m} l_t c_t would be a multiple of o, so zero, and every l_t
     zero: y_a x c_0 .. y_a x c_(m-1) are independent modulo V' x <o>, so
     modulo U.
@@ -462,20 +509,20 @@ def concise_plus_m(d: Decomposition, m: int,
         cs = [canonical_vector(field, v) for v in draws]
         if len(set(cs)) != m + 1:
             continue
-        # _proved_move's condition 1 implies this filter (o = sum_t
-        # gamma_t c_t, the c_t independent and every gamma_t nonzero); it
+        # the filter proves _proved_move's condition 1 (docstring), so
+        # the solve's gamma need no check; testing the solve's
+        # independence and nonzero gamma instead could replace it, but it
         # stays while perfbench/tests/test_tracer.py checks that this
         # module imports in_span (ROADMAP item 10)
         if rank_rows(field, cs) != m + 1 or any(
                 in_span(field, cs[:drop] + cs[drop + 1:], o)
                 for drop in range(m + 1)):
             continue
+        gamma = solve_columns(field, cs, o).coefficients
         prov = _move_provenance("concise_plus_m", cfg, assert_minimal,
                                 certify_minimal, ai, last, attempt)
-        cand = _proved_move(d, report, ai, last,
-                            fiber_map(space, a, last), cs, prov)
-        if cand is not None:
-            return cand
+        return _proved_move(d, report, ai, last,
+                            fiber_map(space, a, last), cs, gamma, prov)
     raise GenericityExhausted("concise_plus_m failed after %d retries"
                               % cfg.max_retries)
 
@@ -484,8 +531,10 @@ def _extend_one_factor(d, f_span, factor, cfg):
     """One line step in a factor of degree e: replace a point a by e+1
     distinct points of the line through a_f and a vector w drawn off the
     factor span F, and prove the result from d's report, which the step
-    before proved.  f_span is an `Echelon` of F; returns the output and
-    inserts w into f_span.  The step is appended to the provenance's
+    before proved, and the coefficients read off the line
+    (`_line_candidates`), with no solve.  w is off F, so off a_f's ray,
+    as that proof needs.  f_span is an `Echelon` of F; returns the output
+    and inserts w into f_span.  The step is appended to the provenance's
     "steps".
 
     The factor envelope grows by exactly one.  w is off F and a_f is in F,
@@ -521,16 +570,15 @@ def _extend_one_factor(d, f_span, factor, cfg):
                                       f_span.contains)
         except GenericityExhausted:
             continue
-        gvecs = _line_candidates(field, rng, a.coords[factor], w, deg + 1)
+        gvecs, gamma = _line_candidates(field, rng, a.coords[factor], w,
+                                        deg)
         prov = dict(d.provenance)
         prov["steps"] = prov["steps"] + [{"replaced_point": ai,
                                           "factor": factor,
                                           "retries_used": attempt}]
-        moved = _proved_move(d, report, ai, factor,
-                             fiber_map(space, a, factor), gvecs, prov)
-        if moved is not None:
-            f_span.insert(w)
-            return moved
+        f_span.insert(w)
+        return _proved_move(d, report, ai, factor,
+                            fiber_map(space, a, factor), gvecs, gamma, prov)
     raise GenericityExhausted("%s step failed after %d retries"
                               % (d.provenance["construction"],
                                  cfg.max_retries))
@@ -541,8 +589,8 @@ def _line_steps(d, report, f_span, factor, steps, cfg, prov):
     with rng_seed + 7919 s; report is d's, f_span an `Echelon` of its
     points' vectors in that factor, and prov starts the output's
     provenance.  Each step hands the next its output and f_span; no step
-    eliminates at tensor length.  FieldTooSmall when a line over GF(p)
-    has fewer than e+1 points off its base point."""
+    solves, and none eliminates at tensor length.  FieldTooSmall when a
+    line over GF(p) has fewer than e+1 points off its base point."""
     space = d.space
     deg = space.multidegree[factor]
     p = space.field.modulus

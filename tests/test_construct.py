@@ -254,6 +254,23 @@ def _meets_condition_2(d, ai, i, vecs):
                for g in vecs[:-1])
 
 
+def _solved_gamma(field, deg, a_vec, vecs):
+    """`_proved_move`'s condition 1 by an exact solve, apart from the line
+    draw: the coefficients of v_e(a) in the v_e(g) for the canonical a
+    and g, solved on `geometry.factor_image`'s images and rescaled by
+    their scales, or None unless the images are independent and every
+    coefficient is nonzero."""
+    images = [geometry.factor_image(field, g, deg) for g in vecs]
+    target, s_a = geometry.factor_image(field, a_vec, deg)
+    sol = solve_columns(field, [v for v, _ in images], target)
+    gamma = sol.coefficients
+    if not (sol.independent and gamma is not None and all(gamma)):
+        return None
+    if field.modulus is None:
+        return [g * s / s_a for g, (_, s) in zip(gamma, images)]
+    return list(gamma)
+
+
 @pytest.mark.parametrize("field", [gf(3), gf(5), QQ], ids=str)
 def test_proved_move_accepts_exactly_what_verification_accepts(field):
     # moves of a = point 0 in factor 0 of P3 x P1, where b = point 1
@@ -261,10 +278,15 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
     # vectors g_1 .. g_(k-1) are drawn among a_0, b_0, a_0 + c b_0 and
     # random vectors, so their columns may lie in U, and
     # g_k = a_0 - sum_t lam_t g_t with lam_t at times 0, so a_0 lies in
-    # the span of the g_t.  Condition 2, which plus_one tests and the
-    # other constructions prove, and the proof must together accept a
-    # candidate exactly when a fresh verification does.  Over GF(p) the
-    # move takes canonical vectors; over Q it gets them unscaled
+    # the span of the g_t.  Condition 1, solved here as concise_plus_m
+    # solves it, and condition 2, which plus_one tests and the other
+    # constructions prove, must together hold exactly when a fresh
+    # verification accepts, and then the proof's candidate is the
+    # verified one.  Line moves through a_0, in the direction of b_0,
+    # a_0 + c b_0 or a random vector, take gamma off the line, so they
+    # meet condition 1 and are accepted exactly when they meet
+    # condition 2.  Over GF(p) the move takes canonical vectors; over Q
+    # it gets them unscaled
     S = segre((3, 1), field)
     F = field
     rng = random.Random(str(field))
@@ -272,9 +294,34 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
     def combo(x, c, y):
         return tuple(F.add(s, F.mul(F.coerce(c), t)) for s, t in zip(x, y))
 
+    def check(d, report, vecs, gamma):
+        """(accepted, in U): whether a fresh verification accepts the
+        move of vecs, asserting that it does exactly when gamma (None
+        where condition 1 fails) is given and the move meets condition
+        2, and that the proof's candidate is then the verified one; and
+        whether gamma is given though a new column lies in U."""
+        A = list(d.points)
+        pts = A[1:] + [A[0].replace_factor(0, g) for g in vecs]
+        fresh = None
+        if len(set(pts)) == len(pts):
+            fresh = verify_irredundant(Decomposition(S, pts, d.target))
+        accepted = fresh is not None and fresh.irredundant
+        condition_2 = _meets_condition_2(d, 0, 0, vecs)
+        assert (gamma is not None and condition_2) == accepted
+        if accepted:
+            cand = construct._proved_move(
+                d, report, 0, 0, geometry.fiber_map(S, A[0], 0), vecs,
+                gamma, {})
+            assert list(cand.points) == pts
+            assert verify_irredundant(cand) == fresh
+            assert cand.embedded_columns == [
+                field_embed(S, p.coords).coords for p in pts]
+        return accepted, gamma is not None and not condition_2
+
     seen = {True: 0, False: 0}
+    lines = {True: 0, False: 0}
     in_u = 0
-    while min(seen.values()) < 40:
+    while min(seen.values()) < 40 or min(lines.values()) < 10:
         A = [pt(S, _random_canonical(F, rng, 4), E0) for _ in range(2)]
         A.append(pt(S, _random_canonical(F, rng, 4), E1))
         if len(set(A)) < 3:
@@ -297,22 +344,16 @@ def test_proved_move_accepts_exactly_what_verification_accepts(field):
         vecs = gs + [last]
         if F.is_finite:
             vecs = [canonical_vector(F, g) for g in vecs]
-        cand = construct._proved_move(
-            d, report, 0, 0, geometry.fiber_map(S, A[0], 0), vecs, {})
-        pts = A[1:] + [A[0].replace_factor(0, g) for g in vecs]
-        fresh = None
-        if len(set(pts)) == len(pts):
-            fresh = verify_irredundant(Decomposition(S, pts, d.target))
-        accepted = fresh is not None and fresh.irredundant
-        condition_2 = _meets_condition_2(d, 0, 0, vecs)
-        in_u += cand is not None and not condition_2
-        assert (cand is not None and condition_2) == accepted
-        if accepted:
-            assert list(cand.points) == pts
-            assert verify_irredundant(cand) == fresh
-            assert cand.embedded_columns == [
-                field_embed(S, p.coords).coords for p in pts]
+        accepted, passes_in_u = check(d, report, vecs,
+                                      _solved_gamma(F, 1, a0, vecs))
         seen[accepted] += 1
+        in_u += passes_in_u
+        w = draw()
+        if construct._on_ray(F, a0)(w):
+            continue
+        pair, gamma = construct._line_candidates(F, rng, a0, w, 1)
+        assert gamma == _solved_gamma(F, 1, a0, pair)
+        lines[check(d, report, pair, gamma)[0]] += 1
     # some candidates pass the solve with a new column in U
     assert in_u
 
@@ -670,9 +711,8 @@ _SV22 = MultiProjectiveSpace((1, 2), (1, 2), QQ)
 def test_line_steps_work_at_factor_length(monkeypatch, space, A, run):
     # two line steps: construct's one `Echelon` is the factor span F, of
     # the factor vectors' width, so no step inserts or tests a tensor
-    # column; after the input's report every solve is a candidate's, on
-    # the replaced factor's Veronese images, and no envelope is
-    # recomputed
+    # column; the input's report is the only solve, as each candidate's
+    # coefficients are read off its line, and no envelope is recomputed
     d = Decomposition(space, A, lin_comb(space, A))
     widths, envelopes = _spy_line_step_work(monkeypatch)
     calls = _count_solves(monkeypatch)
@@ -680,9 +720,7 @@ def test_line_steps_work_at_factor_length(monkeypatch, space, A, run):
     assert len(out.provenance["steps"]) == 2
     assert set(widths) == {space.factor_dims[-1] + 1}
     assert envelopes == []
-    assert calls[0] == ("xrank.decomp", len(A), len(d.target.coords))
-    assert {c[0] for c in calls[1:]} == {"xrank.construct"}
-    assert {c[2] for c in calls[1:]} == {space.factor_monomial_counts()[-1]}
+    assert calls == [("xrank.decomp", len(A), len(d.target.coords))]
 
 
 def _same_span(field, span, cols):
@@ -816,19 +854,17 @@ def _count_solves(monkeypatch):
 
 def test_plus_one_solves_an_oracle_witness_once(monkeypatch):
     # the witness carries the oracle's report, so it is never solved
-    # again; the candidate costs one two-column solve in the replaced
-    # factor's coordinates (length 2, not the 4 of a tensor), which
-    # proves its report, and a fresh copy of the witness one more, for
-    # its input
+    # again, and the candidate's coefficients are read off its line, so
+    # plus_one makes no solve; a fresh copy of the witness costs one,
+    # for its input
     S = segre((1, 1), gf(11))
     w = brute_rank(Tensor.of(S, (1, 0, 0, 1))).witnesses[0]
     calls = _count_solves(monkeypatch)
     out = plus_one(w)
     assert out.provenance["retries_used"] == 0
-    assert calls == [("xrank.construct", 2, 2)]
-    calls.clear()
+    assert calls == []
     again = plus_one(Decomposition(S, w.points, w.target))
-    assert calls == [("xrank.decomp", 2, 4), ("xrank.construct", 2, 2)]
+    assert calls == [("xrank.decomp", 2, 4)]
     assert again.points == out.points
     assert verify_irredundant(out).irredundant
 
@@ -840,26 +876,31 @@ _S12 = segre((1, 2))
 @pytest.mark.parametrize("space, A, run, factor_length", [
     (_S11, [pt(_S11, (1, 1), E0)],
      lambda d: escape(d, SubspaceSpec.of(_S11, [(E0, E1), (E0,)]),
-                      ConstructionConfig(rng_seed=3)), 2),
+                      ConstructionConfig(rng_seed=3)), None),
     (_S12, [pt(_S12, E0, (1, 0, 0)), pt(_S12, E1, (1, 0, 0))],
      lambda d: concise_plus_m(d, 2, ConstructionConfig(rng_seed=9)), 3),
     (_S12, [pt(_S12, E0, (1, 1, 0)), pt(_S12, E1, (1, 1, 0))],
-     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), 3),
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), None),
     (_SV12, [pt(_SV12, E0, E0), pt(_SV12, E1, E0)],
-     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), 3),
+     lambda d: sv_extend(d, ConstructionConfig(rng_seed=2)), None),
 ], ids=["escape", "concise_plus_m", "sv_extend_degree_1",
         "sv_extend_degree_2"])
 def test_moves_in_y_solve_only_the_input_at_tensor_length(
         monkeypatch, space, A, run, factor_length):
     # the input checks place the target in the span of Y's image, so the
-    # one tensor-length solve is the input's report; each candidate is
-    # proved on the replaced factor's Veronese images
+    # one tensor-length solve is the input's report; a line move reads
+    # its coefficients off the line and makes no solve, and
+    # concise_plus_m solves for its coefficients in the last factor
+    # (factor_length None: no candidate solve)
     d = Decomposition(space, A, lin_comb(space, A))
     calls = _count_solves(monkeypatch)
     run(d)
     assert calls[0] == ("xrank.decomp", len(A), len(d.target.coords))
-    assert {c[0] for c in calls[1:]} == {"xrank.construct"}
-    assert {c[2] for c in calls[1:]} == {factor_length}
+    if factor_length is None:
+        assert calls[1:] == []
+    else:
+        assert {c[0] for c in calls[1:]} == {"xrank.construct"}
+        assert {c[2] for c in calls[1:]} == {factor_length}
 
 
 def test_plus_one_embeds_nothing(monkeypatch):
@@ -914,7 +955,8 @@ def test_line_draws_by_index_match_the_listed_draws(p):
         count = 1 + seed % min(p, 3)
         want = [canonical_vector(F, v)
                 for v in old.sample(_listed_line(F, a, w), count)]
-        assert construct._line_candidates(F, new, a, w, count) == want
+        got = construct._line_candidates(F, new, a, w, count - 1)[0]
+        assert got == want
         assert new.getstate() == old.getstate()
 
 
@@ -931,8 +973,9 @@ def test_line_candidates_over_q(count):
         old, new = random.Random(seed), random.Random(seed)
         box = max(50, -(-count // 2))
         ts = old.sample([t for t in range(-box, box + 1) if t], count)
-        got = construct._line_candidates(QQ, new, a, w, count)
+        got, gamma = construct._line_candidates(QQ, new, a, w, count - 1)
         assert new.getstate() == old.getstate()
+        assert len(gamma) == count and all(gamma)
         assert [canonical_vector(QQ, g) for g in got] == [
             canonical_vector(QQ, line_point(QQ, a, w, t)) for t in ts]
         assert len(set(got)) == count
@@ -940,6 +983,32 @@ def test_line_candidates_over_q(count):
             assert all(type(x) is int for x in g)
             assert next(x for x in g if x) > 0
             assert math.gcd(*g) == 1
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(3), gf(5), gf(11), QQ],
+                         ids=str)
+def test_line_coefficients_are_the_solved_coefficients(field):
+    # the gamma read off the line equal the exact solve of v_e(a) in the
+    # new points' images, rescaled to canonical points, in every degree
+    # the field's lines allow up to 6; over GF(p) the draws come with and
+    # without w itself (index p - 1), over GF(2) always with it
+    p = field.modulus
+    with_w = {True: 0, False: 0}
+    for deg in range(1, 7 if p is None else min(p - 1, 6) + 1):
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(2, 4)
+            a = _random_canonical(field, rng, n)
+            w = construct._draw_vector_off_span(field, rng, n,
+                                                construct._on_ray(field, a))
+            vecs, gamma = construct._line_candidates(field, rng, a, w, deg)
+            assert len(set(vecs)) == deg + 1
+            assert all(gamma)
+            assert gamma == _solved_gamma(field, deg, a, vecs)
+            if p is not None:
+                with_w[canonical_vector(field, w) in vecs] += 1
+    if p is not None:
+        assert with_w[True] and (p == 2) == (with_w[False] == 0)
 
 
 _P61 = 2 ** 61 - 1  # the Mersenne prime 2305843009213693951
@@ -1310,15 +1379,19 @@ def test_sv_extend_sweep(dims, degrees, field):
 
 def _spy_condition_2(monkeypatch):
     """Make every `_proved_move` call assert condition 2 for its
-    candidate (`_meets_condition_2`); returns a list of the callers'
-    construction names, one per candidate."""
+    candidate (`_meets_condition_2`) and that its gamma are the solved
+    ones (`_solved_gamma`); returns a list of the callers' construction
+    names, one per candidate."""
     real = construct._proved_move
     moves = []
 
-    def spy(d, report, ai, i, fiber, vecs, prov):
+    def spy(d, report, ai, i, fiber, vecs, gamma, prov):
         assert _meets_condition_2(d, ai, i, vecs)
+        assert list(gamma) == _solved_gamma(d.space.field,
+                                            d.space.multidegree[i],
+                                            d.points[ai].coords[i], vecs)
         moves.append(prov["construction"])
-        return real(d, report, ai, i, fiber, vecs, prov)
+        return real(d, report, ai, i, fiber, vecs, gamma, prov)
 
     monkeypatch.setattr(construct, "_proved_move", spy)
     return moves
