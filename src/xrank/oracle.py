@@ -67,11 +67,15 @@ def _ground(space: MultiProjectiveSpace,
         pts = tuple(within.lift_point(rp)
                     for rp in enumerate_points(within.reduced_space()))
     cols = tuple(embed(space, p).coords for p in pts)
+    span = Echelon(space.field)
+    for col in cols:  # a span of full rank holds every later column
+        if span.rank == len(col):
+            break
+        span.insert(col)
     # the first GF(p) ground set imports the numpy engine
     from .quotient import residue_matrix
     return GroundSet(space, within, pts, cols,
-                     residue_matrix(space.field.modulus, cols),
-                     Echelon(space.field, cols))
+                     residue_matrix(space.field.modulus, cols), span)
 
 
 def _ground_space(space, within):

@@ -17,7 +17,7 @@ from xrank import quotient
 from xrank.decomp import Decomposition, set_envelope, verify_irredundant
 from xrank.errors import (BudgetExceeded, FieldNotFinite, InvalidInput,
                           ModulusTooLarge, TargetNotSpanned)
-from xrank.exactlin import FieldSpec, solve_columns
+from xrank.exactlin import Echelon, FieldSpec, solve_columns
 from xrank.geometry import (SubspaceSpec, Tensor, canonical_vector,
                             count_points, embed, enumerate_points)
 from xrank.oracle import (brute_rank, gap_profile, ground_set,
@@ -96,6 +96,31 @@ def test_ground_set_counts_and_caching():
     gy = ground_set(S, y)
     assert len(gy.points) == 6 == count_points(y.reduced_space())
     assert all(y.contains_point(p) for p in gy.points)
+
+
+@pytest.mark.parametrize("space, within", [
+    (segre((1, 1, 1), gf(11)), None),
+    (segre((1, 2), gf(5)), [(E0, E1), ((1, 1, 0), (0, 2, 1))]),
+    (segre((2, 2), gf(3)), [((1, 0, 0), (0, 1, 1)), ((1, 2, 0),)]),
+], ids=["full", "within_P1xP1", "within_P1xP0"])
+def test_ground_span_matches_the_span_of_every_column(space, within):
+    # the ground span stops inserting columns once its rank is the
+    # column length; a within ground set's span is never full
+    if within is not None:
+        within = SubspaceSpec.of(space, within)
+    g = ground_set(space, within)
+    every = Echelon(space.field, g.columns)
+    assert g.span.rank == every.rank
+    assert (g.span.rank == len(g.columns[0])) == (within is None)
+    rng = random.Random(5)
+    F = space.field
+    vecs = list(g.columns) + [
+        [F.random_element(rng) for _ in g.columns[0]] for _ in range(40)]
+    vecs += [[F.add(x, y) for x, y in zip(a, b)]
+             for a, b in zip(g.columns, g.columns[1:])]
+    answers = [g.span.contains(v) for v in vecs]
+    assert answers == [every.contains(v) for v in vecs]
+    assert (False in answers) == (within is not None)
 
 
 def test_ground_set_needs_finite_field():
@@ -334,6 +359,17 @@ def test_t3_witnesses_frozen_over_gf11(coords, count, digest):
     assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("coords, count", [
+    ((0, 1, 1, 0, 1, 0, 0, 2), 2640), (_e(1, 2, 4), 3751),
+], ids=["nonsquare", "W"])
+def test_t3_hands_the_verifier_only_witnesses(coords, count):
+    # the frozen counts above are the witnesses; at t=3 the engine's
+    # filters are exact, so it yields those and nothing else
+    S = segre((1, 1, 1), gf(11))
+    found = list(candidates(S.field, ground_set(S).residues, coords, 3))
+    assert len(found) == count
+
+
 def test_t4_witnesses_frozen_over_gf3():
     # W; recorded with the depth-first t>=4 engine that the prefix walk
     # replaced, so they check the walk independently
@@ -449,62 +485,76 @@ def _clustered_columns(p, n, seed):
     return F, sorted(set(cols)), q
 
 
+# _clustered_columns gives 30 columns at these n, so the t=3 search is
+# one block of 28 anchors and 29 rows: 812 pairs, 10 position bits.  A
+# ray key has n - 1 digits, as q's lead column is dropped, and a GF(11)
+# key word holds 18
 @pytest.mark.parametrize("n, key_shape", [
-    (5, ()),     # one word, anchors folded in: (a - a0) * 11^5 + key
-    (18, (2,)),  # one word (11^18 < 2^63), but 2 * 11^18 > 2^63: lexsort
-], ids=["folded", "unfolded"])
+    (5, ()),      # one word, anchor and position folded in; 11^4 < 2^31
+    (14, ()),     # 28 * 11^13 << 10 < 2^63: folded, at the fit; int64
+    (15, (2,)),   # 28 * 11^14 < 2^63, but << 10 it is not: lexsort
+    (18, (2,)),   # one word (11^17 < 2^63), but 28 * 11^17 > 2^63
+    (20, (3,)),   # 19 digits, two words: lexsort
+], ids=["folded", "folded_at_the_fit", "unfolded_by_the_position",
+        "unfolded", "two_words"])
 def test_t3_key_shapes_against_the_definition(monkeypatch, n, key_shape):
     F, cols, q = _clustered_columns(11, n, seed=n)
+    assert len(cols) == 30
     shapes = []
-    bucket = quotient._bucket_pairs
+    runs = quotient._equal_key_runs
 
-    def spy(keys):
+    def spy(keys, bits=0):
         shapes.append(keys.shape[1:])
-        return bucket(keys)
+        return runs(keys, bits)
 
-    monkeypatch.setattr(quotient, "_bucket_pairs", spy)
+    monkeypatch.setattr(quotient, "_equal_key_runs", spy)
     found = _engine_against_the_definition(F, cols, q, 3)
     assert shapes == [key_shape]  # the columns fit in one block
     assert len(found) >= 20
-    # t=4 runs one anchor search per prefix node; a node left with three
-    # rows has one anchor, whose key folds whatever n is
+    # t=4 runs one anchor search per prefix node; a node left with few
+    # rows folds a one-word key that its largest nodes cannot
     shapes.clear()
     assert len(_engine_against_the_definition(F, cols, q, 4)) >= 20
     assert key_shape in shapes
+    if n in (15, 18):
+        assert () in shapes
 
 
 def _filter_batches(monkeypatch):
-    """A list that gets, for each filter batch of the anchor search, the
-    bucket-pair counts of the blocks it gathered."""
-    batches, blocks = [], []
-    bucket, ray_keys = quotient._bucket_pairs, quotient._ray_keys
+    """Two lists: one that gets, for each filter batch of the anchor
+    search, the run-member counts of the blocks it gathered, and one
+    that gets each block's pair count."""
+    batches, blocks, sizes = [], [], []
+    runs, filter_runs = quotient._equal_key_runs, quotient._filter_runs
 
-    def bucket_spy(keys):
-        u, v = bucket(keys)
-        blocks.append(len(u))
-        return u, v
+    def runs_spy(keys, bits=0):
+        pos, start = runs(keys, bits)
+        blocks.append(len(pos))
+        sizes.append(len(keys))
+        return pos, start
 
-    def ray_keys_spy(rows, p):  # twice per batch, in the second filter
-        if blocks:
-            batches.append(blocks[:])
-            blocks.clear()
-        return ray_keys(rows, p)
+    def filter_spy(*args):
+        batches.append(blocks[:])
+        blocks.clear()
+        return filter_runs(*args)
 
-    monkeypatch.setattr(quotient, "_bucket_pairs", bucket_spy)
-    monkeypatch.setattr(quotient, "_ray_keys", ray_keys_spy)
-    return batches
+    monkeypatch.setattr(quotient, "_equal_key_runs", runs_spy)
+    monkeypatch.setattr(quotient, "_filter_runs", filter_spy)
+    return batches, sizes
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 7, 32])
 def test_anchor_search_at_small_block_sizes(monkeypatch, block_rows):
-    # at 1 and 2 every block holds one anchor and fills a filter batch;
-    # at 7 and 32 the blocks near the end hold several anchors, a batch
-    # gathers the pairs of several blocks, and the last block, cut short
-    # at anchor M - 2, ends a partial batch
+    # at 1 and 2 every block holds one anchor, and a block with a run
+    # fills a filter batch; at 7 and 32 the blocks near the end hold
+    # several anchors, a batch gathers the runs of several blocks, and
+    # the last block, cut short at anchor M - 2, ends a partial batch
     monkeypatch.setattr(quotient, "_T3_BLOCK_ROWS", block_rows)
     F, cols, q = _clustered_columns(11, 5, seed=block_rows)
-    batches = _filter_batches(monkeypatch)
+    batches, sizes = _filter_batches(monkeypatch)
     assert len(_engine_against_the_definition(F, cols, q, 3)) >= 20
+    # one anchor per block: each block's tail is one row shorter
+    assert (sizes == list(range(sizes[0], 1, -1))) == (block_rows <= 2)
     # a batch is filtered at the first block that fills it
     assert all(sum(b[:-1]) < block_rows <= sum(b) for b in batches[:-1])
     assert sum(batches[-1][:-1]) < block_rows
