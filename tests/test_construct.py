@@ -1208,19 +1208,28 @@ def _frozen_cases(field):
     return outs
 
 
+def _frozen_outputs_of(field, concise):
+    """The frozen cases of concise_plus_m (concise True) or of escape,
+    veronese_extend and sv_extend (concise False)."""
+    return [out for out in _frozen_cases(field)
+            if (out.provenance["construction"] == "concise_plus_m")
+            == concise]
+
+
 @pytest.mark.parametrize("field, count, digest", [
-    (QQ, 23,
-     "d949142bd344ba300702b6855e346acae2704db1c89f876612c809228916af7f"),
-    (gf(11), 23,
-     "fb5007ab2fac2f51e45130a155b020ab6aa4fe6f72210476632c25c764e8a723"),
+    (QQ, 19,
+     "76ae746ae20d286607a0c33d37d7caac5c988b9fdc0931b904178e58cbfd5406"),
+    (gf(11), 19,
+     "d05f03296a2c836e8c463411f99835f2e9c5db0385549ff2279c333f6f6e9661"),
 ], ids=["QQ", "GF(11)"])
 def test_other_constructions_frozen_outputs(field, count, digest):
-    """Seeded outputs of the four constructions other than plus_one,
-    points, target and provenance; recorded before their input checks
-    and line-step loops were shared between them, and re-recorded when
-    sv_extend ran line steps for every last-factor degree (only the
-    provenance of its degree-one outputs changed)."""
-    outs = _frozen_cases(field)
+    """Seeded outputs of escape, veronese_extend and sv_extend, points,
+    target and provenance; recorded before their input checks and
+    line-step loops were shared between them, re-recorded when sv_extend
+    ran line steps for every last-factor degree (only the provenance of
+    its degree-one outputs changed), and split from concise_plus_m's
+    outputs with no output changed."""
+    outs = _frozen_outputs_of(field, concise=False)
     for out in outs:
         assert verify_irredundant(out).irredundant
         if out.provenance["construction"] == "sv_extend":
@@ -1228,6 +1237,20 @@ def test_other_constructions_frozen_outputs(field, count, digest):
             assert len(out.provenance["steps"]) == m
             assert set_envelope(out.space, out.points).dims[-1] == m
     assert (len(outs), _digest(outs)) == (count, digest)
+
+
+@pytest.mark.parametrize("field, digest", [
+    (QQ, "2352d0661fa4e4b57fe37e7a9a0c85613c8f1949334a3e35efa8673787bc59cd"),
+    (gf(11),
+     "fa4c0ec91bad4a4ef0977bbbf9236c98245a726911e44229d3a6ef2f91367028"),
+], ids=["QQ", "GF(11)"])
+def test_concise_plus_m_frozen_outputs(field, digest):
+    """Seeded concise_plus_m outputs of the frozen cases, points, target
+    and provenance."""
+    outs = _frozen_outputs_of(field, concise=True)
+    for out in outs:
+        assert set_envelope(out.space, out.points).is_full
+    assert (len(outs), _digest(outs)) == (4, digest)
 
 
 @pytest.mark.parametrize("field", [QQ, gf(11)], ids=["QQ", "GF(11)"])
