@@ -53,7 +53,6 @@ def _parser():
                         help="also write the result here (.csv for gaps "
                              "writes the table instead)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-retries", type=int, default=64)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--t", type=int, default=None)
     common.add_argument("--m", type=int, default=None)
@@ -143,8 +142,7 @@ def _need(value, flag):
 
 
 def _cfg(args, step=0):
-    return ConstructionConfig(rng_seed=args.seed + step,
-                              max_retries=args.max_retries)
+    return ConstructionConfig(rng_seed=args.seed + step)
 
 
 def _construct(op, d, params, cfg, source):

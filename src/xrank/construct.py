@@ -1,31 +1,34 @@
 """Randomize-and-prove constructions that grow irredundant decompositions.
 
-Each operation draws random data under explicit non-degeneracy constraints,
-builds a candidate, proves it, and retries with fresh randomness up to
-max_retries.  All five make one move: a point a is replaced by k points
-that equal a off one factor.  `_proved_move` proves such a candidate's
-report from the input's report and the coefficients of a's Veronese
-image in the new points' images, given that the new columns are
-independent modulo the input's span U (see its docstring).  Four of the
-five move a to e + 1 points of a line through it, in a factor of degree
-e, and read the coefficients off the line with no solve (the proof is
-in `_line_candidates`); `concise_plus_m` solves for them once, on its
-m + 1 last-factor vectors.  Only `plus_one` tests the independence,
-with one membership test in U per candidate, and only on factors of
-dimension >= 2: on P^1 the line implies it.  The draws of `escape`,
-`concise_plus_m` and the line steps of `veronese_extend` and
-`sv_extend` imply it (the proofs are in their docstrings), so no other
-construction eliminates U.  No candidate point is embedded or verified
-again: its column is `geometry.fiber_map` of a and the factor applied
-to the new vector's `geometry.factor_image`, and over Q the new vectors
-stay primitive integer vectors from the line draw to that image.  What
-the draws or input checks prove is not tested again: a line step grows
-its factor envelope by one, `concise_plus_m`'s envelope is full,
-`escape`'s output leaves Y and an irredundant input inside Y has its
-target in the span of Y's image.  So outputs never rely on genericity
-arguments alone; every returned decomposition carries an exact report.
-All draws come from one seeded stream, so identical (input, seed,
-config) give identical outputs.
+Each operation draws random data under explicit non-degeneracy
+constraints, builds one candidate and proves it: every draw succeeds by
+construction (`_draw_vector_off_span` ends with a scan of the unit
+vectors), so no operation retries, and none refuses a valid input for
+want of a lucky draw.  All five make one move: a point a is replaced by
+k points that equal a off one factor.  `_proved_move` proves such a
+candidate's report from the input's report and the coefficients of a's
+Veronese image in the new points' images, given that the new columns
+are independent modulo the input's span U (see its docstring).  Four of
+the five move a to e + 1 points of a line through it, in a factor of
+degree e, and read the coefficients off the line with no solve (the
+proof is in `_line_candidates`); `concise_plus_m` completes its
+last-factor point o to m + 1 vectors that sum to it, and reads the
+coefficients off their leads.  Every draw proves the independence
+(the proofs are in the docstrings of `plus_one`, `escape`,
+`concise_plus_m` and `_extend_one_factor`): `plus_one` draws its line
+direction off the preimage of U in the replaced factor, and the others
+draw off a subspace of that factor which holds every input point's
+vector there.  No candidate point is embedded or verified again: its
+column is `geometry.fiber_map` of a and the factor applied to the new
+vector's `geometry.factor_image`, and over Q the new vectors stay
+primitive integer vectors from the line draw to that image.  What the
+draws or input checks prove is not tested again: a line step grows its
+factor envelope by one, `concise_plus_m`'s envelope is full, `escape`'s
+output leaves Y and an irredundant input inside Y has its target in the
+span of Y's image.  So outputs never rely on genericity arguments
+alone; every returned decomposition carries an exact report.  All draws
+come from one seeded stream, so identical (input, seed) give identical
+outputs.
 """
 
 import random
@@ -35,12 +38,12 @@ from math import gcd
 
 from .decomp import (Decomposition, IrredundancyReport, set_envelope,
                      verify_irredundant)
-from .errors import (BadM, DegenerateSpace, FieldTooSmall, GenericityExhausted,
-                     InvalidInput, MinimalityNotCertified, NoEscapingFiber,
-                     NotConcise, NotContainedInY, NotIrredundantInput,
-                     NotVeronese, SpaceMismatch, TargetTooSmall,
-                     UnsupportedDegree, YEqualsW)
-from .exactlin import Echelon, in_span, integer_row, rank_rows, solve_columns
+from .errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
+                     MinimalityNotCertified, NoEscapingFiber, NotConcise,
+                     NotContainedInY, NotIrredundantInput, NotVeronese,
+                     SpaceMismatch, TargetTooSmall, UnsupportedDegree,
+                     YEqualsW)
+from .exactlin import Echelon, in_span, integer_row
 from .geometry import (DEFAULT_COORD_BOX, MppPoint, SubspaceSpec,
                        canonical_vector, factor_image, fiber_map)
 from .oracle import brute_rank
@@ -49,40 +52,38 @@ from .oracle import brute_rank
 @dataclass(frozen=True)
 class ConstructionConfig:
     rng_seed: int = 0
-    max_retries: int = 64
-
-    def __post_init__(self):
-        if self.max_retries < 1:
-            raise InvalidInput("max_retries must be >= 1")
 
 
 def _draw_vector_off_span(field, rng, length, on_span, tries=128):
-    """Random nonzero vector v with on_span(v) False (rejection
-    sampling); on_span is the membership test of a span, such as an
-    `Echelon`'s `contains`.  The entries are `FieldSpec.random_element`'s
-    draws, from the same `rng` calls."""
+    """A nonzero vector v with on_span(v) False, for on_span the
+    membership test of a proper subspace, such as an `Echelon`'s
+    `contains`: up to `tries` random draws (rejection sampling), then the
+    first unit vector off the span.  The random entries are
+    `FieldSpec.random_element`'s draws, from the same `rng` calls, but
+    plain ints over Q, as the callers' `Echelon`s, fiber maps and lines
+    take them.
+
+    The draw never fails: the unit vectors span the whole space, so a
+    proper subspace misses one of them.  Every caller's span is proper.
+    `plus_one` draws off K = L^-1(U), which misses the unit direction
+    whose image shows that the fiber escapes U.  `escape` draws off Y's
+    subspace in a factor where Y is deficient.  `concise_plus_m` draws c_t
+    off <o, c_1 .. c_(t-1)>, of dimension t <= m in a factor of dimension
+    m + 1.  A line step draws off the factor span F, which grows by one
+    per step: `veronese_extend` steps only while F's projective dimension
+    is below target_n <= n, and `sv_extend` takes m steps from F = <o>
+    in a factor P^m."""
     p, box = field.modulus, DEFAULT_COORD_BOX
     for _ in range(tries):
         if p is None:
-            v = tuple([Fraction(rng.randint(-box, box))
-                       for _ in range(length)])
+            v = tuple([rng.randint(-box, box) for _ in range(length)])
         else:
             v = tuple([rng.randrange(p) for _ in range(length)])
         if any(v) and not on_span(v):
             return v
-    raise GenericityExhausted("no direction off the span after %d draws"
-                              % tries)
-
-
-def _on_ray(field, r):
-    """Membership test of the span <r> of one nonzero vector, with no
-    elimination: v lies on it iff v r[s] = v[s] r at an entry s with
-    r[s] != 0."""
-    s = next(j for j, x in enumerate(r) if x)
-    rs, p = r[s], field.modulus
-    if p is None:
-        return lambda v: all(x * rs == v[s] * y for x, y in zip(v, r))
-    return lambda v: all((x * rs - v[s] * y) % p == 0 for x, y in zip(v, r))
+    return next(v for v in (tuple([int(t == j) for t in range(length)])
+                            for j in range(length))
+                if not on_span(v))
 
 
 def _line_candidates(field, rng, a_vec, w_vec, deg):
@@ -175,15 +176,15 @@ def _line_coefficients(params, deg, p, scale=1):
     return gamma
 
 
-def _escaping_fibers(space, points, u_span):
-    """(point index, factor, fiber map) triples, in order, whose fiber
-    through the point has a coordinate direction embedding outside U; the
-    map is `geometry.fiber_map` of that point and factor.  The factors
-    have degree one, so a unit vector is its own image.  The unit
-    direction at the lead s of the point's factor vector a_i is not
-    tested: a_i, whose image x_a lies in U, and the other n unit
-    directions span the factor, as a_i[s] != 0.  So on a P^1 factor one
-    test decides."""
+def _escaping_fiber(space, points, u_span):
+    """The first (point index, factor, fiber map) triple, in order, whose
+    fiber through the point has a coordinate direction embedding outside
+    U, or None; the map is `geometry.fiber_map` of that point and
+    factor.  The factors have degree one, so a unit vector is its own
+    image.  The unit direction at the lead s of the point's factor vector
+    a_i is not tested: a_i, whose image x_a lies in U, and the other n
+    unit directions span the factor, as a_i[s] != 0.  So on a P^1 factor
+    one test decides."""
     for ai, a in enumerate(points):
         for i in range(space.k):
             fiber = fiber_map(space, a, i)
@@ -194,8 +195,8 @@ def _escaping_fibers(space, points, u_span):
                     continue
                 e = [int(t == j) for t in range(len(vec))]
                 if not u_span.contains(fiber(e)):
-                    yield ai, i, fiber
-                    break
+                    return ai, i, fiber
+    return None
 
 
 def _proved_move(d, report, ai, i, fiber, vecs, gamma, prov):
@@ -220,12 +221,11 @@ def _proved_move(d, report, ai, i, fiber, vecs, gamma, prov):
        and every gamma_t nonzero:
     a line move's k = e + 1 images lie on the degree-e rational normal
     curve v_e(line), and it reads gamma off the line, which proves 1
-    (`_line_candidates`); `concise_plus_m` solves for gamma behind a
-    filter that proves 1; and
+    (`_line_candidates`); `concise_plus_m`'s completion of o proves 1
+    with gamma its vectors' leads; and
     2. x_g1 .. x_g(k-1) are independent modulo U:
-    `plus_one` tests it on factors of dimension >= 2 and proves it from
-    1 on P^1, and `escape`, `concise_plus_m` and the line steps
-    (`_extend_one_factor`) prove it from their draws.
+    every construction proves it from its draws (`plus_one`, `escape`,
+    `concise_plus_m` and the line steps, `_extend_one_factor`).
     By 1 and L, x_a = sum_t gamma_t x_gt, so x_gk lies in
     U + <x_g1 .. x_g(k-1)>, of dimension r + k - 1 by 2.  The
     candidate's r - 1 + k columns span it, as they span x_a: they are
@@ -287,11 +287,11 @@ def _last_factor_point(d):
     return o
 
 
-def _move_provenance(name, cfg, assert_minimal, certified, ai, i, attempt):
+def _move_provenance(name, cfg, assert_minimal, certified, ai, i):
     return {"construction": name, "seed": cfg.rng_seed,
             "assert_minimal": bool(assert_minimal),
             "certified_minimal": bool(certified), "replaced_point": ai,
-            "factor": i, "retries_used": attempt}
+            "factor": i, "retries_used": 0}
 
 
 def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
@@ -305,25 +305,23 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     are two random points of a line through the chosen point inside that
     fiber, and `_proved_move` proves the candidate's report from the
     input's and the coefficients read off the line (`_line_candidates`),
-    with no solve.  Only plus_one tests `_proved_move`'s condition 2,
-    that the first new point embeds outside U, and only when the
-    replaced factor has dimension >= 2: there a line in an escaping fiber
-    may still lie in U, and the test keeps both new points off every
-    input point.
-    The input is checked by `verify_irredundant`, which reuses a report
-    the input already carries (an oracle witness has one) instead of
-    solving again.  No point is embedded: the scan's unit directions go
-    through `geometry.fiber_map`, built once per (point, factor).
+    with no solve.  The input is checked by `verify_irredundant`, which
+    reuses a report the input already carries (an oracle witness has one)
+    instead of solving again.  No point is embedded: the scan's unit
+    directions and the draw's test go through `geometry.fiber_map`, built
+    once per (point, factor) scanned.
 
-    On a P^1 factor condition 1 implies condition 2.  Let L be the fiber
-    map of a and i, and K = L^-1(U), a subspace of the factor F_i that
-    contains a_i.  The fiber escapes U, so K != F_i, and as F_i has
-    dimension 2, K = <a_i>.  Condition 1, which the line proves, gives
-    a_i = gamma_1 g_1 + gamma_2 g_2 with g_1, g_2 independent and both
-    gamma nonzero; were g_1 on <a_i>, so would be g_2, against their
-    independence.  So g_1 is off K, and L(g_1), whose nonzero multiple
-    is the first new column, lies outside U.  Every attempt draws from
-    an escaping fiber, so this holds on retries too.
+    The draw proves `_proved_move`'s condition 2.  Let L be the fiber map
+    of a and i, a linear injection of the factor F_i, which has degree
+    one, and K = L^-1(U), a subspace of F_i that contains a_i.  The fiber
+    escapes U, so K != F_i, and the line direction w is drawn off K
+    (`_draw_vector_off_span`); in particular w is off a_i's ray, as
+    `_line_candidates` needs.  The first new point is a_i + t w with
+    t != 0, or w, up to a nonzero scale, and
+    L(a_i + t w) = L(a_i) + t L(w) lies outside U, as L(a_i) lies in it
+    and L(w) does not; so the first new column lies outside U.  On a P^1
+    factor K = <a_i>, as F_i has dimension 2, so the draw accepts exactly
+    the vectors off a_i's ray.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -337,37 +335,21 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
     field = space.field
     rng = random.Random(cfg.rng_seed)
     u_span = Echelon(field, d.images)
-
-    # (point, factor) pairs whose fiber escapes U, scanned as attempts need
-    # them: the first attempt takes the first, a retry needs them all
-    escaping = _escaping_fibers(space, d.points, u_span)
-    viable = [next(escaping, None)]
-    if viable[0] is None:
+    found = _escaping_fiber(space, d.points, u_span)
+    if found is None:
         raise NoEscapingFiber(
             "every fiber span lies inside the input span; the input cannot "
             "be a minimal decomposition of a desk-scale target")
-
-    for attempt in range(cfg.max_retries):
-        if attempt == 1:
-            viable.extend(escaping)
-        ai, i, fiber = viable[attempt % len(viable)]
-        a = d.points[ai]
-        try:
-            w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
-                                      _on_ray(field, a.coords[i]))
-        except GenericityExhausted:
-            continue
-        pair, gamma = _line_candidates(field, rng, a.coords[i], w, 1)
-        # `_proved_move`'s condition 2, which its condition 1 implies on a
-        # P^1 factor (above); the factor has degree one, so a vector is
-        # its own image
-        if space.factor_dims[i] >= 2 and u_span.contains(fiber(pair[0])):
-            continue
-        prov = _move_provenance("plus_one", cfg, assert_minimal,
-                                certify_minimal, ai, i, attempt)
-        return _proved_move(d, report, ai, i, fiber, pair, gamma, prov)
-    raise GenericityExhausted("plus_one failed after %d retries"
-                              % cfg.max_retries)
+    ai, i, fiber = found
+    a = d.points[ai]
+    # off K = L^-1(U) (above); the factor has degree one, so a vector is
+    # its own image
+    w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
+                              lambda v: u_span.contains(fiber(v)))
+    pair, gamma = _line_candidates(field, rng, a.coords[i], w, 1)
+    prov = _move_provenance("plus_one", cfg, assert_minimal, certify_minimal,
+                            ai, i)
+    return _proved_move(d, report, ai, i, fiber, pair, gamma, prov)
 
 
 def escape(d: Decomposition, ysub: SubspaceSpec,
@@ -378,24 +360,25 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     irredundant decomposition of cardinality #A + 1 not contained in Y.
 
     Works in the first factor where Y is deficient (that factor must have
-    degree one): one point is replaced by two points off Y's factor
+    degree one): the first point is replaced by two points off Y's factor
     subspace on a line through it, so their span recovers the dropped
     point, with coefficients read off the line (`_line_candidates`), so
-    no candidate is solved.  Output is proved irredundant and leaves Y by
-    construction.
+    the candidate is not solved.  Output is proved irredundant and leaves
+    Y by construction.
 
     The input checks place the target in the span of Y's image with no
     solve: q = sum_j c_j x_j, as the input is irredundant, and each
     x_j = v(p_j), p_j in Y, lies in the span of `SubspaceSpec.span_columns`
     by the substitution identity of `geometry.substitution_columns`.
 
-    Every accepted candidate leaves Y.  Let H be Y's subspace in the
-    deficient factor i*.  The replaced point a lies in Y, so a_i* is in H,
-    and w is drawn off H.  The new points carry a_i* + t w (t != 0) or w
-    in factor i*; if a_i* + t w were in H, so would be w.  So no new point
-    lies in Y, and no candidate needs a test for it.
+    The candidate leaves Y.  Let H be Y's subspace in the deficient
+    factor i*, a proper one.  The replaced point a lies in Y, so a_i* is
+    in H, and w is drawn off H (`_draw_vector_off_span`), so off a_i*'s
+    ray.  The new points carry a_i* + t w (t != 0) or w in factor i*; if
+    a_i* + t w were in H, so would be w.  So no new point lies in Y, and
+    the candidate needs no test for it.
 
-    Every candidate meets `_proved_move`'s condition 2, with no test.
+    The candidate meets `_proved_move`'s condition 2, with no test.
     Let S be the span of Y's image and L the fiber map of a and i*, whose
     factor has degree one, so L(u) = y x u for y != 0 the image of a's
     other factors.  U lies in S, the tensor product of the spans of Y's
@@ -424,22 +407,13 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
         raise UnsupportedDegree("the deficient factor must have degree one")
     on_h = Echelon(field, ysub.factor_bases[istar]).contains
     rng = random.Random(cfg.rng_seed)
-
-    for attempt in range(cfg.max_retries):
-        ai = attempt % len(d.points)
-        a = d.points[ai]
-        try:
-            w = _draw_vector_off_span(field, rng,
-                                      space.factor_dims[istar] + 1, on_h)
-        except GenericityExhausted:
-            continue
-        cands, gamma = _line_candidates(field, rng, a.coords[istar], w, 1)
-        prov = _move_provenance("escape", cfg, assert_minimal,
-                                certify_minimal, ai, istar, attempt)
-        return _proved_move(d, report, ai, istar,
-                            fiber_map(space, a, istar), cands, gamma, prov)
-    raise GenericityExhausted("escape failed after %d retries"
-                              % cfg.max_retries)
+    a = d.points[0]
+    w = _draw_vector_off_span(field, rng, space.factor_dims[istar] + 1, on_h)
+    cands, gamma = _line_candidates(field, rng, a.coords[istar], w, 1)
+    prov = _move_provenance("escape", cfg, assert_minimal, certify_minimal,
+                            0, istar)
+    return _proved_move(d, report, 0, istar, fiber_map(space, a, istar),
+                        cands, gamma, prov)
 
 
 def concise_plus_m(d: Decomposition, m: int,
@@ -450,33 +424,32 @@ def concise_plus_m(d: Decomposition, m: int,
     build an irredundant decomposition of cardinality #A + m whose set
     envelope is all of W.
 
-    One point is replaced by m+1 points that copy its Y' part and carry
-    spanning last-factor points c_0..c_m chosen so o avoids the span of
-    every m of them; that keeps all coefficients nonzero.  The input's
-    set envelope must already be full on the retained factors (tensor
-    concision of the target for Y implies this).
+    The first point a is replaced by m+1 points that copy its Y' part and
+    carry last-factor points that complete o: c_1..c_m are drawn one by
+    one, each off <o, c_1 .. c_(t-1)> (`_draw_vector_off_span`), so o,
+    c_1..c_m are a basis of the last factor, and c_0 = o - sum_{t>=1} c_t.
+    The input's set envelope must already be full on the retained factors
+    (tensor concision of the target for Y implies this).
 
-    The c_t lie on no line through o, so gamma is solved, not read off
-    a line: one solve of o = sum_t gamma_t c_t on the m + 1 last-factor
-    vectors, whose coefficients `_proved_move` takes.  The draw's filter
-    proves `_proved_move`'s condition 1, the factor having degree one:
-    it keeps c_0..c_m of rank m + 1, a basis of the last factor, so the
-    solve's gamma is unique, and o off the span of every m of them, so
-    every gamma_t is nonzero.
+    The completion proves `_proved_move`'s condition 1, the factor having
+    degree one, with no solve.  c_0..c_m span o, so they are a basis as
+    well, and o = sum_t c_t = sum_t lead(c_t) g_t for g_t = c_t / lead(c_t)
+    the canonical new vectors, so gamma_t = lead(c_t), which is nonzero.
+    Every coefficient of o in that basis is 1, so o lies off the span of
+    every m of the c_t.
 
-    So every candidate's envelope is full, with no test: the new points
+    So the candidate's envelope is full, with no test: the new points
     copy a's retained factors and the other input points stay, so its
     retained envelope is the input's, and c_0..c_m are a basis of the
     last factor.
 
-    Every candidate meets `_proved_move`'s condition 2, with no test.
+    The candidate meets `_proved_move`'s condition 2, with no test.
     With V' the tensor space of the retained factors, U lies in
-    V' x <o>, and the new columns are y_a x c_t for y_a != 0 the image of
-    a's retained factors.  By the filter o is off the span of every m of
-    the c_t.  If sum_{t<m} l_t y_a x c_t lay in V' x <o>,
-    sum_{t<m} l_t c_t would be a multiple of o, so zero, and every l_t
-    zero: y_a x c_0 .. y_a x c_(m-1) are independent modulo V' x <o>, so
-    modulo U.
+    V' x <o>, and the new columns are multiples of y_a x c_t for y_a != 0
+    the image of a's retained factors.  If sum_{t<m} l_t y_a x c_t lay in
+    V' x <o>, sum_{t<m} l_t c_t would be a multiple of o, so zero, as o is
+    off the span of c_0..c_(m-1), and every l_t zero: y_a x c_0 ..
+    y_a x c_(m-1) are independent modulo V' x <o>, so modulo U.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -500,48 +473,37 @@ def concise_plus_m(d: Decomposition, m: int,
             d, within=SubspaceSpec.of(space, list(retained) + [(o,)]))
     field = space.field
     rng = random.Random(cfg.rng_seed)
-
-    for attempt in range(cfg.max_retries):
-        ai = attempt % len(d.points)
-        a = d.points[ai]
-        draws = (_draw_vector_off_span(field, rng, m + 1, lambda v: False)
-                 for _ in range(m + 1))
-        cs = [canonical_vector(field, v) for v in draws]
-        if len(set(cs)) != m + 1:
-            continue
-        # the filter proves _proved_move's condition 1 (docstring), so
-        # the solve's gamma need no check; testing the solve's
-        # independence and nonzero gamma instead could replace it, but it
-        # stays while perfbench/tests/test_tracer.py checks that this
-        # module imports in_span (ROADMAP item 10)
-        if rank_rows(field, cs) != m + 1 or any(
-                in_span(field, cs[:drop] + cs[drop + 1:], o)
-                for drop in range(m + 1)):
-            continue
-        gamma = solve_columns(field, cs, o).coefficients
-        prov = _move_provenance("concise_plus_m", cfg, assert_minimal,
-                                certify_minimal, ai, last, attempt)
-        return _proved_move(d, report, ai, last,
-                            fiber_map(space, a, last), cs, gamma, prov)
-    raise GenericityExhausted("concise_plus_m failed after %d retries"
-                              % cfg.max_retries)
+    a = d.points[0]
+    # in_span, not an `Echelon` carried along: perfbench/tests/test_tracer.py
+    # checks that this module imports in_span (ROADMAP item 1)
+    cs = []
+    for _ in range(m):
+        cs.append(_draw_vector_off_span(
+            field, rng, m + 1, lambda v: in_span(field, [o] + cs, v)))
+    cs.insert(0, tuple([field.coerce(x - sum(c[j] for c in cs))
+                        for j, x in enumerate(o)]))
+    gamma = [next(x for x in c if x) for c in cs]
+    prov = _move_provenance("concise_plus_m", cfg, assert_minimal,
+                            certify_minimal, 0, last)
+    return _proved_move(d, report, 0, last, fiber_map(space, a, last),
+                        [canonical_vector(field, c) for c in cs], gamma, prov)
 
 
 def _extend_one_factor(d, f_span, factor, cfg):
-    """One line step in a factor of degree e: replace a point a by e+1
-    distinct points of the line through a_f and a vector w drawn off the
-    factor span F, and prove the result from d's report, which the step
-    before proved, and the coefficients read off the line
-    (`_line_candidates`), with no solve.  w is off F, so off a_f's ray,
-    as that proof needs.  f_span is an `Echelon` of F; returns the output
-    and inserts w into f_span.  The step is appended to the provenance's
-    "steps".
+    """One line step in a factor of degree e: replace the first point a by
+    e+1 distinct points of the line through a_f and a vector w drawn off
+    the factor span F, which is proper (`_draw_vector_off_span`), and
+    prove the result from d's report, which the step before proved, and
+    the coefficients read off the line (`_line_candidates`), with no
+    solve.  w is off F, so off a_f's ray, as that proof needs.  f_span
+    is an `Echelon` of F; returns the output and inserts w into f_span.
+    The step is appended to the provenance's "steps".
 
     The factor envelope grows by exactly one.  w is off F and a_f is in F,
     so any two distinct points of the line span <a_f, w>; the e+1 >= 2 new
     points take a's place, so the output's factor span is F + <w>.
 
-    Every candidate meets `_proved_move`'s condition 2, with no test.
+    The candidate meets `_proved_move`'s condition 2, with no test.
     Every point of d has its factor-f vector in F, so U lies in the span
     of the images of the points whose factor-f vector is in F.  The new
     columns are y_a x v_e(g_t), y_a != 0 the image of a's other factors,
@@ -561,27 +523,16 @@ def _extend_one_factor(d, f_span, factor, cfg):
     deg = space.multidegree[factor]
     rng = random.Random(cfg.rng_seed)
     report = verify_irredundant(d)
-    for attempt in range(cfg.max_retries):
-        ai = attempt % len(d.points)
-        a = d.points[ai]
-        try:
-            w = _draw_vector_off_span(field, rng,
-                                      space.factor_dims[factor] + 1,
-                                      f_span.contains)
-        except GenericityExhausted:
-            continue
-        gvecs, gamma = _line_candidates(field, rng, a.coords[factor], w,
-                                        deg)
-        prov = dict(d.provenance)
-        prov["steps"] = prov["steps"] + [{"replaced_point": ai,
-                                          "factor": factor,
-                                          "retries_used": attempt}]
-        f_span.insert(w)
-        return _proved_move(d, report, ai, factor,
-                            fiber_map(space, a, factor), gvecs, gamma, prov)
-    raise GenericityExhausted("%s step failed after %d retries"
-                              % (d.provenance["construction"],
-                                 cfg.max_retries))
+    a = d.points[0]
+    w = _draw_vector_off_span(field, rng, space.factor_dims[factor] + 1,
+                              f_span.contains)
+    gvecs, gamma = _line_candidates(field, rng, a.coords[factor], w, deg)
+    prov = dict(d.provenance)
+    prov["steps"] = prov["steps"] + [{"replaced_point": 0, "factor": factor,
+                                      "retries_used": 0}]
+    f_span.insert(w)
+    return _proved_move(d, report, 0, factor, fiber_map(space, a, factor),
+                        gvecs, gamma, prov)
 
 
 def _line_steps(d, report, f_span, factor, steps, cfg, prov):

@@ -70,17 +70,11 @@ class NotIrredundantInput(XrankError):
 class NoEscapingFiber(XrankError):
     """No (point, factor) pair has its fiber span escaping the input span.
 
-    Cannot happen for a genuinely minimal input decomposition; raised, never
-    silently retried, because it flags a broken precondition.
+    Cannot happen for a genuinely minimal input decomposition; it flags a
+    broken precondition.
     """
 
     code = "NoEscapingFiber"
-
-
-class GenericityExhausted(XrankError):
-    """Random choices failed verification max_retries times."""
-
-    code = "GenericityExhausted"
 
 
 class NotContainedInY(XrankError):

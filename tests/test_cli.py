@@ -148,6 +148,15 @@ def test_plus_one_command_is_deterministic(tmp_path, capsys):
     assert back.provenance["construction"] == "plus_one"
 
 
+def test_max_retries_flag_is_a_usage_error(tmp_path, capsys):
+    # no construction retries, so the flag that capped retries is gone
+    path = _write(tmp_path, "d.json", _diag_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["plus-one", "--in", path, "--max-retries", "3"])
+    assert exc.value.code == 2
+    assert "--max-retries" in capsys.readouterr().err
+
+
 def test_escape_command(tmp_path, capsys):
     S = segre((1, 1))
     y = SubspaceSpec.of(S, [(E0, E1), (E0,)])
