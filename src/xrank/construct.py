@@ -1,38 +1,40 @@
 """Randomize-and-prove constructions that grow irredundant decompositions.
 
 Each operation draws random data under explicit non-degeneracy
-constraints, builds one candidate and proves it: every draw succeeds by
-construction (`_draw_vector_off_span` ends with a scan of the unit
+constraints, builds its candidates and proves them: every draw succeeds
+by construction (`_draw_vector_off_span` ends with a scan of the unit
 vectors), so no operation retries, and none refuses a valid input for
-want of a lucky draw.  All five make one move: a point a is replaced by
-k points that equal a off one factor.  `_proved_move` proves such a
-candidate's report from the input's report and the coefficients of a's
-Veronese image in the new points' images, given that the new columns
-are independent modulo the input's span U (see its docstring).  Four of
-the five move a to e + 1 points of a line through it, in a factor of
-degree e, and read the coefficients off the line with no solve (the
-proof is in `_line_candidates`); `concise_plus_m` completes its
-last-factor point o to m + 1 vectors that sum to it, and reads the
-coefficients off their leads.  Every draw proves the independence
-(the proofs are in the docstrings of `plus_one`, `escape`,
-`concise_plus_m` and `_extend_one_factor`): `plus_one` draws its line
-direction off the preimage of U in the replaced factor, and the others
-draw off a subspace of that factor which holds every input point's
-vector there.  No candidate point is embedded or verified again: its
-column is `geometry.fiber_map` of a and the factor applied to the new
-vector's `geometry.factor_image`, and over Q the new vectors stay
-primitive integer vectors from the line draw to that image.  What the
-draws or input checks prove is not tested again: a line step grows its
-factor envelope by one, `concise_plus_m`'s envelope is full, `escape`'s
-output leaves Y and an irredundant input inside Y has its target in the
-span of Y's image.  So outputs never rely on genericity arguments
-alone; every returned decomposition carries an exact report.  All draws
-come from one seeded stream, so identical (input, seed) give identical
-outputs.
+want of a lucky draw.  Every candidate comes from one move: a point a is
+replaced by k points that equal a off one factor.  `_proved_move` proves
+such a candidate's report from the input's report and the coefficients
+of a's Veronese image in the new points' images, given that the new
+columns are independent modulo the input's span U (see its docstring).
+`plus_one`, `escape` and each line step of `veronese_extend` and
+`sv_extend` make it through `_line_move`, which moves a to e + 1 points
+of a line through it, in a factor of degree e, and reads the
+coefficients off the line with no solve (the proof is in
+`_line_candidates`); `concise_plus_m` completes its last-factor point o
+to m + 1 vectors that sum to it, and reads the coefficients off their
+leads.  Every draw proves the independence: `plus_one` draws its line
+direction off the preimage of U in the replaced factor, and
+`concise_plus_m` its vectors off o's growing span (their docstrings),
+while `escape` and the line steps draw off a subspace of that factor
+which holds every input point's vector there, and one lemma
+(`_line_steps`) proves it for both.  No candidate point is embedded or
+verified again: its column is `geometry.fiber_map` of a and the factor
+applied to the new vector's `geometry.factor_image`, and over Q the new
+vectors stay primitive integer vectors from the line draw to that image.
+What the draws or input checks prove is not tested again: a line step
+grows its factor envelope by one, `concise_plus_m`'s envelope is full,
+`escape`'s output leaves Y and an irredundant input inside Y has its
+target in the span of Y's image.  So outputs never rely on genericity
+arguments alone; every returned decomposition carries an exact report.
+All draws come from streams seeded by the config's seed, so identical
+(input, seed) give identical outputs.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -224,8 +226,9 @@ def _proved_move(d, report, ai, i, fiber, vecs, gamma, prov):
     (`_line_candidates`); `concise_plus_m`'s completion of o proves 1
     with gamma its vectors' leads; and
     2. x_g1 .. x_g(k-1) are independent modulo U:
-    every construction proves it from its draws (`plus_one`, `escape`,
-    `concise_plus_m` and the line steps, `_extend_one_factor`).
+    every construction proves it from its draws (`plus_one` and
+    `concise_plus_m`; `escape` and the line steps by the lemma in
+    `_line_steps`).
     By 1 and L, x_a = sum_t gamma_t x_gt, so x_gk lies in
     U + <x_g1 .. x_g(k-1)>, of dimension r + k - 1 by 2.  The
     candidate's r - 1 + k columns span it, as they span x_a: they are
@@ -258,6 +261,23 @@ def _proved_move(d, report, ai, i, fiber, vecs, gamma, prov):
         [d.images[j] for j in keep]
         + [fiber(factor_image(field, g, deg)[0]) for g in vecs],
         IrredundancyReport(True, True, field, values, True))
+
+
+def _line_move(d, report, ai, i, fiber, on_span, rng, prov):
+    """`_proved_move` of point ai of d to the e + 1 points of
+    `_line_candidates` on the line through its factor-i vector a_i and a
+    direction w drawn off the span that `on_span` tests
+    (`_draw_vector_off_span`), e the degree of factor i; returns the
+    candidate and w.  Every caller's span holds a_i, so w is off a_i's
+    ray, as `_line_candidates` needs, and the caller proves condition 2
+    from its span: K = L^-1(U) in `plus_one`, Y's factor subspace H in
+    `escape` and the factor span F in `_line_steps`."""
+    space = d.space
+    w = _draw_vector_off_span(space.field, rng, space.factor_dims[i] + 1,
+                              on_span)
+    vecs, gamma = _line_candidates(space.field, rng, d.points[ai].coords[i],
+                                   w, space.multidegree[i])
+    return _proved_move(d, report, ai, i, fiber, vecs, gamma, prov), w
 
 
 def _certify_minimal_via_oracle(d, within=None):
@@ -341,15 +361,12 @@ def plus_one(d: Decomposition, cfg: ConstructionConfig | None = None, *,
             "every fiber span lies inside the input span; the input cannot "
             "be a minimal decomposition of a desk-scale target")
     ai, i, fiber = found
-    a = d.points[ai]
-    # off K = L^-1(U) (above); the factor has degree one, so a vector is
-    # its own image
-    w = _draw_vector_off_span(field, rng, space.factor_dims[i] + 1,
-                              lambda v: u_span.contains(fiber(v)))
-    pair, gamma = _line_candidates(field, rng, a.coords[i], w, 1)
     prov = _move_provenance("plus_one", cfg, assert_minimal, certify_minimal,
                             ai, i)
-    return _proved_move(d, report, ai, i, fiber, pair, gamma, prov)
+    # off K = L^-1(U) (above); the factor has degree one, so a vector is
+    # its own image
+    return _line_move(d, report, ai, i, fiber,
+                      lambda v: u_span.contains(fiber(v)), rng, prov)[0]
 
 
 def escape(d: Decomposition, ysub: SubspaceSpec,
@@ -378,15 +395,9 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
     a_i* + t w were in H, so would be w.  So no new point lies in Y, and
     the candidate needs no test for it.
 
-    The candidate meets `_proved_move`'s condition 2, with no test.
-    Let S be the span of Y's image and L the fiber map of a and i*, whose
-    factor has degree one, so L(u) = y x u for y != 0 the image of a's
-    other factors.  U lies in S, the tensor product of the spans of Y's
-    factor images, which is H in factor i*; so an element L(u) of S has u
-    in H.  So L(w) lies outside S, as w is off H, while L(a_i*) lies in
-    it.  The first new column is a nonzero multiple of
-    L(a_i* + t w) = L(a_i*) + t L(w) with t != 0, or of L(w); either way
-    it lies outside S, so outside U.
+    The candidate meets `_proved_move`'s condition 2 by the lemma in
+    `_line_steps`, with F := H: every input point lies in Y, so it holds
+    its factor-i* vector in H, and w is drawn off H.
     """
     cfg = cfg or ConstructionConfig()
     space = d.space
@@ -400,20 +411,16 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
             raise NotContainedInY("input point outside Y")
     if certify_minimal:
         _certify_minimal_via_oracle(d, within=ysub)
-    field = space.field
     istar = next(i for i in range(space.k)
                  if ysub.dims[i] < space.factor_dims[i])
     if space.multidegree[istar] != 1:
         raise UnsupportedDegree("the deficient factor must have degree one")
-    on_h = Echelon(field, ysub.factor_bases[istar]).contains
-    rng = random.Random(cfg.rng_seed)
-    a = d.points[0]
-    w = _draw_vector_off_span(field, rng, space.factor_dims[istar] + 1, on_h)
-    cands, gamma = _line_candidates(field, rng, a.coords[istar], w, 1)
     prov = _move_provenance("escape", cfg, assert_minimal, certify_minimal,
                             0, istar)
-    return _proved_move(d, report, 0, istar, fiber_map(space, a, istar),
-                        cands, gamma, prov)
+    on_h = Echelon(space.field, ysub.factor_bases[istar]).contains
+    return _line_move(d, report, 0, istar,
+                      fiber_map(space, d.points[0], istar), on_h,
+                      random.Random(cfg.rng_seed), prov)[0]
 
 
 def concise_plus_m(d: Decomposition, m: int,
@@ -489,23 +496,23 @@ def concise_plus_m(d: Decomposition, m: int,
                         [canonical_vector(field, c) for c in cs], gamma, prov)
 
 
-def _extend_one_factor(d, f_span, factor, cfg):
-    """One line step in a factor of degree e: replace the first point a by
-    e+1 distinct points of the line through a_f and a vector w drawn off
-    the factor span F, which is proper (`_draw_vector_off_span`), and
-    prove the result from d's report, which the step before proved, and
-    the coefficients read off the line (`_line_candidates`), with no
-    solve.  w is off F, so off a_f's ray, as that proof needs.  f_span
-    is an `Echelon` of F; returns the output and inserts w into f_span.
-    The step is appended to the provenance's "steps".
+def _line_steps(d, report, f_span, factor, steps, cfg, prov):
+    """Run `steps` line steps in one factor f of degree e: each is a
+    `_line_move` of the first point a, with w drawn off the factor span F
+    of the points' factor-f vectors, and step s draws from its own stream,
+    seeded with rng_seed + 7919 s.  report is d's, f_span an `Echelon` of
+    F, and prov starts the output's provenance.  Each step is proved from the report the step
+    before proved and hands the next its output and f_span with w
+    inserted; no step solves, and none eliminates at tensor length.
 
     The factor envelope grows by exactly one.  w is off F and a_f is in F,
     so any two distinct points of the line span <a_f, w>; the e+1 >= 2 new
     points take a's place, so the output's factor span is F + <w>.
 
-    The candidate meets `_proved_move`'s condition 2, with no test.
-    Every point of d has its factor-f vector in F, so U lies in the span
-    of the images of the points whose factor-f vector is in F.  The new
+    The lemma: a line move of a whose direction w is drawn off a subspace
+    F of factor f that holds every input point's factor-f vector meets
+    `_proved_move`'s condition 2, with no test.  U lies in the span of
+    the images of the points whose factor-f vector is in F.  The new
     columns are y_a x v_e(g_t), y_a != 0 the image of a's other factors,
     so it suffices that e of the v_e(g_t) are independent modulo the span
     P of v_e(F).  Change coordinates so that a_f = e_0, F = <e_0..e_m>
@@ -518,44 +525,18 @@ def _extend_one_factor(d, f_span, factor, cfg):
     M_1 .. M_e is nonsingular: the rows (t, t^2, .., t^e) for distinct
     nonzero t form a scaled Vandermonde matrix, and w gives the row
     (0, .., 0, 1), leaving e-1 of them in the first e-1 coordinates."""
-    space = d.space
-    field = space.field
-    deg = space.multidegree[factor]
-    rng = random.Random(cfg.rng_seed)
-    report = verify_irredundant(d)
-    a = d.points[0]
-    w = _draw_vector_off_span(field, rng, space.factor_dims[factor] + 1,
-                              f_span.contains)
-    gvecs, gamma = _line_candidates(field, rng, a.coords[factor], w, deg)
-    prov = dict(d.provenance)
-    prov["steps"] = prov["steps"] + [{"replaced_point": 0, "factor": factor,
-                                      "retries_used": 0}]
-    f_span.insert(w)
-    return _proved_move(d, report, 0, factor, fiber_map(space, a, factor),
-                        gvecs, gamma, prov)
-
-
-def _line_steps(d, report, f_span, factor, steps, cfg, prov):
-    """Run `steps` line steps in one factor of degree e, step s seeded
-    with rng_seed + 7919 s; report is d's, f_span an `Echelon` of its
-    points' vectors in that factor, and prov starts the output's
-    provenance.  Each step hands the next its output and f_span; no step
-    solves, and none eliminates at tensor length.  FieldTooSmall when a
-    line over GF(p) has fewer than e+1 points off its base point."""
-    space = d.space
-    deg = space.multidegree[factor]
-    p = space.field.modulus
-    if p is not None and p < deg + 1:
-        raise FieldTooSmall("need %d distinct line points; GF(%d) offers %d"
-                            % (deg + 1, p, p))
-    prov["steps"] = []
+    prov["steps"] = [{"replaced_point": 0, "factor": factor,
+                      "retries_used": 0} for _ in range(steps)]
     # d's points were checked when d was built and its report just now
-    cur = Decomposition._proved(space, d.points, d.target, prov, d.images,
+    cur = Decomposition._proved(d.space, d.points, d.target, prov, d.images,
                                 report)
-    for step in range(steps):
-        cur = _extend_one_factor(
-            cur, f_span, factor,
-            replace(cfg, rng_seed=cfg.rng_seed + 7919 * step))
+    for s in range(steps):
+        cur, w = _line_move(cur, report, 0, factor,
+                            fiber_map(d.space, cur.points[0], factor),
+                            f_span.contains,
+                            random.Random(cfg.rng_seed + 7919 * s), prov)
+        report = verify_irredundant(cur)   # the proved one: no solve
+        f_span.insert(w)
     return cur
 
 

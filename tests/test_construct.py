@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -18,10 +19,10 @@ from xrank.construct import (ConstructionConfig, concise_plus_m, escape,
 from xrank.decomp import (Decomposition, fiber_condition, set_envelope,
                           verify_irredundant)
 from xrank.exactlin import Echelon, in_span, rank_rows, solve_columns
-from xrank.errors import (BadM, DegenerateSpace, FieldTooSmall, InvalidInput,
-                          NotConcise, NotContainedInY, NotIrredundantInput,
-                          NotVeronese, TargetTooSmall, UnsupportedDegree,
-                          YEqualsW)
+from xrank.errors import (BadM, DegenerateSpace, FieldNotFinite, FieldTooSmall,
+                          InvalidInput, MinimalityNotCertified, NotConcise,
+                          NotContainedInY, NotIrredundantInput, NotVeronese,
+                          TargetTooSmall, UnsupportedDegree, YEqualsW)
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, canonical_vector, embed, random_point)
 from xrank.oracle import brute_rank, ground_set
@@ -616,6 +617,52 @@ def test_concise_plus_m_grows_every_seed_over_gf2(dims):
         assert _passes_the_draw_filter(field, cs, o)
 
 
+# --------------------------------------------------------- certify_minimal
+
+def _certified_cases():
+    """(construction, input) pairs over GF(3) whose oracle rank, inside Y
+    for `escape` and inside Y' x {o} for `concise_plus_m`, is the input's
+    cardinality."""
+    S, y, d = _slice_instance(gf(3))
+    W = segre((1, 1, 2), gf(3))
+    o = (1, 1, 0)
+    A = [pt(W, E0, E0, o), pt(W, E1, E1, o)]
+    return [(plus_one, _diag(gf(3))),
+            (lambda d, cfg, **kw: escape(d, y, cfg, **kw), d),
+            (lambda d, cfg, **kw: concise_plus_m(d, 2, cfg, **kw),
+             Decomposition(W, A, lin_comb(W, A)))]
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["plus_one", "escape", "concise_plus_m"])
+def test_certify_minimal_records_the_oracle_certificate(case):
+    # the oracle certifies the input; the output is the uncertified one's,
+    # and its provenance says it was certified
+    build, d = _certified_cases()[case]
+    cfg = ConstructionConfig(rng_seed=1)
+    out = build(d, cfg, certify_minimal=True)
+    assert out.provenance["certified_minimal"] is True
+    plain = build(d, cfg)
+    assert plain.provenance["certified_minimal"] is False
+    assert out.points == plain.points
+
+
+def test_certify_minimal_refuses_a_redundant_cardinality():
+    # (1,0)x(1,0) + (1,1)x(1,0) = (2,1)x(1,0): irredundant, but the
+    # target has rank 1, so the pair is not minimal
+    S = segre((1, 1), gf(3))
+    A = [pt(S, E0, E0), pt(S, (1, 1), E0)]
+    d = Decomposition(S, A, lin_comb(S, A))
+    assert verify_irredundant(d).irredundant
+    with pytest.raises(MinimalityNotCertified):
+        plus_one(d, certify_minimal=True)
+
+
+def test_certify_minimal_needs_a_finite_field():
+    with pytest.raises(FieldNotFinite):
+        plus_one(_diag(), certify_minimal=True)
+
+
 # ---------------------------------------------------------- veronese_extend
 
 def test_veronese_extend_line_to_plane_degree_two():
@@ -683,6 +730,17 @@ def test_veronese_extend_needs_enough_line_points():
     a = pt(V, (1, 0, 0))
     with pytest.raises(FieldTooSmall):
         veronese_extend(Decomposition(V, [a], embed(V, a)), 1)
+
+
+def test_veronese_extend_with_no_step_needs_no_line_points():
+    # target_n = 0 is the input's own span: no line is drawn, so GF(2)'s
+    # two points per line refuse nothing, as over Q
+    V = veronese(2, 2, gf(2))
+    a = pt(V, (1, 0, 0))
+    d = Decomposition(V, [a], embed(V, a))
+    out = veronese_extend(d, 0)
+    assert out.points == d.points
+    assert out.provenance["steps"] == []
 
 
 def test_veronese_extend_works_over_gf5_degree_four():
@@ -779,25 +837,32 @@ def test_line_steps_carry_their_spans(monkeypatch, field):
     # every step starts from the factor span F of its input's vectors and
     # hands the next the span of its output's; F and the factor envelope
     # grow by exactly one, and the proved report is the one a fresh solve
-    # gives
-    real = construct._extend_one_factor
-    seen = []
+    # gives.  A step is a `_line_move` that `_line_steps` makes, drawing
+    # off F: on_span is F's `Echelon.contains`, and w joins F after it, so
+    # F after a step is checked as the next step's F before it, and after
+    # the last step against the output.
+    real = construct._line_move
+    seen, last = [], []
 
-    def step(d, f_span, factor, cfg):
-        dim = set_envelope(d.space, d.points).dims[factor]
+    def carried(f_span, d, factor):
         assert _same_span(field, f_span, [p.coords[factor]
                                           for p in d.points])
+
+    def move(d, report, ai, factor, fiber, on_span, rng, prov):
+        assert sys._getframe(1).f_code.co_name == "_line_steps"
+        f_span = on_span.__self__
+        dim = set_envelope(d.space, d.points).dims[factor]
+        carried(f_span, d, factor)
         assert f_span.rank == dim + 1
-        out = real(d, f_span, factor, cfg)
+        out, w = real(d, report, ai, factor, fiber, on_span, rng, prov)
         assert set_envelope(d.space, out.points).dims[factor] == dim + 1
-        assert _same_span(field, f_span, [p.coords[factor]
-                                          for p in out.points])
         _assert_stored_columns(out)
         _assert_report_is_a_fresh_solve(out)
         seen.append(d.space.multidegree[factor])
-        return out
+        last[:] = [f_span, factor]
+        return out, w
 
-    monkeypatch.setattr(construct, "_extend_one_factor", step)
+    monkeypatch.setattr(construct, "_line_move", move)
     rng = random.Random(str(field))
 
     def coeff():
@@ -816,10 +881,12 @@ def test_line_steps_carry_their_spans(monkeypatch, field):
             d = made(lambda: _irredundant_sum(
                 V, rng, r, lambda: random_point(V, rng, 5), coeff))
             out = veronese_extend(d, n, cfg)
+            carried(last[0], out, last[1])   # F after the last step
             assert set_envelope(V, out.points).dims == (n,)
         SV = MultiProjectiveSpace((1, 2), (1, 2), field)
         d = made(lambda: _sliced_sum(SV, rng, 2, (1, 0, 0), coeff))
         out = sv_extend(d, cfg)
+        carried(last[0], out, last[1])
         assert set_envelope(SV, out.points).dims[-1] == 2
     assert sorted(seen) == [1] * 15 + [2] * 12 + [3] * 3
 
