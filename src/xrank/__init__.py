@@ -9,8 +9,7 @@ ground-truth ranks, witness landscapes, and concise-witness search.
 from .construct import (ConstructionConfig, concise_plus_m, escape, plus_one,
                         sv_extend, veronese_extend)
 from .decomp import (Decomposition, Envelope, FiberReport,
-                     IrredundancyReport, extend_from_envelope,
-                     fiber_condition, restrict_to_envelope, set_envelope,
+                     IrredundancyReport, fiber_condition, set_envelope,
                      tensor_envelope, verify_irredundant,
                      verify_irredundant_exhaustive)
 from .exactlin import Echelon, FieldSpec
@@ -26,9 +25,8 @@ __all__ = [
     "ConstructionConfig", "concise_plus_m", "escape", "plus_one",
     "sv_extend", "veronese_extend",
     "Decomposition", "Envelope", "FiberReport", "IrredundancyReport",
-    "extend_from_envelope", "fiber_condition", "restrict_to_envelope",
-    "set_envelope", "tensor_envelope", "verify_irredundant",
-    "verify_irredundant_exhaustive",
+    "fiber_condition", "set_envelope", "tensor_envelope",
+    "verify_irredundant", "verify_irredundant_exhaustive",
     "Echelon", "FieldSpec",
     "MppPoint", "MultiProjectiveSpace", "SubspaceSpec", "Tensor",
     "ambient_dim", "embed", "enumerate_points",

@@ -385,8 +385,7 @@ def escape(d: Decomposition, ysub: SubspaceSpec,
 
     The input checks place the target in the span of Y's image with no
     solve: q = sum_j c_j x_j, as the input is irredundant, and each
-    x_j = v(p_j), p_j in Y, lies in the span of `SubspaceSpec.span_columns`
-    by the substitution identity of `geometry.substitution_columns`.
+    x_j = v(p_j) is the image of a point p_j of Y.
 
     The candidate leaves Y.  Let H be Y's subspace in the deficient
     factor i*, a proper one.  The replaced point a lies in Y, so a_i* is

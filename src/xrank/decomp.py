@@ -12,8 +12,7 @@ the cross-testing fallback.
 import itertools
 from dataclasses import dataclass
 
-from .errors import (DimensionMismatch, EmptySet, InvalidInput, NotContained,
-                     SpaceMismatch, UnsupportedDegree)
+from .errors import EmptySet, InvalidInput, SpaceMismatch, UnsupportedDegree
 from .exactlin import FieldSpec, solve_columns
 from .geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec, Tensor,
                        canonical_basis_rows, canonical_column, embed_image)
@@ -256,30 +255,6 @@ def tensor_envelope(q: Tensor) -> Envelope:
         bases.append(canonical_basis_rows(space.field, rows))
     sub = SubspaceSpec.of(space, bases)
     return Envelope(sub, sub.dims)
-
-
-def restrict_to_envelope(q: Tensor, env: Envelope) -> Tensor:
-    """Coordinates of the tensor on the envelope's reduced space."""
-    sub = env.subspace
-    if sub.space != q.space:
-        raise SpaceMismatch("envelope on a different space")
-    sol = solve_columns(q.space.field, sub.span_columns(), q.coords)
-    if sol.coefficients is None:
-        raise NotContained("tensor is not in the envelope span")
-    return Tensor.of(sub.reduced_space(), sol.coefficients)
-
-
-def extend_from_envelope(reduced: Tensor, env: Envelope) -> Tensor:
-    """Inverse of restrict_to_envelope: reduced coordinates back to the
-    ambient tensor space."""
-    sub = env.subspace
-    cols = sub.span_columns()
-    if len(cols) != len(reduced.coords):
-        raise DimensionMismatch("reduced tensor does not match the envelope")
-    # raw sums; Tensor.of reduces them into the field
-    coords = [sum(c * col[i] for c, col in zip(reduced.coords, cols))
-              for i in range(len(cols[0]))]
-    return Tensor.of(sub.space, coords)
 
 
 def fiber_condition(d: Decomposition) -> FiberReport:

@@ -1,7 +1,8 @@
 """Domain exceptions shared across the package.
 
-Each error carries a stable ``code`` string; the CLI maps a raised error
-to that code with exit status 2.
+Each error carries a stable ``code`` string, its class name ("DomainError"
+for the base class); the CLI maps a raised error to that code with exit
+status 2.
 """
 
 
@@ -10,61 +11,48 @@ class XrankError(Exception):
 
     code = "DomainError"
 
+    def __init_subclass__(cls):
+        cls.code = cls.__name__
+
 
 class DivisionByZero(XrankError, ZeroDivisionError):
-    code = "DivisionByZero"
+    pass
 
 
 class DimensionMismatch(XrankError):
-    code = "DimensionMismatch"
+    pass
 
 
 class FieldNotFinite(XrankError):
     """A finite field was required (enumeration, oracle search)."""
 
-    code = "FieldNotFinite"
-
 
 class FieldTooSmall(XrankError):
     """The prime field has too few points for a required distinct choice."""
-
-    code = "FieldTooSmall"
 
 
 class ModulusTooLarge(XrankError):
     """The prime is too large for a kernel's int64 residue products."""
 
-    code = "ModulusTooLarge"
-
 
 class ZeroFactor(XrankError):
     """A projective factor vector (or tensor) is identically zero."""
 
-    code = "ZeroFactor"
-
 
 class SpaceMismatch(XrankError):
-    code = "SpaceMismatch"
+    pass
 
 
 class EmptySet(XrankError):
-    code = "EmptySet"
+    pass
 
 
 class UnsupportedDegree(XrankError):
     """Operation requires degree-one (Segre) factors."""
 
-    code = "UnsupportedDegree"
-
-
-class NotContained(XrankError):
-    """Tensor does not lie in the stated envelope/subspace span."""
-
-    code = "NotContained"
-
 
 class NotIrredundantInput(XrankError):
-    code = "NotIrredundantInput"
+    pass
 
 
 class NoEscapingFiber(XrankError):
@@ -74,63 +62,51 @@ class NoEscapingFiber(XrankError):
     broken precondition.
     """
 
-    code = "NoEscapingFiber"
-
 
 class NotContainedInY(XrankError):
-    code = "NotContainedInY"
+    pass
 
 
 class YEqualsW(XrankError):
-    code = "YEqualsW"
+    pass
 
 
 class NotConcise(XrankError):
-    code = "NotConcise"
+    pass
 
 
 class BadM(XrankError):
-    code = "BadM"
+    pass
 
 
 class NotVeronese(XrankError):
-    code = "NotVeronese"
+    pass
 
 
 class TargetTooSmall(XrankError):
-    code = "TargetTooSmall"
+    pass
 
 
 class BudgetExceeded(XrankError):
     """Search-space size exceeds the configured combination budget."""
 
-    code = "BudgetExceeded"
-
 
 class NoConciseWitness(XrankError):
-    code = "NoConciseWitness"
+    pass
 
 
 class InvalidInput(XrankError):
     """Structurally valid JSON that violates a documented value contract."""
 
-    code = "InvalidInput"
-
 
 class DegenerateSpace(XrankError):
     """Space has no positive-dimensional factor where one is required."""
-
-    code = "DegenerateSpace"
 
 
 class TargetNotSpanned(XrankError):
     """Over a small field the variety points may not span the ambient space;
     a target outside their span has no rank."""
 
-    code = "TargetNotSpanned"
-
 
 class MinimalityNotCertified(XrankError):
     """Oracle certification of input minimality was requested and failed."""
-
-    code = "MinimalityNotCertified"

@@ -21,7 +21,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (DimensionMismatch, FieldNotFinite, InvalidInput,
                      SpaceMismatch, ZeroFactor)
@@ -95,19 +94,6 @@ class MultiProjectiveSpace:
 def ambient_dim(space: MultiProjectiveSpace) -> int:
     """Projective dimension N of the embedding target: prod binom(n_i+d_i, n_i) - 1."""
     return math.prod(space.factor_monomial_counts()) - 1
-
-
-@lru_cache(maxsize=None)
-def monomial_exponents(n_vars: int, degree: int) -> tuple:
-    """Exponent vectors of all degree-`degree` monomials in `n_vars`
-    variables, leading variable first: (d,0,..) down to (0,..,d)."""
-    if n_vars == 1:
-        return ((degree,),)
-    out = []
-    for e0 in range(degree, -1, -1):
-        for rest in monomial_exponents(n_vars - 1, degree - e0):
-            out.append((e0,) + rest)
-    return tuple(out)
 
 
 def canonical_vector(field: FieldSpec, vec):
@@ -368,55 +354,6 @@ def count_points(space: MultiProjectiveSpace) -> int:
 # -- linear subspaces of a product space --------------------------------
 
 
-def substitution_columns(field: FieldSpec, basis, degree: int):
-    """Columns through which the degree-d Veronese of a subspace factors.
-
-    basis: raw vectors b_1..b_r spanning a subspace of K^{n+1}.  Returns
-    one ambient column per degree-d monomial c^beta in r variables
-    (embedding order): column beta holds, for every ambient monomial
-    x^alpha, the coefficient of c^beta in (sum_j c_j b_j)^alpha.  So
-    v_d(sum_j c_j b_j) = sum_beta c^beta * column_beta as a polynomial
-    identity in c, over any field and any degree.  Each x^alpha is
-    expanded one linear form x_i = sum_j c_j b_j[i] at a time, on raw
-    values, and reduced into the field once at the end.  Over Q each b_j
-    is first cleared to plain ints, B_j = den_j b_j
-    (`exactlin.integer_row`); the expansion in the B_j gives column beta
-    times prod_j den_j^beta_j, so column beta is divided by that product
-    once.
-    """
-    r = len(basis)
-    dens = [1] * r
-    if not field.is_finite:
-        basis, dens = zip(*(integer_row(b) for b in basis))
-    # c^beta is keyed by sum_j beta_j B^j with B > degree, so multiplying
-    # by c_j adds B^j to the key
-    steps = [(degree + 1) ** j for j in range(r)]
-    forms = [[(s, b[i]) for s, b in zip(steps, basis) if b[i]]
-             for i in range(len(basis[0]))]
-    polys = []
-    for expo in monomial_exponents(len(basis[0]), degree):
-        poly = {0: 1}
-        for form, e in zip(forms, expo):
-            for _ in range(e):
-                prod = {}
-                for key, c in poly.items():
-                    for s, x in form:
-                        prod[key + s] = prod.get(key + s, 0) + c * x
-                poly = prod
-        polys.append(poly)
-    cols = []
-    for beta in monomial_exponents(r, degree):
-        key = sum(e * s for e, s in zip(beta, steps))
-        if not field.is_finite:
-            den = math.prod(d ** e for d, e in zip(dens, beta))
-            cols.append(tuple(Fraction(poly.get(key, 0), den)
-                              for poly in polys))
-        else:
-            cols.append(tuple(field.coerce(poly.get(key, 0))
-                              for poly in polys))
-    return cols
-
-
 @dataclass(frozen=True)
 class SubspaceSpec:
     """Per-factor linear subspaces of a product space.
@@ -489,19 +426,6 @@ class SubspaceSpec:
             vecs.append([sum(c * b[i] for c, b in zip(rv, basis))
                          for i in range(len(basis[0]))])
         return MppPoint.of(self.space, vecs)
-
-    def span_columns(self):
-        """Columns spanning the embedded image's linear span in the ambient
-        tensor space (Kronecker product of per-factor substitution columns)."""
-        f = self.space.field
-        per_factor = [substitution_columns(f, basis, d)
-                      for basis, d in zip(self.factor_bases,
-                                          self.space.multidegree)]
-        cols = [(f.one(),)]
-        for fac in per_factor:
-            cols = [tuple(f.mul(cv, fv) for cv in col for fv in fcol)
-                    for col in cols for fcol in fac]
-        return cols
 
     def to_json(self) -> dict:
         f = self.space.field

@@ -1,9 +1,10 @@
 """Shared builders for the test suite."""
 import random
+from functools import lru_cache
 
 from xrank.exactlin import FieldSpec, vec_add, vec_scale
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, Tensor, embed,
-                            monomial_exponents, random_point)
+                            random_point)
 
 QQ = FieldSpec.parse("QQ")
 
@@ -44,6 +45,18 @@ def line_point(field, a, w, t):
     if p is None:
         return tuple(x + tv * y for x, y in zip(a, w))
     return tuple((x + tv * y) % p for x, y in zip(a, w))
+
+
+@lru_cache(maxsize=None)
+def monomial_exponents(n_vars, degree):
+    """Exponent vectors of all degree-`degree` monomials in `n_vars`
+    variables in the embedding's order, leading variable first: (d,0,..)
+    down to (0,..,d).  The tests' own statement of that order, apart from
+    `geometry`'s monomial evaluation."""
+    if n_vars == 1:
+        return ((degree,),)
+    return tuple((e0,) + rest for e0 in range(degree, -1, -1)
+                 for rest in monomial_exponents(n_vars - 1, degree - e0))
 
 
 def field_embed(space, coords):

@@ -4,6 +4,7 @@ Criteria 2, 3, and 5 build banks of oracle certificates and construction
 outputs; the cross-cutting checks (criteria 7 and 8) sweep those banks.
 Each test finishes with one PASS line carrying its measured runtime.
 """
+import itertools
 import math
 import random
 import time
@@ -158,7 +159,10 @@ def escape_bank():
     failures = []
     seed = 0
     for sp, ysub, count in plans:
-        cols = ysub.span_columns()
+        # the Kronecker products of Y's basis vectors, one factor each,
+        # span the image of the sub-Segre Y
+        cols = [tuple(math.prod(xs) for xs in itertools.product(*vecs))
+                for vecs in itertools.product(*ysub.factor_bases)]
         field = sp.field
         made = 0
         while made < count:

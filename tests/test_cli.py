@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import QQ, gf, lin_comb, pt, segre, veronese
 
-from xrank import construct
+from xrank import construct, errors
 from xrank.cli import main
 from xrank.decomp import Decomposition, verify_irredundant
 from xrank.geometry import MultiProjectiveSpace, SubspaceSpec, Tensor, embed
@@ -290,6 +290,42 @@ def test_malformed_document_is_a_domain_error(tmp_path, capsys):
     code, payload = _run(capsys, ["verify", "--in", path])
     assert code == 2
     assert payload["error"] == "InvalidInput"
+
+
+# the "error" member of exit 2's payload for each domain error: pipelines
+# branch on these strings, so a renamed class must not rename its code
+_ERROR_CODES = {
+    "XrankError": "DomainError",
+    "DivisionByZero": "DivisionByZero",
+    "DimensionMismatch": "DimensionMismatch",
+    "FieldNotFinite": "FieldNotFinite",
+    "FieldTooSmall": "FieldTooSmall",
+    "ModulusTooLarge": "ModulusTooLarge",
+    "ZeroFactor": "ZeroFactor",
+    "SpaceMismatch": "SpaceMismatch",
+    "EmptySet": "EmptySet",
+    "UnsupportedDegree": "UnsupportedDegree",
+    "NotIrredundantInput": "NotIrredundantInput",
+    "NoEscapingFiber": "NoEscapingFiber",
+    "NotContainedInY": "NotContainedInY",
+    "YEqualsW": "YEqualsW",
+    "NotConcise": "NotConcise",
+    "BadM": "BadM",
+    "NotVeronese": "NotVeronese",
+    "TargetTooSmall": "TargetTooSmall",
+    "BudgetExceeded": "BudgetExceeded",
+    "NoConciseWitness": "NoConciseWitness",
+    "InvalidInput": "InvalidInput",
+    "DegenerateSpace": "DegenerateSpace",
+    "TargetNotSpanned": "TargetNotSpanned",
+    "MinimalityNotCertified": "MinimalityNotCertified",
+}
+
+
+def test_error_codes_are_frozen():
+    found = {name: cls.code for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.XrankError)}
+    assert found == _ERROR_CODES
 
 
 @pytest.mark.parametrize("member,value", [
@@ -692,6 +728,30 @@ def test_readme_rank_example_reads_stdin(monkeypatch, capsys):
     assert code == 0
     got = "%d %d" % (payload["rank"], len(payload["minimal_decompositions"]))
     assert [got] == shown
+
+
+def test_readme_within_example(tmp_path, capsys):
+    block = next(b for b in _readme_blocks("sh") if "within.json" in b)
+    files, commands = _readme_files_and_commands(block)
+    ((command, shown),) = commands
+    assert command.startswith("xrank rank --in within.json |")
+    doc = json.loads(files["within.json"])
+    code, inside = _run(capsys, ["rank", "--in",
+                                 _write(tmp_path, "within.json", doc)])
+    assert code == 0
+    assert ["%d %d %d" % (inside["rank"],
+                          len(inside["minimal_decompositions"]),
+                          inside["search_space_size"])] == shown
+    # the text after the block: the ambient search finds the same
+    code, ambient = _run(capsys, ["rank", "--in",
+                                  _write(tmp_path, "q.json", doc["tensor"])])
+    assert code == 0
+    assert ambient["rank"] == inside["rank"]
+    assert ambient["search_space_size"] == 1378
+
+    def decompositions(payload):
+        return sorted(sorted(d) for d in payload["minimal_decompositions"])
+    assert decompositions(ambient) == decompositions(inside)
 
 
 def test_readme_gaps_example(tmp_path, capsys):

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import QQ, distinct_points, gf, lin_comb, pt, segre, veronese
 
-from xrank.decomp import (Decomposition, IrredundancyReport,
-                          extend_from_envelope, fiber_condition,
-                          restrict_to_envelope, set_envelope, tensor_envelope,
-                          verify_irredundant, verify_irredundant_exhaustive)
-from xrank.errors import EmptySet, NotContained, SpaceMismatch, UnsupportedDegree
+from xrank.decomp import (Decomposition, IrredundancyReport, fiber_condition,
+                          set_envelope, tensor_envelope, verify_irredundant,
+                          verify_irredundant_exhaustive)
+from xrank.errors import EmptySet, SpaceMismatch, UnsupportedDegree
 from xrank.exactlin import rank_rows, solve_columns
 from xrank.geometry import MultiProjectiveSpace, Tensor, ambient_dim, embed
 
@@ -227,64 +226,6 @@ def test_point_embeddings_are_never_concise():
         for _ in range(5):
             p = distinct_points(sp, 1, rng)[0]
             assert tensor_envelope(embed(sp, p)).dims == tuple(0 for _ in dims)
-
-
-# --------------------------------------------------------- restrict / extend
-
-def test_restrict_rank_one_to_its_own_envelope():
-    S = segre((1, 1))
-    q = embed(S, pt(S, (1, 2), (1, 3)))
-    env = tensor_envelope(q)
-    r = restrict_to_envelope(q, env)
-    assert r.space.factor_dims == (0, 0)
-    assert r.coords == (1,)
-    assert extend_from_envelope(r, env) == q
-
-
-def test_restrict_concise_tensor_is_identity_shaped():
-    S = segre((1, 1))
-    q = Tensor.of(S, (1, 0, 0, 1))
-    env = tensor_envelope(q)
-    r = restrict_to_envelope(q, env)
-    assert r.space.factor_dims == (1, 1)
-    assert extend_from_envelope(r, env) == q
-
-
-def test_restrict_rejects_outside_tensor():
-    S = segre((1, 1))
-    env = set_envelope(S, [pt(S, E0, E0), pt(S, E0, E1)])
-    with pytest.raises(NotContained):
-        restrict_to_envelope(Tensor.of(S, (0, 0, 1, 1)), env)
-
-
-def _round_trips(rng, spaces, count):
-    """Restrict random tensors of random envelopes and extend them back."""
-    done = 0
-    while done < count:
-        field = rng.choice([QQ, gf(5), gf(11)])
-        dims, degrees = rng.choice(spaces)
-        sp = MultiProjectiveSpace(dims, degrees, field)
-        pts = distinct_points(sp, rng.randint(1, 3), rng, box=4)
-        coeffs = [field.random_element(rng, 4) for _ in pts]
-        if all(c == field.zero() for c in coeffs):
-            continue
-        vec = lin_comb(sp, pts, coeffs).coords
-        if all(v == field.zero() for v in vec):
-            continue
-        q = Tensor.of(sp, vec)
-        env = set_envelope(sp, pts)
-        r = restrict_to_envelope(q, env)
-        assert extend_from_envelope(r, env) == q
-        done += 1
-
-
-def test_restrict_extend_round_trip_random():
-    rng = random.Random(17)
-    _round_trips(rng, [(dims, (1,) * len(dims)) for dims in
-                       [(1, 1), (1, 2), (2, 2), (1, 1, 1)]], 50)
-    # the lift sums raw products at every degree
-    _round_trips(rng, [((1, 2), (1, 2)), ((2,), (2,)), ((1, 1), (2, 1))],
-                 60)
 
 
 # ------------------------------------------------------------------- fibers

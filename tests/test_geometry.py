@@ -8,15 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import QQ, field_embed, gf, line_point, pt, segre, veronese
+from conftest import (QQ, field_embed, gf, line_point, monomial_exponents,
+                      pt, segre, veronese)
 
 from xrank import geometry
 from xrank.errors import FieldNotFinite, InvalidInput, ZeroFactor
-from xrank.exactlin import rank_rows, solve_columns
+from xrank.exactlin import solve_columns
 from xrank.geometry import (MppPoint, MultiProjectiveSpace, SubspaceSpec,
                             Tensor, ambient_dim, canonical_vector,
                             count_points, embed, enumerate_points,
-                            monomial_exponents, random_point)
+                            random_point)
 
 
 # -------------------------------------------------------------- ambient dim
@@ -56,10 +57,13 @@ def test_space_sizes_take_any_integer_type():
 
 
 def test_monomial_count_matches_enumeration():
+    # the tests' copy of the monomial order: every degree-d monomial once,
+    # in descending lex order, (d,0,..) first
     for nvars, d in [(2, 1), (2, 4), (3, 2), (4, 3)]:
         monos = monomial_exponents(nvars, d)
-        assert len(set(monos)) == len(monos)
+        assert len(set(monos)) == len(monos) == math.comb(nvars - 1 + d, d)
         assert all(sum(m) == d and len(m) == nvars for m in monos)
+        assert list(monos) == sorted(monos, reverse=True)
 
 
 # -------------------------------------------------------------------- embed
@@ -329,21 +333,12 @@ def test_subspace_membership_and_lift():
     assert lifted.space is S and y.contains_point(lifted)
 
 
-def test_subspace_span_columns_catch_target():
-    S = segre((1, 1), gf(5))
-    y = SubspaceSpec.of(S, [((1, 0), (0, 1)), ((1, 0),)])
-    cols = y.span_columns()
-    inside = embed(S, pt(S, (1, 2), (1, 0))).coords
-    outside = embed(S, pt(S, (1, 2), (1, 1))).coords
-    assert solve_columns(S.field, cols, inside).coefficients is not None
-    assert solve_columns(S.field, cols, outside).coefficients is None
-
-
 @pytest.mark.parametrize("field", [QQ, gf(3), gf(11)], ids=str)
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_subspace_span_columns_hold_every_lifted_point(field, degree):
-    """embed(lift_point(r)) lies in the span of span_columns, also when
-    the characteristic is at most the degree (GF(3), degrees 3 and 4)."""
+    """lift_point puts every point of the reduced space inside Y, at
+    every degree and also when the characteristic is at most the degree
+    (GF(3), degrees 3 and 4)."""
     rng = random.Random(degree)
     for dims, degs, bases in (
             ((2,), (degree,), [((1, 1, 0), (0, 2, 1))]),
@@ -352,66 +347,9 @@ def test_subspace_span_columns_hold_every_lifted_point(field, degree):
                                         ((1, 1, 0), (0, 1, 1))])):
         space = MultiProjectiveSpace(dims, degs, field)
         y = SubspaceSpec.of(space, bases)
-        cols = y.span_columns()
         for _ in range(4):
             lifted = y.lift_point(random_point(y.reduced_space(), rng, 5))
             assert y.contains_point(lifted)
-            sol = solve_columns(field, cols, embed(space, lifted).coords)
-            assert sol.coefficients is not None
-
-
-def test_span_columns_are_the_veronese_of_the_reduced_point():
-    # over Q the columns are independent and the coordinates of a lifted
-    # point's image are the reduced point's own image, up to scale
-    space = MultiProjectiveSpace((2,), (3,), QQ)
-    y = SubspaceSpec.of(space, [((1, 1, 0), (0, 2, 1))])
-    r = MppPoint.of(y.reduced_space(), [(2, -3)])
-    sol = solve_columns(QQ, y.span_columns(),
-                        embed(space, y.lift_point(r)).coords)
-    assert sol.independent
-    assert Tensor.of(y.reduced_space(), sol.coefficients) == \
-        embed(y.reduced_space(), r)
-
-
-def _random_basis(field, rng, length):
-    """1 to `length` independent random vectors; over Q their entries are
-    non-integer fractions more often than not."""
-    rank = rng.randint(1, length)
-    while True:
-        if field.is_finite:
-            basis = [[rng.randrange(field.modulus) for _ in range(length)]
-                     for _ in range(rank)]
-        else:
-            basis = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                      for _ in range(length)] for _ in range(rank)]
-        if rank_rows(field, basis) == rank:
-            return basis
-
-
-@pytest.mark.parametrize("field,digest", [
-    (QQ,
-     "791c449ab79e304213ea251822a27a85e03119827c64bed606b6fd1a09ae2500"),
-    (gf(3),
-     "5d7e7ee64e79ec1275b848bbb5db586003db85e199de4d8c8099e40de7edc683"),
-    (gf(11),
-     "87c9043fd8d7b9c31ae40dbf67559b46dbc7b74e9e38cfcf3fdb35009a1ce1d1"),
-], ids=str)
-def test_span_columns_frozen_digests(field, digest):
-    """span_columns of seeded subspaces in degrees 1-4; the repr pins the
-    values and their types.  Recorded while `substitution_columns` still
-    expanded products of polynomials."""
-    rng = random.Random(2002)
-    h = hashlib.sha256()
-    for degree in (1, 2, 3, 4):
-        for dims, degs in (((2,), (degree,)), ((3,), (degree,)),
-                           ((1, 2), (1, degree)),
-                           ((1, 2), (degree, degree))):
-            space = MultiProjectiveSpace(dims, degs, field)
-            for _ in range(3):
-                y = SubspaceSpec.of(space, [_random_basis(field, rng, n + 1)
-                                            for n in dims])
-                h.update(repr(y.span_columns()).encode())
-    assert h.hexdigest() == digest
 
 
 def test_full_subspace_is_full():
